@@ -29,6 +29,7 @@ from .transforms import join, reduce_to_word, split
 from .verify import (
     KIND_PARAGRAPHS,
     KIND_WORDS,
+    MAX_SYMBOLS,
     CorpusSpec,
     verify,
 )
@@ -209,6 +210,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _corpus_bound(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= k <= MAX_SYMBOLS:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_SYMBOLS}, got {k}")
+    return k
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgauss",
@@ -253,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("verify", _cmd_verify, "exhaustive consistency checks", reads_file=False)
     sp.add_argument(
         "--max-n",
-        type=int,
+        type=_corpus_bound,
         default=4,
         metavar="K",
         help="word corpus bound (paragraphs use K-1; default 4)",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .homology import pairing, profile, word_is_planar_homology
+from .homology import pairing, profile
 from .model import (
     POSITIVE,
     NEGATIVE,
@@ -38,6 +38,7 @@ from .transforms import fresh_symbol, join
 __all__ = [
     "KIND_WORDS",
     "KIND_PARAGRAPHS",
+    "MAX_SYMBOLS",
     "CorpusSpec",
     "enumerate_words",
     "enumerate_two_component_paragraphs",
@@ -51,6 +52,8 @@ __all__ = [
 
 KIND_WORDS = "words"
 KIND_PARAGRAPHS = "two-component-paragraphs"
+# The enumerators name symbols a..z.
+MAX_SYMBOLS = len(string.ascii_lowercase)
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,8 @@ class CorpusSpec:
     kind: str = KIND_WORDS
 
     def __post_init__(self):
-        if self.max_symbols < 1:
-            raise ValueError("max_symbols must be >= 1")
+        if not 1 <= self.max_symbols <= MAX_SYMBOLS:
+            raise ValueError(f"max_symbols must be in 1..{MAX_SYMBOLS}")
         if self.kind not in (KIND_WORDS, KIND_PARAGRAPHS):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
 
@@ -82,8 +85,8 @@ def _matchings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _names(n: int) -> list[str]:
-    if n > 26:
-        raise ValueError("enumeration supports at most 26 symbols")
+    if n > MAX_SYMBOLS:
+        raise ValueError(f"enumeration supports at most {MAX_SYMBOLS} symbols")
     return list(string.ascii_lowercase[:n])
 
 
@@ -317,15 +320,14 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         )
 
         if len(p.words) == 1:
-            w = p.words[0]
+            pr = profile(p.words[0])
             report.record(
                 "criterion-equivalence",
-                word_is_planar_homology(w) == s.geometric,
+                pr.is_zero == s.geometric,
                 p,
-                f"profile zero={word_is_planar_homology(w)}",
+                f"profile zero={pr.is_zero}",
                 f"geometric={s.geometric}",
             )
-            pr = profile(w)
             syms = sorted(pr.alpha)
             holds = all(
                 pr.beta_of(i, j) == -pr.beta_of(j, i) for i in syms for j in syms

@@ -249,6 +249,15 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["paragraphs"] is None
 
+    @pytest.mark.parametrize("k", ["0", "-1", "27"])
+    def test_out_of_range_bound_is_usage_error(self, capsys, monkeypatch, k):
+        code, out, err = run(capsys, monkeypatch, ["verify", "--max-n", k])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"sgauss verify: error: argument --max-n: must be in 1..26, got {k}"
+        )
+
 
 class TestStyling:
     def test_no_ansi_when_disabled(self, capsys, monkeypatch):

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import setprofile
 from conftest import signed_words
+from setprofile import closed_letter_set, inverse_set, letter_set
 from sgauss.homology import (
     alpha,
     beta,
-    closed_letter_set,
-    inverse_set,
-    letter_set,
     pairing,
     profile,
     segment_of,
@@ -22,11 +23,12 @@ from sgauss.model import (
     OperationError,
     SignedLetter,
     SignedParagraph,
+    SignedWord,
     parse_paragraph,
     rotate,
     relabel,
 )
-from sgauss.surface import is_geometric
+from sgauss.surface import is_geometric, summarize
 
 
 def W(text: str):
@@ -166,6 +168,75 @@ class TestProfile:
         assert prm.beta == {
             (mapping[i], mapping[j]): v for (i, j), v in pr.beta.items()
         }
+
+
+@st.composite
+def invalid_words(draw) -> SignedWord:
+    """A valid word with one letter dropped, flipped or repeated."""
+    letters = list(draw(signed_words(max_symbols=4)).letters)
+    k = draw(st.integers(0, len(letters) - 1))
+    how = draw(st.sampled_from(["drop", "flip", "repeat"]))
+    if how == "drop":
+        del letters[k]
+    elif how == "flip":
+        letters[k] = letters[k].inverse()
+    else:
+        letters.insert(draw(st.integers(0, len(letters))), letters[k])
+    return SignedWord(tuple(letters))
+
+
+class TestAgainstSetOracle:
+    """The bitmask kernel against the set-based definitions in setprofile."""
+
+    def test_exhaustive_small(self, words_le_4):
+        assert len(words_le_4) == 1814
+        for p in words_le_4:
+            w = p.words[0]
+            assert profile(w) == setprofile.profile(w), str(w)
+
+    @given(signed_words(max_symbols=12))
+    def test_random_words(self, w):
+        assert profile(w) == setprofile.profile(w)
+        for sym in sorted(w.symbols()):
+            assert segment_of(w, sym) == setprofile.segment_of(w, sym)
+
+    @given(invalid_words())
+    def test_invalid_words_rejected_by_both(self, w):
+        with pytest.raises(OperationError):
+            profile(w)
+        with pytest.raises(OperationError):
+            setprofile.profile(w)
+
+
+def _kink_word(n: int, rng: random.Random) -> SignedWord:
+    """Planar by construction: n kinks, each inserted as an adjacent pair
+    x -x or -x x at a random place in the word built so far."""
+    letters: list[SignedLetter] = []
+    for i in range(n):
+        pair = [SignedLetter(f"k{i}", 1), SignedLetter(f"k{i}", -1)]
+        rng.shuffle(pair)
+        at = rng.randint(0, len(letters))
+        letters[at:at] = pair
+    return SignedWord(tuple(letters))
+
+
+class TestLargeWords:
+    @pytest.mark.parametrize("kind", ["random", "kinks"])
+    def test_criteria_agree_at_n200(self, kind):
+        rng = random.Random(200)
+        if kind == "kinks":
+            w = _kink_word(200, rng)
+        else:
+            pool = [SignedLetter(f"s{i}", e) for i in range(200) for e in (1, -1)]
+            rng.shuffle(pool)
+            w = SignedWord(tuple(pool))
+        pr = profile(w)
+        geometric = summarize(w.as_paragraph()).geometric
+        assert pr.is_zero == geometric
+        assert geometric == (kind == "kinks")
+        syms = sorted(pr.alpha)
+        assert len(syms) == 200
+        assert all(pr.beta_of(i, j) == -pr.beta_of(j, i) for i in syms for j in syms)
 
 
 class TestCriterionEquivalence:

@@ -88,6 +88,8 @@ class TestCorpusSpec:
         with pytest.raises(ValueError):
             CorpusSpec(0)
         with pytest.raises(ValueError):
+            CorpusSpec(27)
+        with pytest.raises(ValueError):
             CorpusSpec(2, kind="threes")
 
 
