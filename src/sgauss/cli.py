@@ -3,8 +3,8 @@
 Every subcommand reads one paragraph from a positional file path or stdin
 ("-" or omitted) and writes text, or JSON with --json.  Exit status: 0 on
 success, 1 on a domain error (invalid input, failed precondition, failed
-verification), 2 on usage errors.  Set GAUSS_COLOR=0 to disable ANSI
-styling of diagnostics.
+verification) or an internal error (reported on one line, no traceback), 2
+on usage errors.  Set GAUSS_COLOR=0 to disable ANSI styling of diagnostics.
 """
 
 from __future__ import annotations
@@ -285,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         return _error(e)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:
+        # A bug, not bad input: one line instead of a traceback.
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
         return 1
 
 

@@ -295,29 +295,19 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             f"b={s.b} genus={s.genus}",
             "1 <= b <= n+2, 0 <= g <= (n+1)/2",
         )
-        report.record(
-            "mirror-circles",
-            len(trace_circles(r.mirror())) == s.b,
-            p,
-            f"{len(trace_circles(r.mirror()))}",
-            f"{s.b}",
-        )
+        mirror_b = len(trace_circles(r.mirror()))
+        report.record("mirror-circles", mirror_b == s.b, p, f"{mirror_b}", f"{s.b}")
         q = apply_random_moves(p, rng)
+        c1 = canonicalize(p)
         report.record(
             "isomorphism-invariance",
-            summarize(q) == s and canonicalize(q) == canonicalize(p),
+            summarize(q) == s and canonicalize(q) == c1,
             p,
             f"moved to {render(q)!r}",
             "equal summary and canonical form",
         )
-        c1 = canonicalize(p)
-        report.record(
-            "canonical-idempotence",
-            canonicalize(c1) == c1,
-            p,
-            render(canonicalize(c1)),
-            render(c1),
-        )
+        c2 = canonicalize(c1)
+        report.record("canonical-idempotence", c2 == c1, p, render(c2), render(c1))
 
         if len(p.words) == 1:
             pr = profile(p.words[0])

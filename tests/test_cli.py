@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import random
+import time
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgauss.cli import main
 
@@ -275,3 +282,124 @@ class TestStyling:
         monkeypatch.setattr("sys.stderr", fake_err)
         assert main(["summary"]) == 1
         assert "\x1b[31m" in fake_err.getvalue()
+
+
+def chain_words(k: int) -> list[list[str]]:
+    """The symmetric chain x_i y_i -x_{i+1} -y_i, i = 0..k-1 (cyclically)."""
+    return [[f"x{i}", f"y{i}", f"-x{(i + 1) % k}", f"-y{i}"] for i in range(k)]
+
+
+def paragraph_text(words: list[list[str]]) -> str:
+    return " / ".join(" ".join(w) for w in words) + "\n"
+
+
+class TestLargeParagraphs:
+    """An 8-component chain, where an exhaustive word-order x rotation
+    search would build 8! * 4^8 (2.6e9) letter streams."""
+
+    K = 8
+
+    def test_canon_finishes_and_is_idempotent(self, capsys, monkeypatch):
+        text = paragraph_text(chain_words(self.K))
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch, ["canon"], stdin=text)
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert elapsed < 5.0
+        assert out.count("/") == self.K - 1
+        code, again, _ = run(capsys, monkeypatch, ["canon"], stdin=out)
+        assert code == 0
+        assert again == out
+
+    def test_iso_against_moved_copy(self, capsys, monkeypatch, tmp_path):
+        rng = random.Random(8)
+        words = chain_words(self.K)
+        moved = []
+        for w in words:
+            r = rng.randrange(len(w))
+            moved.append(w[r:] + w[:r])
+        rng.shuffle(moved)
+        syms = sorted({l.lstrip("-") for w in words for l in w})
+        names = [f"s{i}" for i in range(len(syms))]
+        rng.shuffle(names)
+        rename = dict(zip(syms, names))
+        moved = [
+            [("-" if l.startswith("-") else "") + rename[l.lstrip("-")] for l in w]
+            for w in moved
+        ]
+        f = tmp_path / "moved"
+        f.write_text(paragraph_text(moved))
+        code, out, _ = run(
+            capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
+        )
+        assert (code, out) == (0, "isomorphic\n")
+
+    def test_iso_against_swapped_exponents(self, capsys, monkeypatch, tmp_path):
+        # x1 is +1 in word 1 and -1 in word 0.  Swapping its exponents moves a
+        # +1 letter from word 1 to word 0, so the words' counts of +1 letters
+        # become 3, 1, 2, 2, ... where every word of the chain has 2.
+        words = chain_words(self.K)
+        flip = {"x1": "-x1", "-x1": "x1"}
+        swapped = [[flip.get(l, l) for l in w] for w in words]
+        f = tmp_path / "swapped"
+        f.write_text(paragraph_text(swapped))
+        code, out, _ = run(
+            capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
+        )
+        assert (code, out) == (0, "not isomorphic\n")
+
+
+# Every subcommand that reads a paragraph, with the options it requires.
+# ``iso`` compares stdin with a fixed valid paragraph (the kink's canonical
+# form).
+FILE_COMMANDS = [
+    ["validate"],
+    ["validate", "--pairwise"],
+    ["canon"],
+    ["iso", "-", str(GOLDEN / "kink_canon.txt")],
+    ["summary"],
+    ["circles"],
+    ["profile"],
+    ["pairing"],
+    ["split", "--at", "a"],
+    ["join", "--shared", "a", "--fresh", "z"],
+    ["reduce"],
+]
+
+
+def run_plain(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRobustness:
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        def broken(p):
+            raise RuntimeError("internal consistency failure:\nn=1, b=2")
+
+        monkeypatch.setattr("sgauss.cli.summarize", broken)
+        code, out, err = run(capsys, monkeypatch, ["summary"], stdin="a -a")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: internal: RuntimeError: internal consistency failure: n=1, b=2\n"
+        )
+
+    @settings(deadline=timedelta(seconds=2))
+    @given(
+        st.sampled_from(FILE_COMMANDS),
+        st.booleans(),
+        st.one_of(
+            st.text(max_size=80),
+            st.text(alphabet="ab-/ ^1#\n", max_size=80),
+        ),
+    )
+    def test_arbitrary_text(self, argv, as_json, text):
+        code, _, err = run_plain(argv + ["--json"] * as_json, text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_isomorphic, signed_paragraphs, signed_words
+from bruteforce_canon import bruteforce_canonicalize
+from conftest import LETTERS, naive_isomorphic, signed_paragraphs, signed_words
 from sgauss.model import (
     OperationError,
     ParseError,
@@ -225,6 +226,87 @@ class TestCanonicalize:
         assert canonicalize(c) == c
         moved = apply_random_moves(p, rng, moves=1)
         assert canonicalize(moved) == c
+
+
+def random_cut(rng: random.Random, n: int, k: int) -> SignedParagraph:
+    """A random word on n symbols cut at random places into k connected words."""
+    while True:
+        letters = [SignedLetter(LETTERS[i], e) for i in range(n) for e in (1, -1)]
+        rng.shuffle(letters)
+        cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
+        bounds = list(zip([0] + cuts, cuts + [2 * n]))
+        try:
+            return SignedParagraph(
+                tuple(SignedWord(tuple(letters[a:b])) for a, b in bounds)
+            )
+        except ValidationError:
+            continue
+
+
+def symmetric_chain(k: int) -> SignedParagraph:
+    """x_i y_i -x_{i+1} -y_i, i = 0..k-1 (cyclically)."""
+    return parse_paragraph(
+        " / ".join(f"x{i} y{i} -x{(i + 1) % k} -y{i}" for i in range(k))
+    )
+
+
+def star(k: int) -> SignedParagraph:
+    """-x_i y_i (i < k) linked only through x_0 -y_0 ... x_{k-1} -y_{k-1}:
+    interchangeable symbol-disjoint short words, the pruned search's worst
+    case."""
+    short = " / ".join(f"-x{i} y{i}" for i in range(k))
+    return parse_paragraph(short + " / " + " ".join(f"x{i} -y{i}" for i in range(k)))
+
+
+class TestCanonicalizeAgainstBruteForce:
+    """The pruned search returns the brute force's paragraph, not only an
+    equivalent one."""
+
+    def test_all_words_up_to_4(self, words_le_4):
+        assert len(words_le_4) == 1814
+        for p in words_le_4:
+            assert canonicalize(p) == bruteforce_canonicalize(p), render(p)
+
+    def test_all_two_component_paragraphs_up_to_3(self, paragraphs_le_3):
+        assert len(paragraphs_le_3) == 586
+        for p in paragraphs_le_3:
+            assert canonicalize(p) == bruteforce_canonicalize(p), render(p)
+
+    @given(signed_paragraphs(min_symbols=1, max_symbols=6))
+    def test_random_paragraphs(self, p):
+        assert canonicalize(p) == bruteforce_canonicalize(p)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_random_cuts(self, k):
+        rng = random.Random(100 + k)
+        for _ in range(12):
+            p = random_cut(rng, 2 * k, k)
+            c = bruteforce_canonicalize(p)
+            assert canonicalize(p) == c, render(p)
+            assert canonicalize(apply_random_moves(p, rng)) == c, render(p)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_symmetric_chains(self, k):
+        p = symmetric_chain(k)
+        assert canonicalize(p) == bruteforce_canonicalize(p)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stars(self, k):
+        p = star(k)
+        assert canonicalize(p) == bruteforce_canonicalize(p)
+
+    def test_fully_symmetric_word(self):
+        syms = [f"x{i}" for i in range(1, 7)]
+        p = parse_paragraph(" ".join(syms + ["-" + s for s in syms]))
+        c = canonicalize(p)
+        assert c == bruteforce_canonicalize(p)
+        assert render(c) == "-a -b -c -d -e -f a b c d e f"
+
+    def test_names_past_26_symbols(self):
+        p = symmetric_chain(14)
+        c = canonicalize(p)
+        assert {"s26", "s27"} <= c.alphabet
+        assert canonicalize(c) == c
 
 
 class TestIsomorphism:
