@@ -10,6 +10,7 @@ on usage errors.  Set GAUSS_COLOR=0 to disable ANSI styling of diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,6 +221,7 @@ def _corpus_bound(text: str) -> int:
     return k
 
 
+@functools.cache  # built on the first call to main, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgauss",
@@ -274,9 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -242,6 +242,23 @@ class SignedParagraph:
         return f"SignedParagraph({str(self)!r})"
 
 
+def _built(words: tuple[SignedWord, ...]) -> SignedParagraph:
+    """A paragraph the package built from words that are valid by
+    construction (an enumerated matching, a rotation or reordering of a
+    valid paragraph): fills the fields without the checks of ``__post_init__``.
+    """
+    occ = {
+        (l.sym, l.exp): Occurrence(l.sym, l.exp, wi, i)
+        for wi, w in enumerate(words)
+        for i, l in enumerate(w.letters)
+    }
+    p = object.__new__(SignedParagraph)
+    object.__setattr__(p, "words", words)
+    object.__setattr__(p, "alphabet", frozenset(s for s, _ in occ))
+    object.__setattr__(p, "_occ", occ)
+    return p
+
+
 def _validate(words: tuple[SignedWord, ...]) -> dict[tuple[str, int], Occurrence]:
     if not words:
         raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
@@ -500,7 +517,7 @@ def canonicalize(p: SignedParagraph) -> SignedParagraph:
     for length in lengths:
         words.append(SignedWord(tuple(signed[start : start + length])))
         start += length
-    return SignedParagraph(tuple(words))
+    return _built(tuple(words))
 
 
 def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:

@@ -18,6 +18,23 @@ n - 2n + b, so its genus is (n + 2 - b) / 2; the paragraph is geometric
 The opposite chirality would produce the mirror surface, which has the same
 number of boundary walks, so b, the genus and the planarity verdict do not
 depend on the convention (see ``RotationSystem.mirror``).
+
+The circles are counted on integers, as in the permutation-triple view of a
+map (sigma, alpha, phi = sigma alpha) of Lando & Zvonkin, *Graphs on
+Surfaces and Their Applications* (2004), ch. 1.  Letters are numbered
+0..2n-1 across the words in order; letter k starts arc k+1, whose forward
+dart is 2k and whose backward dart is 2k+1, so reverse(d) = d ^ 1.  With P
+and M the indices of a symbol's +1 and -1 letters and prev the previous
+letter of the same cyclic word, the symbol's rotation is
+
+    (2P, 2 prev(M) + 1, 2 prev(P) + 1, 2M)
+
+(``_quads``).  The left-turn successor of a dart arriving at a crossing is
+the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every slot k of
+every quad, and the circles are the cycles of that table (``_faces``); the
+mirror surface is the same call on the reversed quads.  Both take O(n) time
+and 4n ints.  ``Arc``, ``Dart`` and ``RotationSystem`` are object views of
+the same numbering, for the ``circles`` output.
 """
 
 from __future__ import annotations
@@ -145,6 +162,54 @@ class SurfaceSummary(NamedTuple):
         }
 
 
+def _quads(p: SignedParagraph) -> dict[str, tuple[int, int, int, int]]:
+    """The integer rotation (out+, in-, in+, out-) of every symbol of ``p``."""
+    ends: tuple[dict, dict] = ({}, {})  # by exponent: sym -> (out dart, in dart)
+    k = 0
+    for w in p.words:
+        arriving = 2 * (k + len(w)) - 1  # backward dart of the arc into letter k
+        for l in w.letters:
+            ends[l.exp == NEGATIVE][l.sym] = (2 * k, arriving)
+            arriving = 2 * k + 1
+            k += 1
+    plus, minus = ends
+    quads = {}
+    for sym, (out_p, in_p) in plus.items():
+        out_m, in_m = minus[sym]
+        quads[sym] = (out_p, in_m, in_p, out_m)
+    return quads
+
+
+def _faces(quads) -> list[list[int]]:
+    """Orbits of the left-turn successor table on the 4n darts of ``quads``
+    (a collection of integer rotations), in order of least dart, each listed
+    from it."""
+    size = 4 * len(quads)
+    succ = [0] * size
+    for a, b, c, d in quads:
+        succ[a ^ 1] = d
+        succ[b ^ 1] = a
+        succ[c ^ 1] = b
+        succ[d ^ 1] = c
+    seen = bytearray(size)
+    faces = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        orbit = []
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            orbit.append(d)
+            d = succ[d]
+        faces.append(orbit)
+    return faces
+
+
+def _dart(d: int) -> Dart:
+    return Dart(d // 2 + 1, not d & 1)
+
+
 def build_ribbon(p: SignedParagraph) -> RotationSystem:
     """The rotation system induced by ``p`` under the fixed chirality.
 
@@ -152,28 +217,19 @@ def build_ribbon(p: SignedParagraph) -> RotationSystem:
     the arc preceding the -1 occurrence supplies in-, and so on.
     """
     arcs: list[Arc] = []
-    start_at: dict[tuple[str, int], Arc] = {}
-    end_at: dict[tuple[str, int], Arc] = {}
     for wi, w in enumerate(p.words):
         length = len(w)
         for i in range(length):
             a, b = w[i], w.at(i + 1)
-            arc = Arc(
-                len(arcs) + 1,
-                Occurrence(a.sym, a.exp, wi, i),
-                Occurrence(b.sym, b.exp, wi, (i + 1) % length),
+            arcs.append(
+                Arc(
+                    len(arcs) + 1,
+                    Occurrence(a.sym, a.exp, wi, i),
+                    Occurrence(b.sym, b.exp, wi, (i + 1) % length),
+                )
             )
-            arcs.append(arc)
-            start_at[(a.sym, a.exp)] = arc
-            end_at[(b.sym, b.exp)] = arc
-    rotations = {}
-    for sym in sorted(p.alphabet):
-        rotations[sym] = (
-            Dart(start_at[(sym, POSITIVE)].id, True),  # out+
-            Dart(end_at[(sym, NEGATIVE)].id, False),  # in-
-            Dart(end_at[(sym, POSITIVE)].id, False),  # in+
-            Dart(start_at[(sym, NEGATIVE)].id, True),  # out-
-        )
+    quads = _quads(p)
+    rotations = {sym: tuple(map(_dart, quads[sym])) for sym in sorted(quads)}
     return RotationSystem(tuple(arcs), rotations)
 
 
@@ -183,32 +239,25 @@ def trace_circles(r: RotationSystem) -> list[CarterCircle]:
     Circles are returned sorted by their least dart, each listed starting
     from it, so the output is deterministic.
     """
-    seen: set[Dart] = set()
-    circles: list[CarterCircle] = []
-    for start in r.darts():
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        d = r.successor(start)
-        while d != start:
-            orbit.append(d)
-            seen.add(d)
-            d = r.successor(d)
-        circles.append(CarterCircle(tuple(orbit)))
-    return circles
+    darts = list(r.darts())  # dart number d is darts[d]
+    quads = [
+        tuple(2 * d.arc - 1 - d.forward for d in quad) for quad in r.rotations.values()
+    ]
+    return [CarterCircle(tuple(darts[d] for d in f)) for f in _faces(quads)]
 
 
-def summarize(p: SignedParagraph) -> SurfaceSummary:
-    """Crossing count, Carter circle count, Euler characteristic and genus."""
-    n = p.n
-    b = len(trace_circles(build_ribbon(p)))
+def _summary(n: int, b: int) -> SurfaceSummary:
     twice_genus = n + 2 - b
     if twice_genus < 0 or twice_genus % 2:
         raise RuntimeError(
             f"internal consistency failure: n={n}, b={b} gives no integer genus"
         )
     return SurfaceSummary(n=n, edges=2 * n, b=b, euler=b - n, genus=twice_genus // 2)
+
+
+def summarize(p: SignedParagraph) -> SurfaceSummary:
+    """Crossing count, Carter circle count, Euler characteristic and genus."""
+    return _summary(p.n, len(_faces(_quads(p).values())))
 
 
 def is_geometric(p: SignedParagraph) -> bool:

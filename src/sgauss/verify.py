@@ -27,12 +27,13 @@ from .model import (
     SignedLetter,
     SignedParagraph,
     SignedWord,
+    _built,
     canonicalize,
     relabel,
     render,
     rotate,
 )
-from .surface import build_ribbon, summarize, trace_circles
+from .surface import _faces, _quads, _summary, summarize
 from .transforms import fresh_symbol, join
 
 __all__ = [
@@ -108,7 +109,7 @@ def enumerate_words(n: int) -> Iterator[SignedParagraph]:
     for chords in _matchings(positions):
         for mask in range(2**n):
             letters = _letters_from(n, chords, mask, 2 * n)
-            yield SignedWord(tuple(letters)).as_paragraph()
+            yield _built((SignedWord(tuple(letters)),))
 
 
 def enumerate_two_component_paragraphs(n: int) -> Iterator[SignedParagraph]:
@@ -124,7 +125,7 @@ def enumerate_two_component_paragraphs(n: int) -> Iterator[SignedParagraph]:
                 continue
             for mask in range(2**n):
                 letters = _letters_from(n, chords, mask, 2 * n)
-                yield SignedParagraph(
+                yield _built(
                     (
                         SignedWord(tuple(letters[:len1])),
                         SignedWord(tuple(letters[len1:])),
@@ -167,11 +168,11 @@ def apply_random_moves(
             k = rng.randrange(len(p.words[i]))
             words = list(p.words)
             words[i] = rotate(words[i], k)
-            p = SignedParagraph(tuple(words))
+            p = _built(tuple(words))
         elif kind == 1:
             order = list(range(len(p.words)))
             rng.shuffle(order)
-            p = SignedParagraph(tuple(p.words[i] for i in order))
+            p = _built(tuple(p.words[i] for i in order))
         else:
             names = sorted(p.alphabet)
             shuffled = names[:]
@@ -273,11 +274,11 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     for idx, p in enumerate(enumerate_corpus(spec)):
         report.size += 1
         rng = random.Random((seed << 24) ^ idx)
-        r = build_ribbon(p)
-        circles = trace_circles(r)
-        s = summarize(p)
+        quads = list(_quads(p).values())
+        circles = _faces(quads)
+        s = _summary(p.n, len(circles))
 
-        all_darts = [d for c in circles for d in c.darts]
+        all_darts = [d for c in circles for d in c]
         report.record(
             "carter-partition",
             len(all_darts) == 4 * s.n and len(set(all_darts)) == 4 * s.n,
@@ -295,7 +296,7 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             f"b={s.b} genus={s.genus}",
             "1 <= b <= n+2, 0 <= g <= (n+1)/2",
         )
-        mirror_b = len(trace_circles(r.mirror()))
+        mirror_b = len(_faces([q[::-1] for q in quads]))
         report.record("mirror-circles", mirror_b == s.b, p, f"{mirror_b}", f"{s.b}")
         q = apply_random_moves(p, rng)
         c1 = canonicalize(p)

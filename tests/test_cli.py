@@ -71,6 +71,19 @@ class TestExitCodes:
     def test_help_is_0(self, capsys, monkeypatch):
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        from sgauss.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        first = run(capsys, monkeypatch, ["--help"])
+        assert run(capsys, monkeypatch, ["split"], stdin="a -a")[0] == 2
+        assert run(capsys, monkeypatch, ["summary"], stdin="a -a") == (
+            0,
+            "n=1 b=3 genus=0 geometric=true\n",
+            "",
+        )
+        assert run(capsys, monkeypatch, ["--help"]) == first
+
     def test_lexical_error_position(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["validate"], stdin="a !! -a")
         assert code == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bandwalk import boundary_count
 from conftest import signed_paragraphs, signed_words
+from darttrace import trace_circles_by_objects
 from sgauss.model import SignedParagraph, SignedWord, parse_paragraph
 from sgauss.surface import (
     Dart,
@@ -96,6 +97,27 @@ class TestTraceCircles:
             assert len(trace_circles(build_ribbon(p))) == boundary_count(p)
 
 
+class TestAgainstObjectTracer:
+    """The integer successor table against the dart-object oracle."""
+
+    @staticmethod
+    def check(p):
+        r = build_ribbon(p)
+        circles = trace_circles(r)
+        assert circles == trace_circles_by_objects(r)
+        mirror = r.mirror()
+        assert len(trace_circles(mirror)) == len(trace_circles_by_objects(mirror))
+        assert summarize(p).b == len(circles) == boundary_count(p)
+
+    def test_corpus(self, words_le_4, paragraphs_le_3):
+        for p in words_le_4 + paragraphs_le_3:
+            self.check(p)
+
+    @given(signed_paragraphs(max_symbols=8))
+    def test_hypothesis_paragraphs(self, p):
+        self.check(p)
+
+
 class TestSummarize:
     @pytest.mark.parametrize(
         "text,n,b,genus",
@@ -141,7 +163,7 @@ class TestSummarize:
         # An impossible circle count must be reported as a bug, not as data.
         import sgauss.surface as surface
 
-        monkeypatch.setattr(surface, "trace_circles", lambda r: [])
+        monkeypatch.setattr(surface, "_faces", lambda quads: [])
         with pytest.raises(RuntimeError, match="internal consistency"):
             surface.summarize(P("a -a"))
 

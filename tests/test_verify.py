@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import random
 
 import pytest
 
 from conftest import double_factorial_count, naive_isomorphic
-from sgauss.model import SignedParagraph, render
+from sgauss.model import SignedParagraph, canonicalize, render
 from sgauss.verify import (
     KIND_PARAGRAPHS,
     KIND_WORDS,
     Counterexample,
     CorpusSpec,
     VerificationReport,
+    apply_random_moves,
     enumerate_corpus,
     enumerate_two_component_paragraphs,
     enumerate_words,
     verify,
 )
+
+# The package re-exports the function ``verify``, which hides the module of
+# the same name as an attribute of ``sgauss``, so fetch the modules by name.
+verify_module = importlib.import_module("sgauss.verify")
+surface_module = importlib.import_module("sgauss.surface")
 
 
 class TestEnumerateWords:
@@ -151,3 +159,74 @@ class TestVerify:
         a = verify(CorpusSpec(2, kind=KIND_WORDS), seed=5).to_json()
         b = verify(CorpusSpec(2, kind=KIND_WORDS), seed=5).to_json()
         assert a == b
+
+
+class TestTrustedConstruction:
+    """The enumerators, ``canonicalize`` and the rotate/reorder moves build
+    paragraphs without validation; every one must pass it anyway."""
+
+    @staticmethod
+    def check(p):
+        checked = SignedParagraph(p.words)
+        assert checked.alphabet == p.alphabet
+        assert {s: checked.occurrences(s) for s in checked.alphabet} == {
+            s: p.occurrences(s) for s in p.alphabet
+        }
+
+    def test_corpus_canonical_forms_and_moves(self, words_le_4, paragraphs_le_3):
+        rng = random.Random(0)
+        for p in words_le_4 + paragraphs_le_3:
+            self.check(p)
+            self.check(canonicalize(p))
+            self.check(apply_random_moves(p, rng))
+
+
+class TestPerObjectWork:
+    """``verify`` computes each surface quantity once per object."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def count(module, name):
+            original = getattr(module, name, None)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            counts[name] = 0
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+
+        for name in ("canonicalize", "_quads", "summarize"):
+            count(verify_module, name)
+        for module in (verify_module, surface_module):
+            for name in ("build_ribbon", "trace_circles"):
+                count(module, name)
+        return counts
+
+    def test_words(self, calls):
+        size = verify(CorpusSpec(3, kind=KIND_WORDS)).size
+        assert calls == {
+            "canonicalize": 3 * size,
+            "_quads": size,
+            "summarize": size,
+            "build_ribbon": 0,
+            "trace_circles": 0,
+        }
+
+    def test_paragraphs(self, calls):
+        corpus = list(enumerate_corpus(CorpusSpec(2, kind=KIND_PARAGRAPHS)))
+        joins = sum(
+            len({o.word for o in p.occurrences(s)}) == 2
+            for p in corpus
+            for s in p.alphabet
+        )
+        assert verify(CorpusSpec(2, kind=KIND_PARAGRAPHS)).size == len(corpus)
+        assert calls == {
+            "canonicalize": 3 * len(corpus),
+            "_quads": len(corpus),
+            "summarize": len(corpus) + joins,
+            "build_ribbon": 0,
+            "trace_circles": 0,
+        }
