@@ -25,13 +25,10 @@ from .model import (
     rotate,
 )
 from .surface import (
-    Arc,
     CarterCircle,
-    Dart,
     RotationSystem,
     SurfaceSummary,
     build_ribbon,
-    carter_circles_symbolic,
     is_geometric,
     summarize,
     trace_circles,
@@ -75,8 +72,6 @@ __all__ = [
     "canonicalize",
     "is_isomorphic",
     "check_pairwise",
-    "Arc",
-    "Dart",
     "RotationSystem",
     "CarterCircle",
     "SurfaceSummary",
@@ -84,7 +79,6 @@ __all__ = [
     "trace_circles",
     "summarize",
     "is_geometric",
-    "carter_circles_symbolic",
     "segment_of",
     "alpha",
     "beta",

@@ -25,7 +25,7 @@ from .model import (
     paragraph_dict,
     render,
 )
-from .surface import build_ribbon, edge_token, summarize, trace_circles
+from .surface import build_ribbon, summarize, trace_circles
 from .transforms import join, reduce_to_word, split
 from .verify import (
     KIND_PARAGRAPHS,
@@ -126,7 +126,7 @@ def _cmd_circles(args) -> int:
                 "circles": [
                     {
                         "darts": list(c.signed_ids()),
-                        "edges": [edge_token(d, r) for d in c.darts],
+                        "edges": [r.edge(d) for d in c.darts],
                     }
                     for c in circles
                 ],
@@ -136,7 +136,7 @@ def _cmd_circles(args) -> int:
         print(f"n={p.n} b={len(circles)}")
         for i, c in enumerate(circles, start=1):
             ids = " ".join(f"{d:+d}" for d in c.signed_ids())
-            edges = " ".join(edge_token(d, r) for d in c.darts)
+            edges = " ".join(map(r.edge, c.darts))
             print(f"circle {i}: {ids} | {edges}")
     return 0
 

@@ -33,20 +33,23 @@ letter of the same cyclic word, the symbol's rotation is
 the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every slot k of
 every quad, and the circles are the cycles of that table (``_faces``); the
 mirror surface is the same call on the reversed quads.  Both take O(n) time
-and 4n ints.  ``Arc``, ``Dart`` and ``RotationSystem`` are object views of
-the same numbering, for the ``circles`` output.
+and 4n ints.
+
+``RotationSystem`` holds this numbering and nothing else: ``letters`` (the
+2n letters in order), ``heads`` (arc k+1 runs from ``letters[k]`` to
+``letters[heads[k]]``) and ``quads`` (the rotation of every symbol), and
+renders a dart as a signed edge for the ``circles`` output.  A
+``CarterCircle`` is a tuple of dart numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .model import NEGATIVE, POSITIVE, Occurrence, SignedLetter, SignedParagraph
+from .model import NEGATIVE, POSITIVE, SignedLetter, SignedParagraph
 
 __all__ = [
-    "Arc",
-    "Dart",
     "RotationSystem",
     "CarterCircle",
     "SurfaceSummary",
@@ -54,88 +57,57 @@ __all__ = [
     "trace_circles",
     "summarize",
     "is_geometric",
-    "carter_circles_symbolic",
 ]
-
-
-class Arc(NamedTuple):
-    """A directed edge between consecutive letters of a cyclic word (1-based id)."""
-
-    id: int
-    tail: Occurrence
-    head: Occurrence
-
-
-class Dart(NamedTuple):
-    """One of the two directed sides of an arc."""
-
-    arc: int
-    forward: bool
-
-    def reverse(self) -> "Dart":
-        return Dart(self.arc, not self.forward)
-
-    @property
-    def signed_id(self) -> int:
-        return self.arc if self.forward else -self.arc
-
-    def __str__(self) -> str:
-        return f"{self.signed_id:+d}"
 
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Counterclockwise dart order at every crossing.
+    """Counterclockwise dart order at every crossing, on the dart numbering.
 
-    ``rotations[sym]`` holds the quadruple (out+, in-, in+, out-) of darts
-    based at ``sym``; incoming arc ends are represented by the reverse dart of
-    the arriving arc, so each of the 4n darts occupies exactly one slot.
+    ``letters[k]`` is letter k, counted across the words in order; arc k+1
+    runs from ``letters[k]`` to ``letters[heads[k]]``.  ``quads[sym]`` holds
+    the darts (out+, in-, in+, out-) at ``sym``; an incoming arc end is held
+    as the reverse dart of the arriving arc, so each of the 4n darts occupies
+    exactly one slot.
     """
 
-    arcs: tuple[Arc, ...]
-    rotations: dict[str, tuple[Dart, Dart, Dart, Dart]]
+    letters: tuple[SignedLetter, ...]
+    heads: tuple[int, ...]
+    quads: dict[str, tuple[int, int, int, int]]
 
     @property
     def n(self) -> int:
-        return len(self.rotations)
-
-    def arc(self, id: int) -> Arc:
-        return self.arcs[id - 1]
-
-    def darts(self) -> Iterator[Dart]:
-        for a in self.arcs:
-            yield Dart(a.id, True)
-            yield Dart(a.id, False)
-
-    def vertex_of(self, d: Dart) -> str:
-        """Symbol of the crossing the dart arrives at."""
-        a = self.arc(d.arc)
-        return (a.head if d.forward else a.tail).sym
-
-    def successor(self, d: Dart) -> Dart:
-        """Left-turn rule: the outgoing dart immediately preceding reverse(d)
-        in the counterclockwise order at the crossing d arrives at."""
-        rot = self.rotations[self.vertex_of(d)]
-        return rot[rot.index(d.reverse()) - 1]
+        return len(self.quads)
 
     def mirror(self) -> "RotationSystem":
         """Reverse every cyclic order; the mirror embedding."""
         return RotationSystem(
-            self.arcs, {s: tuple(reversed(q)) for s, q in self.rotations.items()}
+            self.letters, self.heads, {s: q[::-1] for s, q in self.quads.items()}
         )
+
+    def edge(self, d: int) -> str:
+        """Render dart ``d`` as a signed edge, e.g. ``+[a,b^-1]``."""
+        k = d // 2
+        tail, head = self.letters[k], self.letters[self.heads[k]]
+        return f"{'-' if d & 1 else '+'}[{_token(tail)},{_token(head)}]"
+
+
+def _token(l: SignedLetter) -> str:
+    return l.sym if l.exp == POSITIVE else f"{l.sym}^-1"
 
 
 @dataclass(frozen=True)
 class CarterCircle:
     """One boundary walk: a cyclically-ordered orbit of darts."""
 
-    darts: tuple[Dart, ...]
+    darts: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.darts)
 
     def signed_ids(self) -> tuple[int, ...]:
-        return tuple(d.signed_id for d in self.darts)
+        """Arc ids, negated for backward darts: dart d lies on arc d // 2 + 1."""
+        return tuple(-(d // 2 + 1) if d & 1 else d // 2 + 1 for d in self.darts)
 
 
 class SurfaceSummary(NamedTuple):
@@ -206,31 +178,15 @@ def _faces(quads) -> list[list[int]]:
     return faces
 
 
-def _dart(d: int) -> Dart:
-    return Dart(d // 2 + 1, not d & 1)
-
-
 def build_ribbon(p: SignedParagraph) -> RotationSystem:
-    """The rotation system induced by ``p`` under the fixed chirality.
-
-    The arc following the +1 occurrence of a symbol supplies its out+ end,
-    the arc preceding the -1 occurrence supplies in-, and so on.
-    """
-    arcs: list[Arc] = []
-    for wi, w in enumerate(p.words):
-        length = len(w)
-        for i in range(length):
-            a, b = w[i], w.at(i + 1)
-            arcs.append(
-                Arc(
-                    len(arcs) + 1,
-                    Occurrence(a.sym, a.exp, wi, i),
-                    Occurrence(b.sym, b.exp, wi, (i + 1) % length),
-                )
-            )
-    quads = _quads(p)
-    rotations = {sym: tuple(map(_dart, quads[sym])) for sym in sorted(quads)}
-    return RotationSystem(tuple(arcs), rotations)
+    """The rotation system induced by ``p`` under the fixed chirality."""
+    letters: list[SignedLetter] = []
+    heads: list[int] = []
+    for w in p.words:
+        k, length = len(letters), len(w)
+        letters.extend(w.letters)
+        heads.extend(k + (i + 1) % length for i in range(length))
+    return RotationSystem(tuple(letters), tuple(heads), _quads(p))
 
 
 def trace_circles(r: RotationSystem) -> list[CarterCircle]:
@@ -239,11 +195,7 @@ def trace_circles(r: RotationSystem) -> list[CarterCircle]:
     Circles are returned sorted by their least dart, each listed starting
     from it, so the output is deterministic.
     """
-    darts = list(r.darts())  # dart number d is darts[d]
-    quads = [
-        tuple(2 * d.arc - 1 - d.forward for d in quad) for quad in r.rotations.values()
-    ]
-    return [CarterCircle(tuple(darts[d] for d in f)) for f in _faces(quads)]
+    return [CarterCircle(tuple(f)) for f in _faces(r.quads.values())]
 
 
 def _summary(n: int, b: int) -> SurfaceSummary:
@@ -263,20 +215,3 @@ def summarize(p: SignedParagraph) -> SurfaceSummary:
 def is_geometric(p: SignedParagraph) -> bool:
     """Whether ``p`` is realizable in the sphere (genus 0, i.e. b = n + 2)."""
     return summarize(p).genus == 0
-
-
-def _letter_token(o: Occurrence) -> str:
-    return o.sym if o.exp == POSITIVE else f"{o.sym}^-1"
-
-
-def edge_token(d: Dart, r: RotationSystem) -> str:
-    """Render a dart as a signed edge, e.g. ``+[a,b^-1]``."""
-    a = r.arc(d.arc)
-    sign = "+" if d.forward else "-"
-    return f"{sign}[{_letter_token(a.tail)},{_letter_token(a.head)}]"
-
-
-def carter_circles_symbolic(p: SignedParagraph) -> list[tuple[str, ...]]:
-    """The Carter circles rendered as signed-edge words, in trace order."""
-    r = build_ribbon(p)
-    return [tuple(edge_token(d, r) for d in c.darts) for c in trace_circles(r)]

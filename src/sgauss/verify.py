@@ -275,17 +275,19 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         report.size += 1
         rng = random.Random((seed << 24) ^ idx)
         quads = list(_quads(p).values())
-        circles = _faces(quads)
-        s = _summary(p.n, len(circles))
-
-        all_darts = [d for c in circles for d in c]
+        # The circles partition the darts only if the table is a permutation.
+        slots = sorted(chain.from_iterable(quads))
+        partition = slots == list(range(4 * p.n))
         report.record(
             "carter-partition",
-            len(all_darts) == 4 * s.n and len(set(all_darts)) == 4 * s.n,
+            partition,
             p,
-            f"{len(all_darts)} darts in circles",
-            f"{4 * s.n} distinct darts",
+            f"{len(set(slots))} distinct darts in {len(slots)} slots",
+            f"each of 0..{4 * p.n - 1} once",
         )
+        if not partition:
+            continue
+        s = _summary(p.n, len(_faces(quads)))
         report.record(
             "euler-parity", (s.b - s.n) % 2 == 0, p, f"b={s.b} n={s.n}", "b = n mod 2"
         )

@@ -1,30 +1,46 @@
-"""Object-based Carter circle tracer used as the test oracle for the
-integer successor table in ``sgauss.surface``.
+"""Dart-by-dart Carter circle tracer used as the test oracle for the integer
+successor table in ``sgauss.surface``.
 
-It follows ``RotationSystem.successor`` one dart object at a time (the
-crossing a dart arrives at, the position of the reverse dart in that
-crossing's rotation, the slot before it), which is how the package traced
-circles before the dart table replaced it.
+It applies the left-turn rule to one dart at a time, reading the ribbon off
+``RotationSystem`` the way the rule is stated: the crossing a dart arrives
+at (from ``letters`` and ``heads``), the slot of the reverse dart in that
+crossing's rotation, and the slot before it.  It does not use the successor
+table that ``surface._faces`` builds.
 """
 
 from __future__ import annotations
 
-from sgauss.surface import CarterCircle, Dart, RotationSystem
+from sgauss.surface import CarterCircle, RotationSystem
+
+
+def arrival(r: RotationSystem, d: int) -> str:
+    """Symbol of the crossing dart ``d`` arrives at: the head of its arc if
+    ``d`` is forward (even), the tail if backward (odd)."""
+    k = d // 2
+    return (r.letters[k] if d % 2 else r.letters[r.heads[k]]).sym
+
+
+def successor(r: RotationSystem, d: int) -> int:
+    """Left-turn rule: the outgoing dart immediately preceding reverse(d)
+    in the counterclockwise order at the crossing ``d`` arrives at."""
+    rot = r.quads[arrival(r, d)]
+    reverse = d + 1 if d % 2 == 0 else d - 1
+    return rot[rot.index(reverse) - 1]
 
 
 def trace_circles_by_objects(r: RotationSystem) -> list[CarterCircle]:
-    """Orbits of ``r.successor``, in order of least dart, each from it."""
-    seen: set[Dart] = set()
+    """Orbits of ``successor``, in order of least dart, each from it."""
+    seen: set[int] = set()
     circles: list[CarterCircle] = []
-    for start in r.darts():
+    for start in range(2 * len(r.letters)):
         if start in seen:
             continue
         orbit = [start]
         seen.add(start)
-        d = r.successor(start)
+        d = successor(r, start)
         while d != start:
             orbit.append(d)
             seen.add(d)
-            d = r.successor(d)
+            d = successor(r, d)
         circles.append(CarterCircle(tuple(orbit)))
     return circles

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -360,6 +361,39 @@ class TestLargeParagraphs:
             capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
         )
         assert (code, out) == (0, "not isomorphic\n")
+
+
+def random_word(n: int, seed: int) -> list[str]:
+    """The letters of a seeded random word on the symbols s0..s{n-1}."""
+    letters = [f"{sign}s{i}" for i in range(n) for sign in ("", "-")]
+    random.Random(seed).shuffle(letters)
+    return letters
+
+
+# A 400-symbol word, and a 40-symbol word cut into a 3-component paragraph.
+WORD40 = random_word(40, 3)
+LARGE_INPUTS = {
+    "word400": paragraph_text([random_word(400, 400)]),
+    "cut3": paragraph_text([WORD40[:31], WORD40[31:76], WORD40[76:]]),
+}
+
+
+class TestLargeCircles:
+    """sha256 of the ``circles`` output on inputs beyond the goldens."""
+
+    DIGESTS = {
+        ("word400", False): "3628ac9bd3ba90064c48bd0bee77eaedc0da8304afb40eeef68bf7fa2f24ddec",
+        ("word400", True): "70095a141511a0b2e55c61198f0436c5aab6eb34db55bc9d5aa075c2369bd069",
+        ("cut3", False): "b1c40ef94fdfb882c19afd334418ec041aa82c855455eb09db2c3431f257f6b6",
+        ("cut3", True): "b5c75a8afd27548df86e7a6803db0033507b3f3f8f3a96ccfeeeb7733adfc073",
+    }
+
+    @pytest.mark.parametrize("name,as_json", sorted(DIGESTS))
+    def test_digest(self, capsys, monkeypatch, name, as_json):
+        argv = ["circles"] + ["--json"] * as_json
+        code, out, _ = run(capsys, monkeypatch, argv, stdin=LARGE_INPUTS[name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, as_json]
 
 
 # Every subcommand that reads a paragraph, with the options it requires.

@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from bandwalk import boundary_count
 from conftest import signed_paragraphs, signed_words
-from darttrace import trace_circles_by_objects
+from darttrace import successor, trace_circles_by_objects
 from sgauss.model import SignedParagraph, SignedWord, parse_paragraph
-from sgauss.surface import (
-    Dart,
-    build_ribbon,
-    carter_circles_symbolic,
-    is_geometric,
-    summarize,
-    trace_circles,
-)
+from sgauss.surface import build_ribbon, is_geometric, summarize, trace_circles
 from sgauss.verify import apply_random_moves
 
 
@@ -28,31 +21,31 @@ def P(text: str) -> SignedParagraph:
 
 class TestBuildRibbon:
     def test_smallest_word_quadruple(self):
-        # Arcs: 1 = a+ -> a-, 2 = a- -> a+.  Slots (out+, in-, in+, out-).
+        # Arcs: 1 = a+ -> a- (darts 0, 1), 2 = a- -> a+ (darts 2, 3).
+        # Slots (out+, in-, in+, out-).
         r = build_ribbon(P("a -a"))
-        assert r.rotations["a"] == (
-            Dart(1, True),
-            Dart(1, False),
-            Dart(2, False),
-            Dart(2, True),
-        )
+        assert r.quads["a"] == (0, 1, 3, 2)
+        assert [str(l) for l in r.letters] == ["a", "-a"]
+        assert r.heads == (1, 0)
 
     def test_arc_count(self):
         r = build_ribbon(P("a b -a -b"))
-        assert len(r.arcs) == 4
-        assert set(r.rotations) == {"a", "b"}
+        assert len(r.heads) == 4
+        assert set(r.quads) == {"a", "b"}
 
     @given(signed_paragraphs())
     def test_every_dart_in_exactly_one_slot(self, p):
         r = build_ribbon(p)
-        slots = [d for quad in r.rotations.values() for d in quad]
-        assert sorted(slots) == sorted(r.darts())
+        slots = [d for quad in r.quads.values() for d in quad]
+        assert sorted(slots) == list(range(4 * p.n))
 
     def test_length_one_words(self):
         r = build_ribbon(P("a / -a"))
-        assert len(r.arcs) == 2
+        assert r.heads == (0, 1)
         # Both arcs are loops at the single crossing.
-        assert all(a.tail.sym == a.head.sym == "a" for a in r.arcs)
+        assert all(
+            r.letters[k].sym == r.letters[h].sym == "a" for k, h in enumerate(r.heads)
+        )
 
 
 class TestTraceCircles:
@@ -90,7 +83,7 @@ class TestTraceCircles:
         r = build_ribbon(p)
         for c in trace_circles(r):
             for i, d in enumerate(c.darts):
-                assert r.successor(d) == c.darts[(i + 1) % len(c)]
+                assert successor(r, d) == c.darts[(i + 1) % len(c)]
 
     def test_band_oracle_on_corpus(self, words_le_4, paragraphs_le_3):
         for p in words_le_4 + paragraphs_le_3:
@@ -168,16 +161,30 @@ class TestSummarize:
             surface.summarize(P("a -a"))
 
 
+def symbolic(p: SignedParagraph) -> list[tuple[str, ...]]:
+    """The Carter circles rendered as signed edges, in trace order."""
+    r = build_ribbon(p)
+    return [tuple(map(r.edge, c.darts)) for c in trace_circles(r)]
+
+
+def crossings(edge: str) -> tuple[str, str]:
+    """The crossings a rendered dart leaves and arrives at."""
+    tail, head = (t.removesuffix("^-1") for t in edge[2:-1].split(","))
+    return (tail, head) if edge[0] == "+" else (head, tail)
+
+
 class TestSymbolicCircles:
+    """Darts rendered by ``RotationSystem.edge``."""
+
     def test_smallest_word(self):
-        assert carter_circles_symbolic(P("a -a")) == [
+        assert symbolic(P("a -a")) == [
             ("+[a,a^-1]",),
             ("-[a,a^-1]", "+[a^-1,a]"),
             ("-[a^-1,a]",),
         ]
 
     def test_partitions_signed_edges(self):
-        circles = carter_circles_symbolic(P("a -a"))
+        circles = symbolic(P("a -a"))
         tokens = [t for c in circles for t in c]
         assert sorted(tokens) == sorted(
             ["+[a,a^-1]", "-[a,a^-1]", "+[a^-1,a]", "-[a^-1,a]"]
@@ -185,15 +192,42 @@ class TestSymbolicCircles:
 
     @given(signed_paragraphs())
     def test_total_length(self, p):
-        circles = carter_circles_symbolic(p)
+        circles = symbolic(p)
         assert sum(len(c) for c in circles) == 4 * p.n
 
     def test_same_orbit_sizes_as_trace(self):
         p = P("a b -a -b")
-        sym = carter_circles_symbolic(p)
+        sym = symbolic(p)
         tr = trace_circles(build_ribbon(p))
         assert sorted(map(len, sym)) == sorted(map(len, tr))
         assert sum(map(len, sym)) == 8
+
+    def test_dart_numbering(self):
+        r = build_ribbon(P("a -b / -a b"))
+        assert [r.edge(d) for d in range(4)] == [
+            "+[a,b^-1]",
+            "-[a,b^-1]",
+            "+[b^-1,a]",
+            "-[b^-1,a]",
+        ]
+        assert [r.edge(d) for d in range(4, 8, 2)] == ["+[a^-1,b]", "+[b,a^-1]"]
+
+    @given(signed_paragraphs())
+    def test_distinct_and_reversible(self, p):
+        r = build_ribbon(p)
+        edges = [r.edge(d) for d in range(4 * p.n)]
+        assert len(set(edges)) == 4 * p.n
+        for d in range(0, 4 * p.n, 2):
+            assert (edges[d][0], edges[d + 1][0]) == ("+", "-")
+            assert edges[d][1:] == edges[d + 1][1:]
+
+    @given(signed_paragraphs())
+    def test_circles_turn_at_crossings(self, p):
+        # Each dart of a circle arrives at the crossing the next one leaves.
+        for c in symbolic(p):
+            ends = list(map(crossings, c))
+            for i, (_, head) in enumerate(ends):
+                assert ends[(i + 1) % len(ends)][0] == head
 
 
 class TestInvariance:
@@ -225,3 +259,30 @@ class TestInvariance:
                     assert s1.b == s0.b - 1
                     assert s1.genus == s0.genus
                     break
+
+
+def cyclic(darts) -> tuple[int, ...]:
+    """A cyclic sequence of distinct darts, read from its least dart."""
+    i = darts.index(min(darts))
+    return tuple(darts[i:] + darts[:i])
+
+
+class TestMirror:
+    """The mirror surface has the same boundary walks traversed the other
+    way: each circle read backwards, on the reverse darts."""
+
+    @staticmethod
+    def check(p):
+        r = build_ribbon(p)
+        backwards = {
+            cyclic([d ^ 1 for d in reversed(c.darts)]) for c in trace_circles(r)
+        }
+        assert {cyclic(list(c.darts)) for c in trace_circles(r.mirror())} == backwards
+
+    def test_corpus(self, words_le_4, paragraphs_le_3):
+        for p in words_le_4 + paragraphs_le_3:
+            self.check(p)
+
+    @given(signed_paragraphs(max_symbols=8))
+    def test_hypothesis_paragraphs(self, p):
+        self.check(p)

@@ -230,3 +230,28 @@ class TestPerObjectWork:
             "build_ribbon": 0,
             "trace_circles": 0,
         }
+
+
+class TestCorruptDartTable:
+    """``carter-partition`` checks that the quads hold a permutation of the
+    darts, and a table that is not one is a counterexample, not a crash."""
+
+    def test_repeated_dart_is_recorded(self, monkeypatch):
+        real = verify_module._quads
+
+        def repeat_a_dart(p):
+            quads = real(p)
+            sym = min(quads)
+            out_p, _, in_p, out_m = quads[sym]
+            quads[sym] = (out_p, out_p, in_p, out_m)  # in- replaced by out+
+            return quads
+
+        monkeypatch.setattr(verify_module, "_quads", repeat_a_dart)
+        report = verify(CorpusSpec(3))
+        partition = report.checks["carter-partition"]
+        assert partition.checked == report.size
+        assert partition.failed == report.size > 0
+        assert not report.ok
+        first = report.counterexamples[0]
+        assert first.prop == "carter-partition"
+        assert first.expected == "each of 0..3 once"
