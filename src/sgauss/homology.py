@@ -41,12 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    NEGATIVE,
     POSITIVE,
+    Code,
     OperationError,
     SignedLetter,
     SignedParagraph,
     SignedWord,
+    _code,
 )
 
 __all__ = [
@@ -182,11 +183,10 @@ def pairing(p: SignedParagraph) -> int:
         raise OperationError(
             f"pairing needs exactly 2 components, got {len(p.words)}"
         )
-    total = 0
-    for sym in p.alphabet:
-        pos, neg = p.occurrences(sym)
-        if pos.word == 0 and neg.word == 1:
-            total += POSITIVE
-        elif neg.word == 0 and pos.word == 1:
-            total += NEGATIVE
-    return total
+    return _pairing(_code(p)[0])
+
+
+def _pairing(code: Code) -> int:
+    """The pairing of a two-word code: the exponent sum of its first word,
+    since a symbol with both letters in that word contributes +1 - 1."""
+    return len(code[0]) - 2 * sum(c & 1 for c in code[0])

@@ -18,13 +18,12 @@ Text grammar::
 "/" is self-delimiting.  Blank lines are ignored, but an explicit "/" with no
 word on one side is an error.
 
-The canonical form is the least (word lengths, first-appearance letter
-stream) over every word order and rotation.  ``canonicalize`` finds it by a
-breadth-first search that keeps only the candidates whose letter stream is
-least so far, instead of building all k! * prod |w_i| streams: near-linear
-on random words, O(L^2) on a fully symmetric word of length L, and
-factorial only when many interchangeable words tie for long (a "star" of
-symbol-disjoint short words linked through one long word).
+Internally a paragraph is also held as an integer code (``_code``): a tuple
+of words, each a tuple of ints 2 * symbol + (exp == -1), the symbols
+numbered 0..n-1.  The canonical search, the ribbon graph, the joins and the
+exhaustive verifier run on codes; ``_from_code`` turns one back into a
+paragraph.  The canonical form is the least (word lengths, first-appearance
+letter stream) over every word order and rotation (``_canonical``).
 
 All values are immutable after construction and safe to share between
 threads; operations never mutate their inputs.
@@ -36,7 +35,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "GaussError",
@@ -243,10 +242,8 @@ class SignedParagraph:
 
 
 def _built(words: tuple[SignedWord, ...]) -> SignedParagraph:
-    """A paragraph the package built from words that are valid by
-    construction (an enumerated matching, a rotation or reordering of a
-    valid paragraph): fills the fields without the checks of ``__post_init__``.
-    """
+    """A paragraph of words that are valid by construction (``_from_code``):
+    fills the fields without the checks of ``__post_init__``."""
     occ = {
         (l.sym, l.exp): Occurrence(l.sym, l.exp, wi, i)
         for wi, w in enumerate(words)
@@ -257,6 +254,36 @@ def _built(words: tuple[SignedWord, ...]) -> SignedParagraph:
     object.__setattr__(p, "alphabet", frozenset(s for s, _ in occ))
     object.__setattr__(p, "_occ", occ)
     return p
+
+
+Code = tuple[tuple[int, ...], ...]
+
+
+def _code(p: SignedParagraph, names: Sequence[str] | None = None) -> tuple[Code, list]:
+    """The integer code of ``p`` and its letter table (letter code ->
+    letter), numbering the symbols in the order of ``names`` if given, else
+    in order of first appearance."""
+    index = {} if names is None else {s: i for i, s in enumerate(names)}
+    table: list = [None] * (2 * len(p.alphabet))
+    code = []
+    for w in p.words:
+        cw = []
+        for l in w.letters:
+            c = 2 * index.setdefault(l.sym, len(index)) + (l.exp == NEGATIVE)
+            table[c] = l
+            cw.append(c)
+        code.append(tuple(cw))
+    return tuple(code), table
+
+
+def _letter_table(names: Iterable[str]) -> list[SignedLetter]:
+    """Letter code -> letter: 2i is ``names[i]``, 2i + 1 its inverse."""
+    return [SignedLetter(s, e) for s in names for e in (POSITIVE, NEGATIVE)]
+
+
+def _from_code(code: Code, table: Sequence[SignedLetter]) -> SignedParagraph:
+    """The paragraph of a valid code, its letters looked up in ``table``."""
+    return _built(tuple(SignedWord(tuple(table[c] for c in w)) for w in code))
 
 
 def _validate(words: tuple[SignedWord, ...]) -> dict[tuple[str, int], Occurrence]:
@@ -459,32 +486,38 @@ def _canonical_name(i: int) -> str:
 
 
 def canonicalize(p: SignedParagraph) -> SignedParagraph:
-    """The least representative of the isomorphism class of ``p``.
+    """The least representative of the isomorphism class of ``p``
+    (``_canonical``), its symbols named a, b, ... in order of appearance.
+    Idempotent, and equal for any two isomorphic paragraphs."""
+    canonical = _canonical(_code(p)[0])
+    names = [_canonical_name(i) for i in range(p.n)]
+    return _from_code(canonical, _letter_table(names))
 
-    Minimizes over word order x per-word rotation x first-appearance
-    relabeling, comparing (word lengths, letter stream) with exponent
-    -1 < +1.  Idempotent, and equal for any two isomorphic paragraphs.
+
+def _canonical(code: Code) -> Code:
+    """The canonical code of ``code``: its words in ascending length give the
+    least (word lengths, letter stream) over word order x per-word rotation
+    x first-appearance relabeling, with exponent -1 < +1, symbol i being the
+    i-th to appear.
 
     Word lengths compare first, so words are taken in ascending length.  The
     search is breadth-first over the letter stream: every live candidate (a
     word order and rotations chosen so far) has emitted the same least prefix,
     hence assigned the same number of first-appearance ids, so its next
-    letter ``(ids.get(sym, next_id), exp)`` compares directly with the
-    others', and only the candidates with the least next letter survive.  A
-    candidate that finishes a word branches into every unused word of the
-    next length at every rotation.  The cost is near-linear on random words,
-    O(L^2) on a fully symmetric word of length L (``x1 .. xn -x1 .. -xn``,
-    where n rotations tie for n letters), and factorial only when many
-    interchangeable words tie for long, as in a star of symbol-disjoint
-    short words linked through one long word.
+    letter, keyed ``2 * ids.get(sym, next_id) + (exp == +1)``, compares
+    directly with the others', and only the candidates with the least next
+    letter survive.  A candidate that finishes a word branches into every
+    unused word of the next length at every rotation.  The cost is
+    near-linear on random words, O(L^2) on a fully symmetric word of length
+    L (``x1 .. xn -x1 .. -xn``, where n rotations tie for n letters), and
+    factorial only when many interchangeable words tie for long, as in a
+    star of symbol-disjoint short words linked through one long word.
     """
-    index: dict[str, int] = {}
-    doubled = []  # rotation r of a word of length L is doubled[r : r + L]
-    for w in p.words:
-        codes = tuple((index.setdefault(l.sym, len(index)), l.exp) for l in w)
-        doubled.append(codes + codes)
-    lengths = sorted(len(w) for w in p.words)
-    stream: list[tuple[int, int]] = []
+    # Letters with the exponent bit flipped, so that -1 keys below +1; each
+    # word doubled, so rotation r of a word of length L is doubled[r : r + L].
+    doubled = [tuple(c ^ 1 for c in w) * 2 for w in code]
+    lengths = sorted(map(len, code))
+    words: list[tuple[int, ...]] = []
     next_id = 0
     # A candidate: (its symbol -> id map, mask of used words, word, rotation).
     live: list[tuple[dict[int, int], int, tuple, int]] = [({}, 0, (), 0)]
@@ -496,32 +529,38 @@ def canonicalize(p: SignedParagraph) -> SignedParagraph:
             if len(w) == 2 * length and not used >> wi & 1
             for r in range(length)
         ]
+        stream: list[int] = []  # of this word
         for pos in range(length):
-            letters = [
-                (ids.get(w[r + pos][0], next_id), w[r + pos][1])
+            if len(live) == 1:
+                # One candidate left: the rest of its word is the stream.
+                ids, _, w, r = live[0]
+                for x in w[r + pos : r + length]:
+                    i = ids.get(x >> 1)
+                    if i is None:
+                        i = ids[x >> 1] = next_id
+                        next_id += 1
+                    stream.append(2 * i + (x & 1) ^ 1)
+                break
+            keys = [
+                2 * ids.get((x := w[r + pos]) >> 1, next_id) + (x & 1)
                 for ids, _, w, r in live
             ]
-            least = min(letters)
-            live = [c for c, letter in zip(live, letters) if letter == least]
+            least = min(keys)
+            live = [c for c, key in zip(live, keys) if key == least]
             if pos == 0:
                 # Branches share their parent's map until they survive.
                 live = [(dict(ids), used, w, r) for ids, used, w, r in live]
-            if least[0] == next_id:
+            if least >> 1 == next_id:
                 for ids, _, w, r in live:
-                    ids[w[r + pos][0]] = next_id
+                    ids[w[r + pos] >> 1] = next_id
                 next_id += 1
-            stream.append(least)
-    names = [_canonical_name(i) for i in range(next_id)]
-    signed = [SignedLetter(names[i], exp) for i, exp in stream]
-    words, start = [], 0
-    for length in lengths:
-        words.append(SignedWord(tuple(signed[start : start + length])))
-        start += length
-    return _built(tuple(words))
+            stream.append(least ^ 1)
+        words.append(tuple(stream))
+    return tuple(words)
 
 
 def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
     """Whether two paragraphs differ only by rotations, relabeling and word order."""
     if len(p.words) != len(q.words) or p.n != q.n:
         return False
-    return canonicalize(p) == canonicalize(q)
+    return _canonical(_code(p)[0]) == _canonical(_code(q)[0])

@@ -22,18 +22,19 @@ depend on the convention (see ``RotationSystem.mirror``).
 The circles are counted on integers, as in the permutation-triple view of a
 map (sigma, alpha, phi = sigma alpha) of Lando & Zvonkin, *Graphs on
 Surfaces and Their Applications* (2004), ch. 1.  Letters are numbered
-0..2n-1 across the words in order; letter k starts arc k+1, whose forward
-dart is 2k and whose backward dart is 2k+1, so reverse(d) = d ^ 1.  With P
-and M the indices of a symbol's +1 and -1 letters and prev the previous
-letter of the same cyclic word, the symbol's rotation is
+0..2n-1 across the words of the paragraph's integer code (``model._code``)
+in order; letter k starts arc k+1, whose forward dart is 2k and whose
+backward dart is 2k+1, so reverse(d) = d ^ 1.  With P and M the indices of a
+symbol's +1 and -1 letters and prev the previous letter of the same cyclic
+word, the symbol's rotation is
 
     (2P, 2 prev(M) + 1, 2 prev(P) + 1, 2M)
 
-(``_quads``).  The left-turn successor of a dart arriving at a crossing is
-the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every slot k of
-every quad, and the circles are the cycles of that table (``_faces``); the
-mirror surface is the same call on the reversed quads.  Both take O(n) time
-and 4n ints.
+(``_quads``, on the code).  The left-turn successor of a dart arriving at
+a crossing is the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every
+slot k of every quad, and the circles are the cycles of that table
+(``_faces``); the mirror surface is the same call on the reversed quads
+(``_mirror``).  Both take O(n) time and 4n ints.
 
 ``RotationSystem`` holds this numbering and nothing else: ``letters`` (the
 2n letters in order), ``heads`` (arc k+1 runs from ``letters[k]`` to
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import NEGATIVE, POSITIVE, SignedLetter, SignedParagraph
+from .model import POSITIVE, Code, SignedLetter, SignedParagraph, _code
 
 __all__ = [
     "RotationSystem",
@@ -81,9 +82,8 @@ class RotationSystem:
 
     def mirror(self) -> "RotationSystem":
         """Reverse every cyclic order; the mirror embedding."""
-        return RotationSystem(
-            self.letters, self.heads, {s: q[::-1] for s, q in self.quads.items()}
-        )
+        quads = dict(zip(self.quads, _mirror(self.quads.values())))
+        return RotationSystem(self.letters, self.heads, quads)
 
     def edge(self, d: int) -> str:
         """Render dart ``d`` as a signed edge, e.g. ``+[a,b^-1]``."""
@@ -134,22 +134,25 @@ class SurfaceSummary(NamedTuple):
         }
 
 
-def _quads(p: SignedParagraph) -> dict[str, tuple[int, int, int, int]]:
-    """The integer rotation (out+, in-, in+, out-) of every symbol of ``p``."""
-    ends: tuple[dict, dict] = ({}, {})  # by exponent: sym -> (out dart, in dart)
+def _quads(code: Code) -> dict[int, tuple[int, int, int, int]]:
+    """The integer rotation (out+, in-, in+, out-) of every symbol of
+    ``code``, keyed by symbol index."""
+    # ends[2c] and ends[2c + 1]: the darts leaving and reaching letter c.
+    ends = [0] * (2 * sum(map(len, code)))
     k = 0
-    for w in p.words:
+    for w in code:
         arriving = 2 * (k + len(w)) - 1  # backward dart of the arc into letter k
-        for l in w.letters:
-            ends[l.exp == NEGATIVE][l.sym] = (2 * k, arriving)
+        for c in w:
+            ends[2 * c] = 2 * k
+            ends[2 * c + 1] = arriving
             arriving = 2 * k + 1
             k += 1
-    plus, minus = ends
-    quads = {}
-    for sym, (out_p, in_p) in plus.items():
-        out_m, in_m = minus[sym]
-        quads[sym] = (out_p, in_m, in_p, out_m)
-    return quads
+    return dict(enumerate(zip(ends[0::4], ends[3::4], ends[1::4], ends[2::4])))
+
+
+def _mirror(quads):
+    """Every rotation of ``quads`` reversed: the mirror embedding."""
+    return [q[::-1] for q in quads]
 
 
 def _faces(quads) -> list[list[int]]:
@@ -186,7 +189,9 @@ def build_ribbon(p: SignedParagraph) -> RotationSystem:
         k, length = len(letters), len(w)
         letters.extend(w.letters)
         heads.extend(k + (i + 1) % length for i in range(length))
-    return RotationSystem(tuple(letters), tuple(heads), _quads(p))
+    code, table = _code(p)
+    quads = dict(zip((l.sym for l in table[::2]), _quads(code).values()))
+    return RotationSystem(tuple(letters), tuple(heads), quads)
 
 
 def trace_circles(r: RotationSystem) -> list[CarterCircle]:
@@ -209,7 +214,7 @@ def _summary(n: int, b: int) -> SurfaceSummary:
 
 def summarize(p: SignedParagraph) -> SurfaceSummary:
     """Crossing count, Carter circle count, Euler characteristic and genus."""
-    return _summary(p.n, len(_faces(_quads(p).values())))
+    return _summary(p.n, len(_faces(_quads(_code(p)[0]).values())))
 
 
 def is_geometric(p: SignedParagraph) -> bool:

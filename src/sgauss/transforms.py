@@ -17,12 +17,14 @@ from __future__ import annotations
 from .model import (
     NEGATIVE,
     POSITIVE,
+    Code,
     OperationError,
-    SignedLetter,
     SignedParagraph,
     SignedWord,
     SYMBOL_RE,
-    rotate,
+    _code,
+    _from_code,
+    _letter_table,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
@@ -75,21 +77,20 @@ def join(
         raise OperationError(f"fresh symbol {fresh!r} is not a valid symbol token")
     if fresh in p.alphabet:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
-    w1 = rotate(p.words[pos.word], pos.pos)
-    w2 = rotate(p.words[neg.word], neg.pos)
-    merged = SignedWord(
-        (w1[0],)
-        + w1.letters[1:]
-        + (SignedLetter(fresh, POSITIVE),)
-        + (w2[0],)
-        + w2.letters[1:]
-        + (SignedLetter(fresh, NEGATIVE),)
-    )
-    lo, hi = min(c1, c2), max(c1, c2)
-    words = list(p.words)
-    words[lo] = merged
-    del words[hi]
-    return SignedParagraph(tuple(words))
+    code, table = _code(p)
+    merged = _join_code(code, (pos.word, pos.pos), (neg.word, neg.pos), p.n)
+    return _from_code(merged, table + _letter_table([fresh]))
+
+
+def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
+    """``code`` with the words holding the (word, position) addresses
+    ``plus`` and ``minus`` of one symbol's letters merged at that symbol,
+    the new crossing being symbol index ``fresh``."""
+    (i, k), (j, m) = plus, minus
+    w1, w2 = code[i], code[j]
+    merged = w1[k:] + w1[:k] + (2 * fresh,) + w2[m:] + w2[:m] + (2 * fresh + 1,)
+    lo, hi = min(i, j), max(i, j)
+    return code[:lo] + (merged,) + code[lo + 1 : hi] + code[hi + 1 :]
 
 
 def fresh_symbol(alphabet: frozenset[str], prefix: str = "j") -> str:

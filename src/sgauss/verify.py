@@ -8,6 +8,13 @@ and checks every inter-module property this package promises; failures are
 collected as counterexamples, not raised, and two empirical quantities (beta
 antisymmetry, the Carter-circle shift under join) are tallied and reported
 rather than asserted.
+
+The sweep runs on integer codes (``model._code``): a tuple of words, each a
+tuple of ints 2 * symbol + (exp == -1), symbol k being the k-th letter of the
+alphabet.  It enumerates codes straight from the matchings, and the circles,
+the random moves, the canonical form (itself a code), the joins and the
+pairing are computed on them by the same kernels that the public functions
+wrap.  A paragraph is built, and text rendered, only for a counterexample.
 """
 
 from __future__ import annotations
@@ -18,23 +25,21 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .homology import pairing, profile
+from .homology import _pairing, profile
 from .model import (
-    POSITIVE,
-    NEGATIVE,
-    SignedLetter,
+    Code,
     SignedParagraph,
     SignedWord,
-    _built,
-    canonicalize,
-    relabel,
+    _canonical,
+    _code,
+    _from_code,
+    _letter_table,
     render,
-    rotate,
 )
-from .surface import _faces, _quads, _summary, summarize
-from .transforms import fresh_symbol, join
+from .surface import _faces, _mirror, _quads, _summary
+from .transforms import _join_code
 
 __all__ = [
     "KIND_WORDS",
@@ -72,87 +77,71 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
 
 
-def _matchings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Perfect matchings in lexicographic order: always pair the smallest
-    # remaining position first.
-    if not items:
-        yield ()
+def _matchings(free: tuple[int, ...], base: list[int]) -> Iterator[tuple[int, ...]]:
+    # Perfect matchings of the ``free`` positions in lexicographic order
+    # (always pair the smallest free position first); chord k is written
+    # into ``base`` as the letters 2k, 2k + 1, and each yielded as a code.
+    if not free:
+        yield tuple(base)
         return
-    first, rest = items[0], items[1:]
+    first, rest, k = free[0], free[1:], (len(base) - len(free)) // 2
     for i in range(len(rest)):
-        pair = (first, rest[i])
-        for tail in _matchings(rest[:i] + rest[i + 1 :]):
-            yield (pair,) + tail
+        base[first], base[rest[i]] = 2 * k, 2 * k + 1
+        yield from _matchings(rest[:i] + rest[i + 1 :], base)
 
 
-def _names(n: int) -> list[str]:
+# Letter code -> letter for the enumerators' symbols a..z.
+_LETTERS = _letter_table(string.ascii_lowercase)
+
+
+def _codes(n: int, kind: str) -> Iterator[Code]:
+    """The codes of the objects of ``kind`` with ``n`` symbols: chord k of
+    each matching is symbol k, and bit k of the mask makes its first letter
+    the -1 one.  Paragraphs end their first word after ``cut`` letters,
+    skipping the matchings with no chord across the cut (disconnected)."""
     if n > MAX_SYMBOLS:
         raise ValueError(f"enumeration supports at most {MAX_SYMBOLS} symbols")
-    return list(string.ascii_lowercase[:n])
+    for cut in [2 * n] if kind == KIND_WORDS else range(1, 2 * n):
+        for base in _matchings(tuple(range(2 * n)), [0] * (2 * n)):
+            if cut < 2 * n and 2 * len({c >> 1 for c in base[:cut]}) == cut:
+                continue
+            for mask in range(2**n):
+                letters = tuple(c ^ (mask >> (c >> 1) & 1) for c in base)
+                yield (letters[:cut], letters[cut:]) if cut < 2 * n else (letters,)
 
 
-def _letters_from(
-    n: int, chords: tuple[tuple[int, int], ...], mask: int, total: int
-) -> list[SignedLetter]:
-    names = _names(n)
-    letters: list[SignedLetter] = [None] * total  # type: ignore[list-item]
-    for k, (i, j) in enumerate(chords):
-        first_exp = NEGATIVE if (mask >> k) & 1 else POSITIVE
-        letters[i] = SignedLetter(names[k], first_exp)
-        letters[j] = SignedLetter(names[k], -first_exp)
-    return letters
+def _corpus_codes(spec: CorpusSpec) -> Iterator[Code]:
+    """The codes of ``enumerate_corpus(spec)``; with ``dedupe`` the codes of
+    the distinct canonical forms, whose symbols are a, b, ... by index too."""
+    sizes = range(1, spec.max_symbols + 1)
+    codes = chain.from_iterable(_codes(n, spec.kind) for n in sizes)
+    if not spec.dedupe:
+        return codes
+    return iter(dict.fromkeys(map(_canonical, codes)))
 
 
 def enumerate_words(n: int) -> Iterator[SignedParagraph]:
     """Every valid signed Gauss word with exactly ``n`` symbols."""
-    positions = tuple(range(2 * n))
-    for chords in _matchings(positions):
-        for mask in range(2**n):
-            letters = _letters_from(n, chords, mask, 2 * n)
-            yield _built((SignedWord(tuple(letters)),))
+    return map(_paragraph, _codes(n, KIND_WORDS))
 
 
 def enumerate_two_component_paragraphs(n: int) -> Iterator[SignedParagraph]:
-    """Every valid two-component paragraph with exactly ``n`` symbols.
-
-    Matchings with no chord crossing the word boundary would be
-    disconnected and are skipped.
-    """
-    positions = tuple(range(2 * n))
-    for len1 in range(1, 2 * n):
-        for chords in _matchings(positions):
-            if not any(i < len1 <= j for i, j in chords):
-                continue
-            for mask in range(2**n):
-                letters = _letters_from(n, chords, mask, 2 * n)
-                yield _built(
-                    (
-                        SignedWord(tuple(letters[:len1])),
-                        SignedWord(tuple(letters[len1:])),
-                    )
-                )
+    """Every valid two-component paragraph with exactly ``n`` symbols."""
+    return map(_paragraph, _codes(n, KIND_PARAGRAPHS))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
     """All objects of the spec's kind with 1..max_symbols symbols, smallest
     first; with ``dedupe`` one representative per isomorphism class."""
-    gen = (
-        enumerate_words
-        if spec.kind == KIND_WORDS
-        else enumerate_two_component_paragraphs
-    )
-    stream: Iterable[SignedParagraph] = chain.from_iterable(
-        gen(n) for n in range(1, spec.max_symbols + 1)
-    )
-    if not spec.dedupe:
-        yield from stream
-        return
-    seen: set[SignedParagraph] = set()
-    for p in stream:
-        c = canonicalize(p)
-        if c not in seen:
-            seen.add(c)
-            yield c
+    yield from map(_paragraph, _corpus_codes(spec))
+
+
+def _paragraph(code: Code) -> SignedParagraph:
+    return _from_code(code, _LETTERS)
+
+
+def _text(code: Code) -> str:
+    return render(_paragraph(code))
 
 
 def apply_random_moves(
@@ -160,25 +149,30 @@ def apply_random_moves(
 ) -> SignedParagraph:
     """A random sequence of isomorphism moves: per-word rotations, word-order
     permutations and exponent-preserving relabelings."""
+    code, table = _code(p, sorted(p.alphabet))
+    return _from_code(_moved(code, p.n, rng, moves), table)
+
+
+def _moved(code: Code, n: int, rng: random.Random, moves: int | None = None) -> Code:
+    """``apply_random_moves`` on a code with ``n`` symbols numbered in
+    sorted-name order; it draws from ``rng`` exactly as that does."""
     count = rng.randint(1, 8) if moves is None else moves
     for _ in range(count):
         kind = rng.randrange(3)
         if kind == 0:
-            i = rng.randrange(len(p.words))
-            k = rng.randrange(len(p.words[i]))
-            words = list(p.words)
-            words[i] = rotate(words[i], k)
-            p = _built(tuple(words))
+            i = rng.randrange(len(code))
+            k = rng.randrange(len(code[i]))
+            code = code[:i] + (code[i][k:] + code[i][:k],) + code[i + 1 :]
         elif kind == 1:
-            order = list(range(len(p.words)))
+            order = list(range(len(code)))
             rng.shuffle(order)
-            p = _built(tuple(p.words[i] for i in order))
+            code = tuple(code[i] for i in order)
         else:
-            names = sorted(p.alphabet)
-            shuffled = names[:]
-            rng.shuffle(shuffled)
-            p = relabel(p, dict(zip(names, shuffled)))
-    return p
+            # Shuffling the sorted names draws as shuffling their indices.
+            perm = list(range(n))
+            rng.shuffle(perm)
+            code = tuple(tuple(2 * perm[c >> 1] | c & 1 for c in w) for w in code)
+    return code
 
 
 class Counterexample(NamedTuple):
@@ -212,16 +206,22 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(s.failed == 0 for s in self.checks.values())
 
+    def check(self, name: str, ok: bool) -> bool:
+        """Count one object under check ``name``; returns ``ok``."""
+        stat = self.checks.setdefault(name, CheckStat())
+        stat.checked += 1
+        stat.failed += not ok
+        return ok
+
+    def fail(self, paragraph: str, name: str, observed: str, expected: str) -> None:
+        """Add a counterexample to check ``name``."""
+        self.counterexamples.append(Counterexample(paragraph, name, observed, expected))
+
     def record(
         self, name: str, ok: bool, p: SignedParagraph, observed: str, expected: str
     ) -> None:
-        stat = self.checks.setdefault(name, CheckStat())
-        stat.checked += 1
-        if not ok:
-            stat.failed += 1
-            self.counterexamples.append(
-                Counterexample(render(p), name, observed, expected)
-            )
+        if not self.check(name, ok):
+            self.fail(render(p), name, observed, expected)
 
     def as_dict(self) -> dict:
         return {
@@ -263,6 +263,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _backwards(faces: list[list[int]]) -> list[list[int]]:
+    """The circles read backwards on the reverse darts (d -> d ^ 1), listed
+    as ``_faces`` lists them: each from its least dart, in order of it."""
+    out = []
+    for f in faces:
+        r = [d ^ 1 for d in reversed(f)]
+        i = r.index(min(r)) if r else 0
+        out.append(r[i:] + r[:i])
+    return sorted(out)
+
+
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     """Run every applicable consistency property over the corpus."""
     report = VerificationReport(spec)
@@ -271,84 +282,98 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     beta_holds = 0
     beta_violations: list[str] = []
 
-    for idx, p in enumerate(enumerate_corpus(spec)):
+    # A counterexample's texts are made only when its check fails.
+    for idx, code in enumerate(_corpus_codes(spec)):
         report.size += 1
         rng = random.Random((seed << 24) ^ idx)
-        quads = list(_quads(p).values())
+        n = sum(map(len, code)) // 2
+        quads = _quads(code).values()
         # The circles partition the darts only if the table is a permutation.
         slots = sorted(chain.from_iterable(quads))
-        partition = slots == list(range(4 * p.n))
-        report.record(
-            "carter-partition",
-            partition,
-            p,
-            f"{len(set(slots))} distinct darts in {len(slots)} slots",
-            f"each of 0..{4 * p.n - 1} once",
-        )
-        if not partition:
+        if not report.check("carter-partition", slots == list(range(4 * n))):
+            report.fail(
+                _text(code),
+                "carter-partition",
+                f"{len(set(slots))} distinct darts in {len(slots)} slots",
+                f"each of 0..{4 * n - 1} once",
+            )
             continue
-        s = _summary(p.n, len(_faces(quads)))
-        report.record(
-            "euler-parity", (s.b - s.n) % 2 == 0, p, f"b={s.b} n={s.n}", "b = n mod 2"
-        )
-        report.record(
-            "genus-bounds",
-            1 <= s.b <= s.n + 2 and 0 <= s.genus <= (s.n + 1) // 2,
-            p,
-            f"b={s.b} genus={s.genus}",
-            "1 <= b <= n+2, 0 <= g <= (n+1)/2",
-        )
-        mirror_b = len(_faces([q[::-1] for q in quads]))
-        report.record("mirror-circles", mirror_b == s.b, p, f"{mirror_b}", f"{s.b}")
-        q = apply_random_moves(p, rng)
-        c1 = canonicalize(p)
-        report.record(
-            "isomorphism-invariance",
-            summarize(q) == s and canonicalize(q) == c1,
-            p,
-            f"moved to {render(q)!r}",
-            "equal summary and canonical form",
-        )
-        c2 = canonicalize(c1)
-        report.record("canonical-idempotence", c2 == c1, p, render(c2), render(c1))
+        faces = _faces(quads)
+        b = len(faces)
+        twice_genus = n + 2 - b
+        parity = twice_genus % 2 == 0
+        if not report.check("euler-parity", parity):
+            report.fail(_text(code), "euler-parity", f"b={b} n={n}", "b = n mod 2")
+        bounded = 1 <= b <= n + 2 and 0 <= twice_genus <= 2 * ((n + 1) // 2)
+        if not report.check("genus-bounds", bounded):
+            report.fail(
+                _text(code),
+                "genus-bounds",
+                f"b={b} genus={twice_genus / 2:g}",
+                "1 <= b <= n+2, 0 <= g <= (n+1)/2",
+            )
+        if not (parity and bounded):
+            continue
+        s = _summary(n, b)
+        mirror = _faces(_mirror(quads))
+        if not report.check("mirror-circles", mirror == _backwards(faces)):
+            report.fail(
+                _text(code),
+                "mirror-circles",
+                f"{len(mirror)} circles, not the reversed ones",
+                f"the {b} circles read backwards",
+            )
+        moved = _moved(code, n, rng)
+        c1 = _canonical(code)
+        same = len(_faces(_quads(moved).values())) == b and _canonical(moved) == c1
+        if not report.check("isomorphism-invariance", same):
+            report.fail(
+                _text(code),
+                "isomorphism-invariance",
+                f"moved to {_text(moved)!r}",
+                "equal summary and canonical form",
+            )
+        c2 = _canonical(c1)
+        if not report.check("canonical-idempotence", c2 == c1):
+            report.fail(_text(code), "canonical-idempotence", _text(c2), _text(c1))
 
-        if len(p.words) == 1:
-            pr = profile(p.words[0])
-            report.record(
-                "criterion-equivalence",
-                pr.is_zero == s.geometric,
-                p,
-                f"profile zero={pr.is_zero}",
-                f"geometric={s.geometric}",
-            )
-            syms = sorted(pr.alpha)
-            holds = all(
-                pr.beta_of(i, j) == -pr.beta_of(j, i) for i in syms for j in syms
-            )
+        if len(code) == 1:
+            pr = profile(SignedWord(tuple(_LETTERS[c] for c in code[0])))
+            if not report.check("criterion-equivalence", pr.is_zero == s.geometric):
+                report.fail(
+                    _text(code),
+                    "criterion-equivalence",
+                    f"profile zero={pr.is_zero}",
+                    f"geometric={s.geometric}",
+                )
+            beta = pr.beta
+            holds = all(v == -beta[j, i] for (i, j), v in beta.items())
             beta_checked += 1
             beta_holds += holds
             if not holds:
-                beta_violations.append(render(p))
+                beta_violations.append(_text(code))
         else:
-            report.record(
-                "null-pairing",
-                s.genus > 0 or pairing(p) == 0,
-                p,
-                f"genus={s.genus} pairing={pairing(p)}",
-                "pairing 0 on genus 0",
-            )
+            pair = _pairing(code)
+            if not report.check("null-pairing", s.genus > 0 or pair == 0):
+                report.fail(
+                    _text(code),
+                    "null-pairing",
+                    f"genus={s.genus} pairing={pair}",
+                    "pairing 0 on genus 0",
+                )
+            where = {c: (wi, k) for wi, w in enumerate(code) for k, c in enumerate(w)}
             ok_join = True
-            for sym in sorted(p.alphabet):
-                pos, neg = p.occurrences(sym)
-                if pos.word == neg.word:
+            for sym in range(n):
+                plus, minus = where[2 * sym], where[2 * sym + 1]
+                if plus[0] == minus[0]:
                     continue
-                joined = join(p, 0, 1, sym, fresh_symbol(p.alphabet, "z"))
-                sj = summarize(joined)
-                ok_join = ok_join and sj.genus == s.genus
-                shift_counter[sj.b - s.b] += 1
-            report.record(
-                "join-genus", ok_join, p, "genus changed under some join", "preserved"
-            )
+                # The join adds crossing n; its genus is (n + 3 - b) / 2.
+                bj = len(_faces(_quads(_join_code(code, plus, minus, n)).values()))
+                ok_join = ok_join and n + 3 - bj == twice_genus
+                shift_counter[bj - b] += 1
+            if not report.check("join-genus", ok_join):
+                observed = "genus changed under some join"
+                report.fail(_text(code), "join-genus", observed, "preserved")
 
     if spec.kind == KIND_WORDS:
         pct = 100.0 * beta_holds / beta_checked if beta_checked else 100.0

@@ -279,6 +279,21 @@ class TestVerifyCommand:
             f"sgauss verify: error: argument --max-n: must be in 1..26, got {k}"
         )
 
+    # sha256 of the full stdout, recorded before the sweep moved onto
+    # integer codes: the reports must stay byte-identical.
+    REPORT_DIGESTS = {
+        ("--max-n", "4"): "efe2758e8f10b7f26d7c842779801a7a11da5304f2c9c260859973155bcada3c",
+        ("--max-n", "4", "--json"): "6d846469f8479331ac223593b1a857dd9aa513dbaf1b7f538ff2891d4a3bae72",
+        ("--max-n", "3", "--dedupe"): "8fef721065d2220556934f69bd7fd2a5f151a205053d8a415d2ebd5f5fd55944",
+        ("--max-n", "3", "--dedupe", "--json"): "00c8e4a5daa075b47dda134aa59b38e132e669e0d10e4c846edb881e2d993112",
+    }
+
+    @pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=" ".join)
+    def test_report_digest(self, capsys, monkeypatch, flags):
+        code, out, _ = run(capsys, monkeypatch, ["verify", *flags])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[flags]
+
 
 class TestStyling:
     def test_no_ansi_when_disabled(self, capsys, monkeypatch):

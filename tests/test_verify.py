@@ -9,7 +9,9 @@ import random
 import pytest
 
 from conftest import double_factorial_count, naive_isomorphic
+from objsweep import moves_by_objects, verify_by_objects
 from sgauss.model import SignedParagraph, canonicalize, render
+from sgauss.transforms import join
 from sgauss.verify import (
     KIND_PARAGRAPHS,
     KIND_WORDS,
@@ -27,6 +29,8 @@ from sgauss.verify import (
 # the same name as an attribute of ``sgauss``, so fetch the modules by name.
 verify_module = importlib.import_module("sgauss.verify")
 surface_module = importlib.import_module("sgauss.surface")
+model_module = importlib.import_module("sgauss.model")
+transforms_module = importlib.import_module("sgauss.transforms")
 
 
 class TestEnumerateWords:
@@ -162,7 +166,7 @@ class TestVerify:
 
 
 class TestTrustedConstruction:
-    """The enumerators, ``canonicalize`` and the rotate/reorder moves build
+    """The enumerators, ``canonicalize``, the random moves and ``join`` build
     paragraphs without validation; every one must pass it anyway."""
 
     @staticmethod
@@ -180,39 +184,71 @@ class TestTrustedConstruction:
             self.check(canonicalize(p))
             self.check(apply_random_moves(p, rng))
 
+    def test_joins(self, paragraphs_le_3):
+        for p in paragraphs_le_3:
+            for s in sorted(p.alphabet):
+                pos, neg = p.occurrences(s)
+                if pos.word != neg.word:
+                    self.check(join(p, pos.word, neg.word, s, "z1"))
+
+
+class TestMovesAgainstObjects:
+    """``apply_random_moves`` (on codes) draws from the generator as the
+    object moves do and gives the same paragraph."""
+
+    def test_same_moved_copies(self, words_le_4, paragraphs_le_3):
+        for seed in (0, 7):
+            for idx, p in enumerate(words_le_4 + paragraphs_le_3):
+                rng, oracle_rng = random.Random(seed ^ idx), random.Random(seed ^ idx)
+                assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
+                assert rng.random() == oracle_rng.random()
+
+    def test_fixed_move_count(self, paragraphs_le_3):
+        rng, oracle_rng = random.Random(3), random.Random(3)
+        for p in paragraphs_le_3[:50]:
+            assert apply_random_moves(p, rng, 20) == moves_by_objects(p, oracle_rng, 20)
+
 
 class TestPerObjectWork:
-    """``verify`` computes each surface quantity once per object."""
+    """A passing sweep runs on integer codes: it builds no paragraph and
+    calls each kernel a fixed number of times per object."""
+
+    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "profile")
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
 
-        def count(module, name):
-            original = getattr(module, name, None)
+        def count(owner, name, key=None):
+            key = key or name
+            original = getattr(owner, name)
 
-            def wrapper(*args):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args)
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
 
-            counts[name] = 0
-            monkeypatch.setattr(module, name, wrapper, raising=False)
+            counts[key] = 0
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("canonicalize", "_quads", "summarize"):
+        for name in self.KERNELS:
             count(verify_module, name)
-        for module in (verify_module, surface_module):
-            for name in ("build_ribbon", "trace_circles"):
-                count(module, name)
+        count(SignedParagraph, "__post_init__", "SignedParagraph.__post_init__")
+        count(model_module, "_built", "model._built")
         return counts
 
     def test_words(self, calls):
         size = verify(CorpusSpec(3, kind=KIND_WORDS)).size
+        assert size == 134
         assert calls == {
-            "canonicalize": 3 * size,
-            "_quads": size,
-            "summarize": size,
-            "build_ribbon": 0,
-            "trace_circles": 0,
+            "_quads": 2 * size,  # the object and its moved copy
+            "_faces": 3 * size,  # ... and the mirror
+            "_canonical": 3 * size,  # the object, the moved copy, the form
+            "_moved": size,
+            "_join_code": 0,
+            "_pairing": 0,
+            "profile": size,
+            "SignedParagraph.__post_init__": 0,
+            "model._built": 0,
         }
 
     def test_paragraphs(self, calls):
@@ -222,14 +258,113 @@ class TestPerObjectWork:
             for p in corpus
             for s in p.alphabet
         )
-        assert verify(CorpusSpec(2, kind=KIND_PARAGRAPHS)).size == len(corpus)
+        for name in calls:
+            calls[name] = 0
+        size = verify(CorpusSpec(2, kind=KIND_PARAGRAPHS)).size
+        assert size == len(corpus) == 34
         assert calls == {
-            "canonicalize": 3 * len(corpus),
-            "_quads": len(corpus),
-            "summarize": len(corpus) + joins,
-            "build_ribbon": 0,
-            "trace_circles": 0,
+            "_quads": 2 * size + joins,
+            "_faces": 3 * size + joins,
+            "_canonical": 3 * size,
+            "_moved": size,
+            "_join_code": joins,
+            "_pairing": size,
+            "profile": 0,
+            "SignedParagraph.__post_init__": 0,
+            "model._built": 0,
         }
+
+
+class TestAgainstObjectSweep:
+    """The code sweep gives the same report as the object sweep of
+    ``tests/objsweep.py``, also when a kernel both of them call is broken,
+    so that the counterexamples, built only on failure, are compared too."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "spec", [CorpusSpec(4), CorpusSpec(3, kind=KIND_PARAGRAPHS)], ids=["words", "paragraphs"]
+    )
+    def test_equal_reports(self, spec, seed):
+        assert verify(spec, seed=seed).to_json() == verify_by_objects(spec, seed=seed).to_json()
+
+    @staticmethod
+    def extra_circle(real):
+        return lambda quads: real(quads) + [[]]
+
+    @staticmethod
+    def rotated_canonical(real):
+        # Each word rotated by one, symbols renumbered by first appearance.
+        def fault(code):
+            ids = {}
+            renumber = lambda c: 2 * ids.setdefault(c >> 1, len(ids)) + (c & 1)
+            return tuple(tuple(map(renumber, w[1:] + w[:1])) for w in code)
+
+        return fault
+
+    @staticmethod
+    def unreversed_mirror(real):
+        return lambda quads: list(quads)
+
+    @staticmethod
+    def fresh_exponents_swapped(real):
+        def fault(code, plus, minus, fresh):
+            joined = real(code, plus, minus, fresh)
+            return tuple(tuple(c ^ (c >> 1 == fresh) for c in w) for w in joined)
+
+        return fault
+
+    FAULTS = {
+        "extra_circle": (surface_module, "_faces"),
+        "rotated_canonical": (model_module, "_canonical"),
+        "unreversed_mirror": (surface_module, "_mirror"),
+        "fresh_exponents_swapped": (transforms_module, "_join_code"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize(
+        "spec", [CorpusSpec(3), CorpusSpec(2, kind=KIND_PARAGRAPHS)], ids=["words", "paragraphs"]
+    )
+    def test_equal_reports_under_a_fault(self, monkeypatch, spec, fault):
+        module, name = self.FAULTS[fault]
+        broken = getattr(self, fault)(getattr(module, name))
+        monkeypatch.setattr(module, name, broken)
+        monkeypatch.setattr(verify_module, name, broken)
+        report = verify(spec, seed=7)
+        assert report.to_json() == verify_by_objects(spec, seed=7).to_json()
+        if fault != "fresh_exponents_swapped" or spec.kind == KIND_PARAGRAPHS:
+            assert report.counterexamples and not report.ok
+
+
+class TestMutantsAreCaught:
+    """Each check of the report fails on a kernel mutant patched into
+    ``sgauss.verify``, without an exception."""
+
+    def test_extra_circle_fails_euler_parity(self, monkeypatch):
+        real = verify_module._faces
+        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        report = verify(CorpusSpec(2))
+        assert report.checks["euler-parity"].failed == report.size > 0
+        assert not report.ok
+        first = report.counterexamples[0]
+        assert first == Counterexample("a -a", "euler-parity", "b=4 n=1", "b = n mod 2")
+        # The object's other checks are skipped.
+        assert "mirror-circles" not in report.checks
+
+    def test_two_extra_circles_fail_genus_bounds(self, monkeypatch):
+        real = verify_module._faces
+        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[], []])
+        report = verify(CorpusSpec(2))
+        assert report.checks["euler-parity"].failed == 0
+        assert report.checks["genus-bounds"].failed > 0
+        assert report.counterexamples[0].observed == "b=5 genus=-1"
+        assert not report.ok
+
+    def test_unreversed_mirror_fails_mirror_circles(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "_mirror", lambda quads: list(quads))
+        report = verify(CorpusSpec(2))
+        assert report.checks["mirror-circles"].failed == report.size > 0
+        assert not report.ok
+        assert all(c.prop == "mirror-circles" for c in report.counterexamples)
 
 
 class TestCorruptDartTable:
