@@ -18,12 +18,15 @@ Text grammar::
 "/" is self-delimiting.  Blank lines are ignored, but an explicit "/" with no
 word on one side is an error.
 
-Internally a paragraph is also held as an integer code (``_code``): a tuple
-of words, each a tuple of ints 2 * symbol + (exp == -1), the symbols
-numbered 0..n-1.  The canonical search, the ribbon graph, the joins and the
-exhaustive verifier run on codes; ``_from_code`` turns one back into a
-paragraph.  The canonical form is the least (word lengths, first-appearance
-letter stream) over every word order and rotation (``_canonical``).
+A paragraph also holds its integer code, filled by the same pass that
+validates it: ``_index`` numbers the symbols 0..n-1 (by first appearance),
+``_code`` is a tuple of words, each a tuple of ints 2 * symbol + (exp == -1),
+and ``_where`` maps a letter code to its (word, position).  The canonical
+search, the ribbon graph, the joins, the pairing and the exhaustive verifier
+run on codes; ``_from_code`` turns a code the package built back into a
+paragraph, filling the same fields without validation.  The canonical form
+is the least (word lengths, first-appearance letter stream) over every word
+order and rotation (``_canonical``).
 
 All values are immutable after construction and safe to share between
 threads; operations never mutate their inputs.
@@ -197,38 +200,44 @@ class SignedWord:
         return f"SignedWord({str(self)!r})"
 
 
+Code = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class SignedParagraph:
     """A validated signed Gauss paragraph.
 
     Construction validates the three structural invariants (every symbol
     exactly twice with opposite exponents, no empty word, connected sharing
-    graph) and raises :class:`ValidationError` otherwise.
+    graph) and raises :class:`ValidationError` otherwise.  The validating
+    pass also stores the integer code: ``_index`` (symbol -> number),
+    ``_code`` (the words as letter codes 2 * number + (exp == -1)) and
+    ``_where`` (letter code -> (word, position)).
     """
 
     words: tuple[SignedWord, ...]
     alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
-    _occ: dict = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _code: Code = field(init=False, repr=False, compare=False)
+    _where: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         words = tuple(
             w if isinstance(w, SignedWord) else SignedWord(tuple(w)) for w in self.words
         )
-        object.__setattr__(self, "words", words)
-        occ = _validate(words)
-        object.__setattr__(self, "alphabet", frozenset(s for s, _ in occ))
-        object.__setattr__(self, "_occ", occ)
+        _fill(self, words, *_validate(words))
 
     @property
     def n(self) -> int:
         """Number of crossing symbols."""
-        return len(self.alphabet)
+        return len(self._index)
 
     def occurrence(self, sym: str, exp: int) -> Occurrence:
         try:
-            return self._occ[(sym, exp)]
+            c = 2 * self._index[sym] + (exp == NEGATIVE)
         except KeyError:
             raise OperationError(f"symbol {sym!r} not in paragraph") from None
+        return Occurrence(sym, exp, *self._where[c])
 
     def occurrences(self, sym: str) -> tuple[Occurrence, Occurrence]:
         """The (+1, -1) occurrence pair of ``sym``."""
@@ -241,39 +250,13 @@ class SignedParagraph:
         return f"SignedParagraph({str(self)!r})"
 
 
-def _built(words: tuple[SignedWord, ...]) -> SignedParagraph:
-    """A paragraph of words that are valid by construction (``_from_code``):
-    fills the fields without the checks of ``__post_init__``."""
-    occ = {
-        (l.sym, l.exp): Occurrence(l.sym, l.exp, wi, i)
-        for wi, w in enumerate(words)
-        for i, l in enumerate(w.letters)
-    }
-    p = object.__new__(SignedParagraph)
+def _fill(p: SignedParagraph, words, index: dict[str, int], code: Code, where):
     object.__setattr__(p, "words", words)
-    object.__setattr__(p, "alphabet", frozenset(s for s, _ in occ))
-    object.__setattr__(p, "_occ", occ)
+    object.__setattr__(p, "alphabet", frozenset(index))
+    object.__setattr__(p, "_index", index)
+    object.__setattr__(p, "_code", code)
+    object.__setattr__(p, "_where", where)
     return p
-
-
-Code = tuple[tuple[int, ...], ...]
-
-
-def _code(p: SignedParagraph, names: Sequence[str] | None = None) -> tuple[Code, list]:
-    """The integer code of ``p`` and its letter table (letter code ->
-    letter), numbering the symbols in the order of ``names`` if given, else
-    in order of first appearance."""
-    index = {} if names is None else {s: i for i, s in enumerate(names)}
-    table: list = [None] * (2 * len(p.alphabet))
-    code = []
-    for w in p.words:
-        cw = []
-        for l in w.letters:
-            c = 2 * index.setdefault(l.sym, len(index)) + (l.exp == NEGATIVE)
-            table[c] = l
-            cw.append(c)
-        code.append(tuple(cw))
-    return tuple(code), table
 
 
 def _letter_table(names: Iterable[str]) -> list[SignedLetter]:
@@ -282,52 +265,68 @@ def _letter_table(names: Iterable[str]) -> list[SignedLetter]:
 
 
 def _from_code(code: Code, table: Sequence[SignedLetter]) -> SignedParagraph:
-    """The paragraph of a valid code, its letters looked up in ``table``."""
-    return _built(tuple(SignedWord(tuple(table[c] for c in w)) for w in code))
+    """The paragraph of a code that is valid by construction, its letters
+    looked up in ``table``; symbol i keeps number i, and nothing is checked."""
+    where: list = [None] * sum(map(len, code))
+    for wi, w in enumerate(code):
+        for k, c in enumerate(w):
+            where[c] = (wi, k)
+    words = tuple(SignedWord(tuple(table[c] for c in w)) for w in code)
+    index = {table[2 * i].sym: i for i in range(len(where) // 2)}
+    return _fill(object.__new__(SignedParagraph), words, index, code, where)
 
 
-def _validate(words: tuple[SignedWord, ...]) -> dict[tuple[str, int], Occurrence]:
+def _validate(words: tuple[SignedWord, ...]) -> tuple[dict[str, int], Code, list]:
+    """One pass over ``words``: the symbol numbering by first appearance, the
+    code and the letter addresses, or the first structural failure."""
     if not words:
         raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
-    occ: dict[tuple[str, int], Occurrence] = {}
-    counts: dict[str, int] = {}
+    index: dict[str, int] = {}
+    where: list = []
+    code = []
     for wi, w in enumerate(words):
         if len(w) == 0:
             raise ValidationError(
                 ValidationError.EMPTY_WORD, f"word {wi + 1} is empty", where=(wi, 0)
             )
-        for i, l in enumerate(w):
-            seen = counts.get(l.sym, 0)
-            if seen == 2:
-                raise ValidationError(
-                    ValidationError.SYMBOL_COUNT,
-                    f"symbol {l.sym!r} occurs more than twice",
-                    where=(wi, i),
-                )
-            if seen == 1 and (l.sym, l.exp) in occ:
+        cw = []
+        for i, l in enumerate(w.letters):
+            s = index.get(l.sym)
+            if s is None:
+                s = index[l.sym] = len(index)
+                where += (None, None)
+            c = 2 * s + (l.exp == NEGATIVE)
+            if where[c] is not None:
+                if where[c ^ 1] is not None:
+                    raise ValidationError(
+                        ValidationError.SYMBOL_COUNT,
+                        f"symbol {l.sym!r} occurs more than twice",
+                        where=(wi, i),
+                    )
                 raise ValidationError(
                     ValidationError.EQUAL_EXPONENTS,
                     f"symbol {l.sym!r} occurs twice with exponent {l.exp:+d}",
                     where=(wi, i),
                 )
-            counts[l.sym] = seen + 1
-            occ[(l.sym, l.exp)] = Occurrence(l.sym, l.exp, wi, i)
-    for sym, c in counts.items():
-        if c != 2:
-            o = occ.get((sym, POSITIVE)) or occ[(sym, NEGATIVE)]
+            where[c] = (wi, i)
+            cw.append(c)
+        code.append(tuple(cw))
+    for sym, s in index.items():
+        if where[2 * s] is None or where[2 * s + 1] is None:
             raise ValidationError(
                 ValidationError.SYMBOL_COUNT,
                 f"symbol {sym!r} occurs once, expected twice",
-                where=(o.word, o.pos),
+                where=where[2 * s] or where[2 * s + 1],
             )
-    _check_connected(words, occ)
-    return occ
+    if len(words) > 1:
+        _check_connected(len(words), where)
+    return index, tuple(code), where
 
 
-def _check_connected(words, occ) -> None:
-    # Union-find over word indices; a symbol whose occurrences sit in two
+def _check_connected(m: int, where: list) -> None:
+    # Union-find over word indices; a symbol whose letters sit in two
     # different words links them.
-    parent = list(range(len(words)))
+    parent = list(range(m))
 
     def find(x):
         while parent[x] != x:
@@ -335,12 +334,10 @@ def _check_connected(words, occ) -> None:
             x = parent[x]
         return x
 
-    for (sym, exp), o in occ.items():
-        if exp == POSITIVE:
-            other = occ[(sym, NEGATIVE)]
-            parent[find(o.word)] = find(other.word)
+    for (plus, _), (minus, _) in zip(where[0::2], where[1::2]):
+        parent[find(plus)] = find(minus)
     root = find(0)
-    for wi in range(len(words)):
+    for wi in range(m):
         if find(wi) != root:
             raise ValidationError(
                 ValidationError.DISCONNECTED,
@@ -356,15 +353,14 @@ def check_pairwise(p: SignedParagraph) -> None:
     this raises ``ValidationError(PAIRWISE)`` when any two words are
     symbol-disjoint.
     """
-    syms = [w.symbols() for w in p.words]
-    for i in range(len(syms)):
-        for j in range(i + 1, len(syms)):
-            shared = {
-                s
-                for s in syms[i] & syms[j]
-                if p.occurrence(s, POSITIVE).word != p.occurrence(s, NEGATIVE).word
-            }
-            if not shared:
+    linked = {
+        (min(plus, minus), max(plus, minus))
+        for (plus, _), (minus, _) in zip(p._where[0::2], p._where[1::2])
+    }
+    m = len(p.words)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (i, j) not in linked:
                 raise ValidationError(
                     ValidationError.PAIRWISE,
                     f"words {i + 1} and {j + 1} share no symbols",
@@ -489,7 +485,7 @@ def canonicalize(p: SignedParagraph) -> SignedParagraph:
     """The least representative of the isomorphism class of ``p``
     (``_canonical``), its symbols named a, b, ... in order of appearance.
     Idempotent, and equal for any two isomorphic paragraphs."""
-    canonical = _canonical(_code(p)[0])
+    canonical = _canonical(p._code)
     names = [_canonical_name(i) for i in range(p.n)]
     return _from_code(canonical, _letter_table(names))
 
@@ -563,4 +559,4 @@ def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
     """Whether two paragraphs differ only by rotations, relabeling and word order."""
     if len(p.words) != len(q.words) or p.n != q.n:
         return False
-    return _canonical(_code(p)[0]) == _canonical(_code(q)[0])
+    return _canonical(p._code) == _canonical(q._code)

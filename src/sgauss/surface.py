@@ -22,11 +22,11 @@ depend on the convention (see ``RotationSystem.mirror``).
 The circles are counted on integers, as in the permutation-triple view of a
 map (sigma, alpha, phi = sigma alpha) of Lando & Zvonkin, *Graphs on
 Surfaces and Their Applications* (2004), ch. 1.  Letters are numbered
-0..2n-1 across the words of the paragraph's integer code (``model._code``)
-in order; letter k starts arc k+1, whose forward dart is 2k and whose
-backward dart is 2k+1, so reverse(d) = d ^ 1.  With P and M the indices of a
-symbol's +1 and -1 letters and prev the previous letter of the same cyclic
-word, the symbol's rotation is
+0..2n-1 across the words of the integer code the paragraph stores
+(``SignedParagraph._code``) in order; letter k starts arc k+1, whose forward
+dart is 2k and whose backward dart is 2k+1, so reverse(d) = d ^ 1.  With P
+and M the indices of a symbol's +1 and -1 letters and prev the previous
+letter of the same cyclic word, the symbol's rotation is
 
     (2P, 2 prev(M) + 1, 2 prev(P) + 1, 2M)
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import POSITIVE, Code, SignedLetter, SignedParagraph, _code
+from .model import POSITIVE, Code, SignedLetter, SignedParagraph
 
 __all__ = [
     "RotationSystem",
@@ -183,14 +183,12 @@ def _faces(quads) -> list[list[int]]:
 
 def build_ribbon(p: SignedParagraph) -> RotationSystem:
     """The rotation system induced by ``p`` under the fixed chirality."""
-    letters: list[SignedLetter] = []
-    heads: list[int] = []
+    letters, heads = [], []
     for w in p.words:
         k, length = len(letters), len(w)
         letters.extend(w.letters)
         heads.extend(k + (i + 1) % length for i in range(length))
-    code, table = _code(p)
-    quads = dict(zip((l.sym for l in table[::2]), _quads(code).values()))
+    quads = dict(zip(p._index, _quads(p._code).values()))
     return RotationSystem(tuple(letters), tuple(heads), quads)
 
 
@@ -214,7 +212,7 @@ def _summary(n: int, b: int) -> SurfaceSummary:
 
 def summarize(p: SignedParagraph) -> SurfaceSummary:
     """Crossing count, Carter circle count, Euler characteristic and genus."""
-    return _summary(p.n, len(_faces(_quads(_code(p)[0]).values())))
+    return _summary(p.n, len(_faces(_quads(p._code).values())))
 
 
 def is_geometric(p: SignedParagraph) -> bool:

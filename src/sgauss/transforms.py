@@ -22,9 +22,9 @@ from .model import (
     SignedParagraph,
     SignedWord,
     SYMBOL_RE,
-    _code,
     _from_code,
     _letter_table,
+    rotate,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
@@ -38,21 +38,14 @@ def split(w: SignedWord, sym: str) -> SignedParagraph:
     symbol, since the result is validated like any other paragraph.
     """
     pos = w.find(sym, POSITIVE)
-    neg = w.find(sym, NEGATIVE)
-    first, second = [], []
-    i = (pos + 1) % len(w)
-    while i != neg:
-        first.append(w[i])
-        i = (i + 1) % len(w)
-    i = (neg + 1) % len(w)
-    while i != pos:
-        second.append(w[i])
-        i = (i + 1) % len(w)
+    k = (w.find(sym, NEGATIVE) - pos) % len(w)
+    letters = rotate(w, pos).letters  # from sym's +1 letter; its -1 is letter k
+    first, second = letters[1:k], letters[k + 1 :]
     if not first or not second:
         raise OperationError(
             f"splitting at {sym!r} leaves an empty component (adjacent occurrences)"
         )
-    return SignedParagraph((SignedWord(tuple(first)), SignedWord(tuple(second))))
+    return SignedParagraph((SignedWord(first), SignedWord(second)))
 
 
 def join(
@@ -77,9 +70,8 @@ def join(
         raise OperationError(f"fresh symbol {fresh!r} is not a valid symbol token")
     if fresh in p.alphabet:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
-    code, table = _code(p)
-    merged = _join_code(code, (pos.word, pos.pos), (neg.word, neg.pos), p.n)
-    return _from_code(merged, table + _letter_table([fresh]))
+    merged = _join_code(p._code, (pos.word, pos.pos), (neg.word, neg.pos), p.n)
+    return _from_code(merged, _letter_table([*p._index, fresh]))
 
 
 def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
@@ -113,10 +105,10 @@ def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedWord:
     """
     while len(p.words) > 1:
         candidates = []
-        for sym in p.alphabet:
-            pos, neg = p.occurrences(sym)
-            if pos.word != neg.word and 0 in (pos.word, neg.word):
-                candidates.append((sym, max(pos.word, neg.word)))
+        for sym, s in p._index.items():
+            plus, minus = p._where[2 * s][0], p._where[2 * s + 1][0]
+            if plus != minus and 0 in (plus, minus):
+                candidates.append((sym, max(plus, minus)))
         shared, other = min(candidates)
         p = join(p, 0, other, shared, fresh_symbol(p.alphabet, prefix))
     return p.words[0]

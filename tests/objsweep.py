@@ -7,7 +7,8 @@ functions: ``enumerate_corpus``, ``build_ribbon``, ``trace_circles``,
 ``pairing`` and ``join``, and renders every counterexample eagerly.  The
 random moves are made on objects by ``rotate`` and ``relabel``
 (``moves_by_objects``).  Its report must equal the one ``verify`` gives,
-check by check and counterexample by counterexample.
+check by check and counterexample by counterexample.  ``record`` counts one
+object under a check and renders its counterexample on failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ from sgauss.verify import (
     VerificationReport,
     enumerate_corpus,
 )
+
+
+def record(
+    report: VerificationReport,
+    name: str,
+    ok: bool,
+    p: SignedParagraph,
+    observed: str,
+    expected: str,
+) -> None:
+    if not report.check(name, ok):
+        report.fail(render(p), name, observed, expected)
 
 
 def moves_by_objects(
@@ -74,7 +87,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         r = build_ribbon(p)
         slots = sorted(chain.from_iterable(r.quads.values()))
         partition = slots == list(range(4 * p.n))
-        report.record(
+        record(
+            report,
             "carter-partition",
             partition,
             p,
@@ -86,10 +100,11 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         circles = trace_circles(r)
         n, b = p.n, len(circles)
         parity = (b - n) % 2 == 0
-        report.record("euler-parity", parity, p, f"b={b} n={n}", "b = n mod 2")
+        record(report, "euler-parity", parity, p, f"b={b} n={n}", "b = n mod 2")
         genus = (n + 2 - b) / 2
         bounded = 1 <= b <= n + 2 and 0 <= genus <= (n + 1) // 2
-        report.record(
+        record(
+            report,
             "genus-bounds",
             bounded,
             p,
@@ -100,7 +115,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             continue
         s = SurfaceSummary(n, 2 * n, b, b - n, int(genus))
         mirror = trace_circles(r.mirror())
-        report.record(
+        record(
+            report,
             "mirror-circles",
             {c.darts for c in mirror} == {cyclic_backwards(c.darts) for c in circles},
             p,
@@ -109,7 +125,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         )
         q = moves_by_objects(p, rng)
         c1 = canonicalize(p)
-        report.record(
+        record(
+            report,
             "isomorphism-invariance",
             summarize(q) == s and canonicalize(q) == c1,
             p,
@@ -117,11 +134,12 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             "equal summary and canonical form",
         )
         c2 = canonicalize(c1)
-        report.record("canonical-idempotence", c2 == c1, p, render(c2), render(c1))
+        record(report, "canonical-idempotence", c2 == c1, p, render(c2), render(c1))
 
         if len(p.words) == 1:
             pr = profile(p.words[0])
-            report.record(
+            record(
+                report,
                 "criterion-equivalence",
                 pr.is_zero == s.geometric,
                 p,
@@ -137,7 +155,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             if not holds:
                 beta_violations.append(render(p))
         else:
-            report.record(
+            record(
+                report,
                 "null-pairing",
                 s.genus > 0 or pairing(p) == 0,
                 p,
@@ -153,8 +172,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 bj = len(trace_circles(build_ribbon(joined)))
                 ok_join = ok_join and (joined.n + 2 - bj) == 2 * s.genus
                 shift_counter[bj - s.b] += 1
-            report.record(
-                "join-genus", ok_join, p, "genus changed under some join", "preserved"
+            record(
+                report, "join-genus", ok_join, p, "genus changed under some join", "preserved"
             )
 
     if spec.kind == KIND_WORDS:

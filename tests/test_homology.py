@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -153,6 +154,33 @@ class TestProfile:
 
         with pytest.raises(OperationError):
             profile(SignedWord((SignedLetter("a", 1), SignedLetter("b", -1))))
+
+    def test_rejects_empty_word(self):
+        # A paragraph rejects the empty word, so the profile must not call
+        # it planar.
+        with pytest.raises(OperationError, match="not a valid standalone word"):
+            profile(SignedWord(()))
+        with pytest.raises(OperationError, match="not a valid standalone word"):
+            word_is_planar_homology(SignedWord(()))
+
+    @staticmethod
+    def sorted_rendering(pr):
+        return {
+            "alpha": dict(sorted(pr.alpha.items())),
+            "beta": [[i, j, v] for (i, j), v in sorted(pr.beta.items())],
+            "planar": pr.is_zero,
+        }
+
+    @given(signed_words(max_symbols=8))
+    def test_as_dict_is_in_sorted_order(self, w):
+        pr = profile(w)
+        assert json.dumps(pr.as_dict()) == json.dumps(self.sorted_rendering(pr))
+
+    def test_as_dict_is_in_sorted_order_at_n200(self):
+        pool = [SignedLetter(f"s{i}", e) for i in range(200) for e in (1, -1)]
+        random.Random(7).shuffle(pool)
+        pr = profile(SignedWord(tuple(pool)))
+        assert json.dumps(pr.as_dict()) == json.dumps(self.sorted_rendering(pr))
 
     @given(signed_words(max_symbols=4), st.integers(0, 10))
     def test_rotation_invariant(self, w, k):

@@ -117,6 +117,12 @@ class TestReduce:
         assert len(p.words) == 3  # input untouched
         assert summarize(w.as_paragraph()).genus == summarize(p).genus
 
+    def test_joins_onto_the_first_component(self):
+        # The least symbol linking two words is a, between words 2 and 3;
+        # the first step must use x, the least one shared with word 1.
+        p = P("x -y / y -a / a -x")
+        assert str(reduce_to_word(p)) == "a -j1 x -y j1 -x j2 -a y -j2"
+
     def test_genus_preserved_on_examples(self):
         for text in ("a -b / -a b", "a b / -a -b", "a / -a"):
             p = P(text)

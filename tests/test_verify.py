@@ -7,10 +7,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import double_factorial_count, naive_isomorphic
-from objsweep import moves_by_objects, verify_by_objects
-from sgauss.model import SignedParagraph, canonicalize, render
+from conftest import double_factorial_count, naive_isomorphic, signed_paragraphs
+from objsweep import moves_by_objects, record, verify_by_objects
+from sgauss.model import SignedParagraph, _canonical, canonicalize, render
 from sgauss.transforms import join
 from sgauss.verify import (
     KIND_PARAGRAPHS,
@@ -137,7 +139,8 @@ class TestVerify:
         # Exercise the counterexample paths with a synthetic report.
         report = VerificationReport(CorpusSpec(1))
         report.size = 1
-        report.record(
+        record(
+            report,
             "euler-parity",
             False,
             next(iter(enumerate_words(1))),
@@ -167,29 +170,49 @@ class TestVerify:
 
 class TestTrustedConstruction:
     """The enumerators, ``canonicalize``, the random moves and ``join`` build
-    paragraphs without validation; every one must pass it anyway."""
+    paragraphs with ``_from_code``, without validation; every one must agree
+    with the paragraph that validating its words gives, and hold a code, a
+    numbering and letter addresses that agree with its words."""
 
     @staticmethod
-    def check(p):
-        checked = SignedParagraph(p.words)
-        assert checked.alphabet == p.alphabet
+    def check_code(p):
+        assert sorted(p._index.values()) == list(range(p.n))
+        assert p._code == tuple(
+            tuple(2 * p._index[l.sym] + (l.exp == -1) for l in w) for w in p.words
+        )
+        where = {c: (wi, k) for wi, w in enumerate(p._code) for k, c in enumerate(w)}
+        assert list(p._where) == [where[c] for c in range(2 * p.n)]
+
+    def check(self, q):
+        checked = SignedParagraph(q.words)
+        assert checked.alphabet == q.alphabet
+        assert checked.n == q.n
         assert {s: checked.occurrences(s) for s in checked.alphabet} == {
-            s: p.occurrences(s) for s in p.alphabet
+            s: q.occurrences(s) for s in q.alphabet
         }
+        assert _canonical(checked._code) == _canonical(q._code)
+        self.check_code(q)
+        self.check_code(checked)
+
+    @staticmethod
+    def joins(p):
+        for s in sorted(p.alphabet):
+            pos, neg = p.occurrences(s)
+            if pos.word != neg.word:
+                yield join(p, pos.word, neg.word, s, "z1")
+
+    def check_all(self, built):
+        rng = random.Random(0)
+        for q in built:
+            self.check(q)
+            self.check(canonicalize(q))
+            self.check(apply_random_moves(q, rng))
 
     def test_corpus_canonical_forms_and_moves(self, words_le_4, paragraphs_le_3):
-        rng = random.Random(0)
-        for p in words_le_4 + paragraphs_le_3:
-            self.check(p)
-            self.check(canonicalize(p))
-            self.check(apply_random_moves(p, rng))
+        self.check_all(words_le_4 + paragraphs_le_3)
 
     def test_joins(self, paragraphs_le_3):
-        for p in paragraphs_le_3:
-            for s in sorted(p.alphabet):
-                pos, neg = p.occurrences(s)
-                if pos.word != neg.word:
-                    self.check(join(p, pos.word, neg.word, s, "z1"))
+        self.check_all(q for p in paragraphs_le_3 for q in self.joins(p))
 
 
 class TestMovesAgainstObjects:
@@ -203,6 +226,13 @@ class TestMovesAgainstObjects:
                 assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
                 assert rng.random() == oracle_rng.random()
 
+    @given(signed_paragraphs(), st.integers(0, 2**16))
+    def test_names_out_of_sorted_order(self, p, seed):
+        # The enumerators name symbols in sorted order; parsed paragraphs
+        # need not, and the relabeling move shuffles the sorted names.
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
+
     def test_fixed_move_count(self, paragraphs_le_3):
         rng, oracle_rng = random.Random(3), random.Random(3)
         for p in paragraphs_le_3[:50]:
@@ -213,7 +243,7 @@ class TestPerObjectWork:
     """A passing sweep runs on integer codes: it builds no paragraph and
     calls each kernel a fixed number of times per object."""
 
-    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "profile")
+    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "_profile")
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -233,7 +263,8 @@ class TestPerObjectWork:
         for name in self.KERNELS:
             count(verify_module, name)
         count(SignedParagraph, "__post_init__", "SignedParagraph.__post_init__")
-        count(model_module, "_built", "model._built")
+        # The sweep's own binding of the trusted constructor.
+        count(verify_module, "_from_code", "model._from_code")
         return counts
 
     def test_words(self, calls):
@@ -246,9 +277,9 @@ class TestPerObjectWork:
             "_moved": size,
             "_join_code": 0,
             "_pairing": 0,
-            "profile": size,
+            "_profile": size,
             "SignedParagraph.__post_init__": 0,
-            "model._built": 0,
+            "model._from_code": 0,
         }
 
     def test_paragraphs(self, calls):
@@ -269,9 +300,9 @@ class TestPerObjectWork:
             "_moved": size,
             "_join_code": joins,
             "_pairing": size,
-            "profile": 0,
+            "_profile": 0,
             "SignedParagraph.__post_init__": 0,
-            "model._built": 0,
+            "model._from_code": 0,
         }
 
 
@@ -348,7 +379,41 @@ class TestMutantsAreCaught:
         first = report.counterexamples[0]
         assert first == Counterexample("a -a", "euler-parity", "b=4 n=1", "b = n mod 2")
         # The object's other checks are skipped.
-        assert "mirror-circles" not in report.checks
+        assert report.checks["mirror-circles"].checked == 0
+
+    def test_unreached_checks_are_listed(self, monkeypatch):
+        # Every object fails euler-parity, so no object reaches the checks
+        # after it; the report lists them all the same, in order.
+        real = verify_module._faces
+        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        report = verify(CorpusSpec(2))
+        assert list(report.checks) == [
+            "carter-partition",
+            "euler-parity",
+            "genus-bounds",
+            "mirror-circles",
+            "isomorphism-invariance",
+            "canonical-idempotence",
+            "criterion-equivalence",
+        ]
+        assert report.checks["mirror-circles"].checked == 0
+        assert report.checks["mirror-circles"].failed == 0
+        assert report.checks["genus-bounds"].checked == report.size
+        doc = json.loads(report.to_json())
+        assert doc["checks"]["criterion-equivalence"] == {"checked": 0, "failed": 0}
+        assert "check criterion-equivalence: checked=0 failed=0" in report.to_text()
+
+    def test_paragraph_checks_are_listed(self, monkeypatch):
+        real = verify_module._faces
+        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        report = verify(CorpusSpec(2, kind=KIND_PARAGRAPHS))
+        assert list(report.checks)[-3:] == [
+            "canonical-idempotence",
+            "null-pairing",
+            "join-genus",
+        ]
+        assert len(report.checks) == 8
+        assert report.checks["join-genus"].checked == 0
 
     def test_two_extra_circles_fail_genus_bounds(self, monkeypatch):
         real = verify_module._faces
