@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .homology import pairing, profile
+from .homology import _profile, pairing
 from .model import (
     GaussError,
     OperationError,
@@ -142,8 +142,9 @@ def _cmd_circles(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    w = _single_word(parse_paragraph(_read(args.file)))
-    pr = profile(w)
+    p = parse_paragraph(_read(args.file))
+    _single_word(p)
+    pr = _profile(p._code[0], list(p._index))  # p is already validated
     if args.json:
         _emit(pr.as_dict())
     else:

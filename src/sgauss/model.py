@@ -18,6 +18,13 @@ Text grammar::
 "/" is self-delimiting.  Blank lines are ignored, but an explicit "/" with no
 word on one side is an error.
 
+``parse_paragraph`` reads each line with one regular-expression scan
+(``_SCAN``) whose every match is a "/", a letter already split into its
+sign, symbol and "^-1" suffix, or a bad token; each letter goes straight
+into its word, and the words are validated once, by ``SignedParagraph``.
+The parser keeps no positions: only when it fails does ``_token_at`` scan
+the text again, up to the offending token, for the error's line and column.
+
 A paragraph also holds its integer code, filled by the same pass that
 validates it: ``_index`` numbers the symbols 0..n-1 (by first appearance),
 ``_code`` is a tuple of words, each a tuple of ints 2 * symbol + (exp == -1),
@@ -370,17 +377,10 @@ def check_pairwise(p: SignedParagraph) -> None:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"/|[^\s/]+")
-_LETTER_RE = re.compile(r"(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?")
 SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            yield m.group(), lineno, m.start() + 1
-        yield None, lineno, len(line) + 1  # soft word boundary at end of line
+# One match per token: "/" (group 1), a letter (its "-", symbol and "^-1" in
+# groups 2-4; the lookahead makes it the whole token), or a bad token.
+_SCAN = re.compile(r"(/)|(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?(?![^\s/])|[^\s/]+")
 
 
 def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
@@ -391,55 +391,67 @@ def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
     ``pairwise=True`` additionally requires every pair of words to share a
     symbol.
     """
-    words: list[list[SignedLetter]] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    cur: list[tuple[SignedLetter, int, int]] = []
-    dangling: tuple[int, int] | None = None
-
-    def flush():
-        wi = len(words)
-        words.append([t[0] for t in cur])
-        spans.update({(wi, i): (t[1], t[2]) for i, t in enumerate(cur)})
-        cur.clear()
-
-    for tok, line, col in _tokens(text):
-        if tok is None:
-            if cur:
-                flush()
-        elif tok == "/":
-            if not cur:
-                raise ValidationError(
-                    ValidationError.EMPTY_WORD, "empty word", line=line, col=col
-                )
-            flush()
-            dangling = (line, col)
-        else:
-            m = _LETTER_RE.fullmatch(tok)
-            if not m or (m.group(1) and m.group(3)):
-                raise ParseError(f"bad token {tok!r}", line, col)
-            exp = NEGATIVE if (m.group(1) or m.group(3)) else POSITIVE
-            cur.append((SignedLetter(m.group(2), exp), line, col))
-            dangling = None
-    if cur:
-        flush()
-    if dangling is not None:
-        raise ValidationError(
-            ValidationError.EMPTY_WORD, "empty word", line=dangling[0], col=dangling[1]
-        )
+    words: list[SignedWord] = []
+    cur: list[SignedLetter] = []
+    slash = ""  # the last token's "/" group: set when no word follows a "/"
+    for raw in text.splitlines():
+        for slash, minus, sym, inverse in _SCAN.findall(raw.split("#", 1)[0]):
+            if sym and not (minus and inverse):
+                exp = NEGATIVE if minus or inverse else POSITIVE
+                cur.append(SignedLetter(sym, exp))
+            elif slash and cur:
+                words.append(SignedWord(tuple(cur)))
+                cur = []
+            else:  # a bad token, or a "/" after no word
+                raise _lexical_error(text, len(words), len(cur))
+        if cur:
+            words.append(SignedWord(tuple(cur)))
+            cur = []
+    if slash:
+        raise _lexical_error(text, len(words) - 1, len(words[-1]))
     if not words:
         raise ValidationError(
             ValidationError.EMPTY_WORD, "empty paragraph", line=1, col=1
         )
-
     try:
-        p = SignedParagraph(tuple(SignedWord(tuple(w)) for w in words))
+        p = SignedParagraph(tuple(words))
         if pairwise:
             check_pairwise(p)
     except ValidationError as e:
-        if e.where is not None and e.line is None and e.where in spans:
-            e.line, e.col = spans[e.where]
+        if e.where is not None and e.line is None:
+            m, e.line = _token_at(text, *e.where)
+            e.col = m.start() + 1
         raise
     return p
+
+
+def _token_at(text: str, word: int, pos: int) -> tuple[re.Match, int]:
+    """The match and line number of the token at (word, pos) in text that
+    parses up to it: letter i of a word is at (word, i), and a "/" after
+    the word's letters at (word, its length).  Run on the error path only."""
+    w = k = 0
+    for line, raw in enumerate(text.splitlines(), start=1):
+        for m in _SCAN.finditer(raw.split("#", 1)[0]):
+            if w == word and k == pos:
+                return m, line
+            if m[1]:
+                w, k = w + 1, 0
+            else:
+                k += 1
+        if k:
+            w, k = w + 1, 0
+    raise ValueError(f"no token at word {word}, position {pos}")
+
+
+def _lexical_error(text: str, word: int, pos: int) -> GaussError:
+    """The error for the token at (word, pos): a "/" with no word before or
+    after it, or a token that is not a letter."""
+    m, line = _token_at(text, word, pos)
+    if m[1]:
+        return ValidationError(
+            ValidationError.EMPTY_WORD, "empty word", line=line, col=m.start() + 1
+        )
+    return ParseError(f"bad token {m[0]!r}", line, m.start() + 1)
 
 
 def render(p: SignedParagraph, format: str = "text") -> str:

@@ -46,6 +46,7 @@ renders a dart as a signed edge for the ``circles`` output.  A
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .model import POSITIVE, Code, SignedLetter, SignedParagraph
@@ -88,12 +89,15 @@ class RotationSystem:
     def edge(self, d: int) -> str:
         """Render dart ``d`` as a signed edge, e.g. ``+[a,b^-1]``."""
         k = d // 2
-        tail, head = self.letters[k], self.letters[self.heads[k]]
-        return f"{'-' if d & 1 else '+'}[{_token(tail)},{_token(head)}]"
+        tokens = self._tokens
+        return f"{'-' if d & 1 else '+'}[{tokens[k]},{tokens[self.heads[k]]}]"
 
-
-def _token(l: SignedLetter) -> str:
-    return l.sym if l.exp == POSITIVE else f"{l.sym}^-1"
+    @cached_property
+    def _tokens(self) -> tuple[str, ...]:
+        """Every letter rendered once, as ``a`` or ``a^-1``."""
+        return tuple(
+            l.sym if l.exp == POSITIVE else f"{l.sym}^-1" for l in self.letters
+        )
 
 
 @dataclass(frozen=True)

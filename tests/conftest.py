@@ -18,6 +18,13 @@ from sgauss.verify import enumerate_two_component_paragraphs, enumerate_words
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# Arbitrary short text, and short text over the characters of the paragraph
+# grammar (CR, tab, "_" and a digit among them).
+TEXTS = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="ab-/ ^1#\n\r\t_x", max_size=80),
+)
+
 
 @st.composite
 def signed_words(draw, min_symbols=1, max_symbols=5) -> SignedWord:

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TEXTS
 from sgauss.cli import main
+from sgauss.model import SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +86,16 @@ class TestExitCodes:
             "",
         )
         assert run(capsys, monkeypatch, ["--help"]) == first
+
+    def test_error_line_names_the_token(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, monkeypatch, ["summary"], stdin="a -b\r\n-a\tb / c -c\r\n"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 2:8: word 3 shares no symbols with the rest of the paragraph"
+            " [disconnected]\n"
+        )
 
     def test_lexical_error_position(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["validate"], stdin="a !! -a")
@@ -189,6 +201,22 @@ class TestOperations:
     def test_profile_text(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["profile"], stdin="a b -a -b")
         assert out == "alpha: a=1 b=-1\nbeta: a,b=1 b,a=-1\nplanar: false\n"
+
+    def test_profile_validates_once(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "word"
+        f.write_text("a b c -a d -b -c e -d f -e g -f h -g -h\n")
+        built = []
+        validate = SignedParagraph.__post_init__
+
+        def counted(p):
+            built.append(p)
+            validate(p)
+
+        monkeypatch.setattr(SignedParagraph, "__post_init__", counted)
+        code, out, _ = run(capsys, monkeypatch, ["profile", str(f)])
+        assert code == 0
+        assert out.endswith("planar: false\n")
+        assert len(built) == 1
 
     def test_profile_needs_single_word(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["profile"], stdin="a -b / -a b")
@@ -455,10 +483,7 @@ class TestRobustness:
     @given(
         st.sampled_from(FILE_COMMANDS),
         st.booleans(),
-        st.one_of(
-            st.text(max_size=80),
-            st.text(alphabet="ab-/ ^1#\n", max_size=80),
-        ),
+        TEXTS,
     )
     def test_arbitrary_text(self, argv, as_json, text):
         code, _, err = run_plain(argv + ["--json"] * as_json, text)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce_canon import bruteforce_canonicalize
-from conftest import LETTERS, naive_isomorphic, signed_paragraphs, signed_words
+from conftest import LETTERS, TEXTS, naive_isomorphic, signed_paragraphs, signed_words
 from sgauss.model import (
+    GaussError,
     OperationError,
     ParseError,
     SignedLetter,
@@ -26,6 +27,7 @@ from sgauss.model import (
     rotate,
 )
 from sgauss.verify import apply_random_moves, enumerate_words
+from tokenparse import parse_by_tokens
 
 
 def words_of(p: SignedParagraph) -> list[str]:
@@ -119,6 +121,131 @@ class TestParse:
             parse_paragraph("a -a\nb c -c")
         assert exc.value.kind == ValidationError.SYMBOL_COUNT
         assert (exc.value.line, exc.value.col) == (2, 1)
+
+    def test_comment_holding_slash_and_minus(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph("a b # -b / c\n-a c")
+        assert exc.value.kind == ValidationError.SYMBOL_COUNT
+        assert exc.value.message == "symbol 'b' occurs once, expected twice"
+        assert (exc.value.line, exc.value.col) == (1, 3)
+
+    def test_crlf_line_endings(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph("a\tb\r\n-a\t-b -c\r\n")
+        assert exc.value.kind == ValidationError.SYMBOL_COUNT
+        assert (exc.value.line, exc.value.col) == (2, 7)
+
+    def test_symbol_count_after_comment_line(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph("a b -a\n# only a comment -b /\n-b c\n")
+        assert exc.value.kind == ValidationError.SYMBOL_COUNT
+        assert (exc.value.line, exc.value.col) == (3, 4)
+
+    def test_disconnected_after_slash_on_later_line(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph("a -b\n-a b / c -c")
+        assert exc.value.kind == ValidationError.DISCONNECTED
+        assert (exc.value.line, exc.value.col) == (2, 8)
+
+
+BAD_TOKENS = ["9x", "-a^-1", "a^2", "-", "^-1", "a-b", "a^-1^-1", "--a", "\u00e9"]
+
+
+@st.composite
+def paragraph_texts(draw) -> str:
+    """The text of a valid paragraph in any spelling the grammar allows: "-a"
+    or "a^-1", spaces and tabs, words ended by "/", LF or CRLF, blank lines,
+    and comments that hold "/" and "-".  Most draws then break it with one
+    edit: a letter dropped, repeated, inverted or renamed, a bad token or a
+    "/" put in, a line break put inside a word, or a word put in that shares
+    no symbol."""
+    p = draw(signed_paragraphs(1, 5))
+    words = [
+        [
+            draw(st.sampled_from([f"-{l.sym}", f"{l.sym}^-1"])) if l.exp < 0 else l.sym
+            for l in w
+        ]
+        for w in p.words
+    ]
+    edit = draw(
+        st.sampled_from("none drop repeat invert rename bad slash line word".split())
+    )
+    w = draw(st.sampled_from(words))
+    i = draw(st.integers(0, len(w) - 1))
+    if edit == "drop":
+        del w[i]
+    elif edit == "repeat":
+        w.insert(i, w[i])
+    elif edit == "invert":
+        tok = w[i]
+        w[i] = tok[1:] if tok[0] == "-" else tok[:-3] if "^" in tok else f"-{tok}"
+    elif edit == "rename":
+        w[i] = w[i].replace(w[i].strip("-^1"), "x_1", 1)
+    elif edit == "bad":
+        w.insert(draw(st.integers(0, len(w))), draw(st.sampled_from(BAD_TOKENS)))
+    elif edit in ("slash", "line"):
+        w.insert(draw(st.integers(0, len(w))), "/" if edit == "slash" else "\n")
+    elif edit == "word":
+        words.insert(draw(st.integers(0, len(words))), ["y", "-y"])
+    gaps = st.sampled_from([" ", "  ", "\t", " \t"])
+    ends = st.sampled_from(
+        [" / ", "/", " /\n", "\n", "\r\n", "\n\n", "\r\n\r\n"]
+        + ["  # c / -a\n", "\t#-b/\r\n"]
+    )
+    text = draw(st.sampled_from(["", "\n", "# head / -x\n", "\r\n"]))
+    for k, w in enumerate(words):
+        if k:
+            text += draw(ends)
+        text += "".join(tok + draw(gaps) for tok in w)
+    return text + draw(st.sampled_from(["", "\n", "\r\n", " # tail -a /"]))
+
+
+def outcome(parse, text: str, pairwise: bool):
+    """The paragraph ``parse`` returns, or the class, text, kind, position
+    and letter address of the error it raises."""
+    try:
+        return parse(text, pairwise=pairwise)
+    except GaussError as e:
+        return type(e), str(e), e.kind, e.line, e.col, getattr(e, "where", None)
+
+
+class TestParseAgainstTokenParser:
+    """The one-scan parser gives what the token-by-token parser
+    (``tests/tokenparse.py``) gives: an equal paragraph, or the same error
+    class, message, kind, line, column and address."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a -a /",
+            "/ a -a",
+            "a / / -a",
+            "a -a\n/ b -b",
+            "a -b /\n\n-a b",
+            "a^-1 a",
+            "-a^-1 a",
+            "a#b -a",
+            "a b\r-a -b",
+            "a\x0bb -a -b",
+            "a -a\x1cb -b",
+            "a\u2028-a",
+            "a -a \x85 / b -b",
+            "a/-a/",
+            "a b -a -b c\n",
+        ],
+    )
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_hand_picked(self, text, pairwise):
+        assert outcome(parse_paragraph, text, pairwise) == outcome(
+            parse_by_tokens, text, pairwise
+        )
+
+    @settings(max_examples=300)
+    @given(st.one_of(TEXTS, paragraph_texts()), st.booleans())
+    def test_same_outcome(self, text, pairwise):
+        assert outcome(parse_paragraph, text, pairwise) == outcome(
+            parse_by_tokens, text, pairwise
+        )
 
 
 class TestValidation:
