@@ -26,7 +26,7 @@ from .model import (
     render,
 )
 from .surface import build_ribbon, summarize, trace_circles
-from .transforms import join, reduce_to_word, split
+from .transforms import _reduce, join, split
 from .verify import (
     KIND_PARAGRAPHS,
     KIND_WORDS,
@@ -65,19 +65,19 @@ def _emit(obj: dict) -> None:
 
 
 def _single_word(p):
-    if len(p.words) != 1:
+    if len(p._code) != 1:
         raise OperationError(
-            f"expected a single-word paragraph, got {len(p.words)} words"
+            f"expected a single-word paragraph, got {len(p._code)} words"
         )
-    return p.words[0]
+    return p
 
 
 def _cmd_validate(args) -> int:
     p = parse_paragraph(_read(args.file), pairwise=args.pairwise)
     if args.json:
-        _emit({"valid": True, "words": len(p.words), "symbols": p.n})
+        _emit({"valid": True, "words": len(p._code), "symbols": p.n})
     else:
-        print(f"valid: words={len(p.words)} symbols={p.n}")
+        print(f"valid: words={len(p._code)} symbols={p.n}")
     return 0
 
 
@@ -117,6 +117,7 @@ def _cmd_circles(args) -> int:
     p = parse_paragraph(_read(args.file))
     r = build_ribbon(p)
     circles = trace_circles(r)
+    edges = r._edges
     if args.json:
         _emit(
             {
@@ -126,25 +127,28 @@ def _cmd_circles(args) -> int:
                 "circles": [
                     {
                         "darts": list(c.signed_ids()),
-                        "edges": [r.edge(d) for d in c.darts],
+                        "edges": list(map(edges.__getitem__, c.darts)),
                     }
                     for c in circles
                 ],
             }
         )
     else:
+        # Dart d as its signed arc id, "+k" or "-k" for arc k = d // 2 + 1.
+        ids = [f"{sign}{k}" for k in range(1, 2 * p.n + 1) for sign in "+-"]
         print(f"n={p.n} b={len(circles)}")
         for i, c in enumerate(circles, start=1):
-            ids = " ".join(f"{d:+d}" for d in c.signed_ids())
-            edges = " ".join(map(r.edge, c.darts))
-            print(f"circle {i}: {ids} | {edges}")
+            darts = c.darts
+            print(
+                f"circle {i}: {' '.join(map(ids.__getitem__, darts))}"
+                f" | {' '.join(map(edges.__getitem__, darts))}"
+            )
     return 0
 
 
 def _cmd_profile(args) -> int:
-    p = parse_paragraph(_read(args.file))
-    _single_word(p)
-    pr = _profile(p._code[0], list(p._index))  # p is already validated
+    p = _single_word(parse_paragraph(_read(args.file)))
+    pr = _profile(p._code[0], p._names)  # p is already validated
     if args.json:
         _emit(pr.as_dict())
     else:
@@ -180,8 +184,7 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    w = reduce_to_word(parse_paragraph(_read(args.file)), args.prefix)
-    p = w.as_paragraph()
+    p = _reduce(parse_paragraph(_read(args.file)), args.prefix)
     _emit(paragraph_dict(p)) if args.json else print(render(p))
     return 0
 

@@ -160,7 +160,7 @@ class IntersectionProfile:
 def profile(w: SignedWord) -> IntersectionProfile:
     """alpha for every symbol and beta for every ordered pair of ``w``."""
     p = _valid(w)
-    return _profile(p._code[0], list(p._index))
+    return _profile(p._code[0], p._names)
 
 
 def _profile(word: tuple[int, ...], names) -> IntersectionProfile:
@@ -186,8 +186,8 @@ def word_is_planar_homology(w: SignedWord) -> bool:
 
 def pairing(p: SignedParagraph) -> int:
     """Intersection pairing of the two components of a 2-word paragraph."""
-    if len(p.words) != 2:
-        raise OperationError(f"pairing needs exactly 2 components, got {len(p.words)}")
+    if len(p._code) != 2:
+        raise OperationError(f"pairing needs exactly 2 components, got {len(p._code)}")
     return _pairing(p._code)
 
 

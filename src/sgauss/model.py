@@ -18,22 +18,26 @@ Text grammar::
 "/" is self-delimiting.  Blank lines are ignored, but an explicit "/" with no
 word on one side is an error.
 
-``parse_paragraph`` reads each line with one regular-expression scan
-(``_SCAN``) whose every match is a "/", a letter already split into its
-sign, symbol and "^-1" suffix, or a bad token; each letter goes straight
-into its word, and the words are validated once, by ``SignedParagraph``.
-The parser keeps no positions: only when it fails does ``_token_at`` scan
-the text again, up to the offending token, for the error's line and column.
+A paragraph is stored as its symbol names and its integer code:
+``_names`` lists the symbols by number, ``_index`` is its inverse, ``_code``
+is a tuple of words, each a tuple of ints 2 * symbol + (exp == -1), and
+``_where`` maps a letter code to its (word, position).  ``words``, the
+letter objects, is a view built from the code the first time it is read.
+The canonical search, the ribbon graph, the joins, the pairing, the
+renderers and the exhaustive verifier run on codes; ``_from_code`` turns a
+code the package built, with its symbol names, back into a paragraph
+without validation.  The canonical form is the least (word lengths,
+first-appearance letter stream) over every word order and rotation
+(``_canonical``).
 
-A paragraph also holds its integer code, filled by the same pass that
-validates it: ``_index`` numbers the symbols 0..n-1 (by first appearance),
-``_code`` is a tuple of words, each a tuple of ints 2 * symbol + (exp == -1),
-and ``_where`` maps a letter code to its (word, position).  The canonical
-search, the ribbon graph, the joins, the pairing and the exhaustive verifier
-run on codes; ``_from_code`` turns a code the package built back into a
-paragraph, filling the same fields without validation.  The canonical form
-is the least (word lengths, first-appearance letter stream) over every word
-order and rotation (``_canonical``).
+``parse_paragraph`` splits each line into tokens with ``str.split`` and
+numbers each letter's symbol by first appearance as it goes, so the text
+becomes the code in one pass; one match of ``_NAMES`` then checks every
+symbol name at once.  ``SignedParagraph.__post_init__`` is the one
+validator: the parser runs it on the parsed code, and the public
+constructor on the code it numbers from letter objects.  Only when parsing
+fails does the text get scanned again, token by token with ``_SCAN``
+(``_tokens``), for the error's token, line and column.
 
 All values are immutable after construction and safe to share between
 threads; operations never mutate their inputs.
@@ -44,7 +48,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -210,34 +214,56 @@ class SignedWord:
 Code = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class SignedParagraph:
     """A validated signed Gauss paragraph.
 
-    Construction validates the three structural invariants (every symbol
-    exactly twice with opposite exponents, no empty word, connected sharing
-    graph) and raises :class:`ValidationError` otherwise.  The validating
-    pass also stores the integer code: ``_index`` (symbol -> number),
-    ``_code`` (the words as letter codes 2 * number + (exp == -1)) and
-    ``_where`` (letter code -> (word, position)).
+    A paragraph is stored as its integer code: ``_names`` (symbol number ->
+    name, numbered by first appearance when validated), ``_index`` (name ->
+    number), ``_code`` (the words as letter codes 2 * number + (exp == -1))
+    and ``_where`` (letter code -> (word, position)).  ``words`` is a view,
+    built from the code the first time it is read and then kept.
+
+    Construction from words numbers their symbols and validates the three
+    structural invariants (every symbol exactly twice with opposite
+    exponents, no empty word, connected sharing graph) in ``__post_init__``,
+    raising :class:`ValidationError` otherwise.  ``parse_paragraph`` numbers
+    the symbols straight from the text and runs the same ``__post_init__``.
+    Two paragraphs are equal iff they have the same words.
     """
 
-    words: tuple[SignedWord, ...]
-    alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _code: Code = field(init=False, repr=False, compare=False)
-    _where: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_names", "_index", "_code", "_where", "_words")
+
+    def __init__(self, words: Iterable[SignedWord | Iterable[SignedLetter]]):
+        words = tuple(w if isinstance(w, SignedWord) else SignedWord(tuple(w)) for w in words)
+        index: dict[str, int] = {}
+        number = index.setdefault
+        code = tuple(
+            tuple(2 * number(l.sym, len(index)) + (l.exp == NEGATIVE) for l in w)
+            for w in words
+        )
+        _store(self, tuple(index), index, code, words=words)
+        self.__post_init__()
 
     def __post_init__(self):
-        words = tuple(
-            w if isinstance(w, SignedWord) else SignedWord(tuple(w)) for w in self.words
-        )
-        _fill(self, words, *_validate(words))
+        """Validate the code; it fills ``_where`` in the same pass."""
+        _set(self, "_where", _validate(self._code, self._names))
+
+    @property
+    def words(self) -> tuple[SignedWord, ...]:
+        if self._words is None:
+            table = [SignedLetter(s, e) for s in self._names for e in (POSITIVE, NEGATIVE)]
+            words = tuple(SignedWord(tuple(map(table.__getitem__, w))) for w in self._code)
+            _set(self, "_words", words)
+        return self._words
+
+    @property
+    def alphabet(self) -> frozenset[str]:
+        return frozenset(self._names)
 
     @property
     def n(self) -> int:
         """Number of crossing symbols."""
-        return len(self._index)
+        return len(self._names)
 
     def occurrence(self, sym: str, exp: int) -> Occurrence:
         try:
@@ -250,84 +276,89 @@ class SignedParagraph:
         """The (+1, -1) occurrence pair of ``sym``."""
         return self.occurrence(sym, POSITIVE), self.occurrence(sym, NEGATIVE)
 
+    def __eq__(self, other):
+        if not isinstance(other, SignedParagraph):
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self) -> int:
+        return hash(self.words)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __str__(self) -> str:
-        return " / ".join(str(w) for w in self.words)
+        tokens = [t for s in self._names for t in (s, "-" + s)]
+        return " / ".join(" ".join(map(tokens.__getitem__, w)) for w in self._code)
 
     def __repr__(self) -> str:
         return f"SignedParagraph({str(self)!r})"
 
 
-def _fill(p: SignedParagraph, words, index: dict[str, int], code: Code, where):
-    object.__setattr__(p, "words", words)
-    object.__setattr__(p, "alphabet", frozenset(index))
-    object.__setattr__(p, "_index", index)
-    object.__setattr__(p, "_code", code)
-    object.__setattr__(p, "_where", where)
+_set = object.__setattr__
+
+
+def _store(p: SignedParagraph, names, index, code: Code, where=None, words=None):
+    _set(p, "_names", names)
+    _set(p, "_index", index)
+    _set(p, "_code", code)
+    _set(p, "_where", where)
+    _set(p, "_words", words)
     return p
 
 
-def _letter_table(names: Iterable[str]) -> list[SignedLetter]:
-    """Letter code -> letter: 2i is ``names[i]``, 2i + 1 its inverse."""
-    return [SignedLetter(s, e) for s in names for e in (POSITIVE, NEGATIVE)]
-
-
-def _from_code(code: Code, table: Sequence[SignedLetter]) -> SignedParagraph:
-    """The paragraph of a code that is valid by construction, its letters
-    looked up in ``table``; symbol i keeps number i, and nothing is checked."""
+def _from_code(code: Code, names: Sequence[str]) -> SignedParagraph:
+    """The paragraph of a code that is valid by construction, symbol i
+    named ``names[i]`` (names past the code's symbols are ignored); symbol
+    i keeps number i, and nothing is checked."""
     where: list = [None] * sum(map(len, code))
     for wi, w in enumerate(code):
         for k, c in enumerate(w):
             where[c] = (wi, k)
-    words = tuple(SignedWord(tuple(table[c] for c in w)) for w in code)
-    index = {table[2 * i].sym: i for i in range(len(where) // 2)}
-    return _fill(object.__new__(SignedParagraph), words, index, code, where)
+    names = tuple(names[: len(where) // 2])
+    index = dict(zip(names, range(len(names))))
+    return _store(object.__new__(SignedParagraph), names, index, code, where)
 
 
-def _validate(words: tuple[SignedWord, ...]) -> tuple[dict[str, int], Code, list]:
-    """One pass over ``words``: the symbol numbering by first appearance, the
-    code and the letter addresses, or the first structural failure."""
-    if not words:
+def _validate(code: Code, names: Sequence[str]) -> list:
+    """One pass over ``code``, whose letters are all below 2 * len(names):
+    the letter addresses, or the first structural failure."""
+    if not code:
         raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
-    index: dict[str, int] = {}
-    where: list = []
-    code = []
-    for wi, w in enumerate(words):
-        if len(w) == 0:
+    where: list = [None] * (2 * len(names))
+    for wi, w in enumerate(code):
+        if not w:
             raise ValidationError(
                 ValidationError.EMPTY_WORD, f"word {wi + 1} is empty", where=(wi, 0)
             )
-        cw = []
-        for i, l in enumerate(w.letters):
-            s = index.get(l.sym)
-            if s is None:
-                s = index[l.sym] = len(index)
-                where += (None, None)
-            c = 2 * s + (l.exp == NEGATIVE)
+        for i, c in enumerate(w):
             if where[c] is not None:
+                sym = names[c >> 1]
                 if where[c ^ 1] is not None:
                     raise ValidationError(
                         ValidationError.SYMBOL_COUNT,
-                        f"symbol {l.sym!r} occurs more than twice",
+                        f"symbol {sym!r} occurs more than twice",
                         where=(wi, i),
                     )
                 raise ValidationError(
                     ValidationError.EQUAL_EXPONENTS,
-                    f"symbol {l.sym!r} occurs twice with exponent {l.exp:+d}",
+                    f"symbol {sym!r} occurs twice with exponent {1 - 2 * (c & 1):+d}",
                     where=(wi, i),
                 )
             where[c] = (wi, i)
-            cw.append(c)
-        code.append(tuple(cw))
-    for sym, s in index.items():
-        if where[2 * s] is None or where[2 * s + 1] is None:
-            raise ValidationError(
-                ValidationError.SYMBOL_COUNT,
-                f"symbol {sym!r} occurs once, expected twice",
-                where=where[2 * s] or where[2 * s + 1],
-            )
-    if len(words) > 1:
-        _check_connected(len(words), where)
-    return index, tuple(code), where
+    if None in where:
+        s = where.index(None) >> 1
+        raise ValidationError(
+            ValidationError.SYMBOL_COUNT,
+            f"symbol {names[s]!r} occurs once, expected twice",
+            where=where[2 * s] or where[2 * s + 1],
+        )
+    if len(code) > 1:
+        _check_connected(len(code), where)
+    return where
 
 
 def _check_connected(m: int, where: list) -> None:
@@ -364,7 +395,7 @@ def check_pairwise(p: SignedParagraph) -> None:
         (min(plus, minus), max(plus, minus))
         for (plus, _), (minus, _) in zip(p._where[0::2], p._where[1::2])
     }
-    m = len(p.words)
+    m = len(p._code)
     for i in range(m):
         for j in range(i + 1, m):
             if (i, j) not in linked:
@@ -378,6 +409,8 @@ def check_pairwise(p: SignedParagraph) -> None:
 # --- parsing ---------------------------------------------------------------
 
 SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# Symbol names, each ended by a newline: every name of a text in one match.
+_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
 # One match per token: "/" (group 1), a letter (its "-", symbol and "^-1" in
 # groups 2-4; the lookahead makes it the whole token), or a bad token.
 _SCAN = re.compile(r"(/)|(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?(?![^\s/])|[^\s/]+")
@@ -391,30 +424,42 @@ def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
     ``pairwise=True`` additionally requires every pair of words to share a
     symbol.
     """
-    words: list[SignedWord] = []
-    cur: list[SignedLetter] = []
-    slash = ""  # the last token's "/" group: set when no word follows a "/"
+    index: dict[str, int] = {}
+    number = index.setdefault
+    code: list[tuple[int, ...]] = []
+    cur: list[int] = []
+    slash = False  # whether the last token was a "/"
     for raw in text.splitlines():
-        for slash, minus, sym, inverse in _SCAN.findall(raw.split("#", 1)[0]):
-            if sym and not (minus and inverse):
-                exp = NEGATIVE if minus or inverse else POSITIVE
-                cur.append(SignedLetter(sym, exp))
-            elif slash and cur:
-                words.append(SignedWord(tuple(cur)))
+        tokens = raw.split("#", 1)[0].replace("/", " / ").split()
+        for tok in tokens:
+            if tok[0] == "-":
+                cur.append(2 * number(tok[1:], len(index)) + 1)
+            elif tok == "/":
+                if not cur:
+                    raise _lexical_error(text)
+                code.append(tuple(cur))
                 cur = []
-            else:  # a bad token, or a "/" after no word
-                raise _lexical_error(text, len(words), len(cur))
+            elif tok.endswith("^-1"):
+                cur.append(2 * number(tok[:-3], len(index)) + 1)
+            else:
+                cur.append(2 * number(tok, len(index)))
+        if tokens:
+            slash = tokens[-1] == "/"
         if cur:
-            words.append(SignedWord(tuple(cur)))
+            code.append(tuple(cur))
             cur = []
-    if slash:
-        raise _lexical_error(text, len(words) - 1, len(words[-1]))
-    if not words:
+    names = tuple(index)
+    # The token checks: no "/" ends the text, and the "-" and "^-1" taken
+    # off every letter leave a symbol.
+    if slash or not _NAMES.fullmatch("\n".join((*names, ""))):
+        raise _lexical_error(text)
+    if not code:
         raise ValidationError(
             ValidationError.EMPTY_WORD, "empty paragraph", line=1, col=1
         )
+    p = _store(object.__new__(SignedParagraph), names, index, tuple(code))
     try:
-        p = SignedParagraph(tuple(words))
+        p.__post_init__()
         if pairwise:
             check_pairwise(p)
     except ValidationError as e:
@@ -425,28 +470,41 @@ def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
     return p
 
 
-def _token_at(text: str, word: int, pos: int) -> tuple[re.Match, int]:
-    """The match and line number of the token at (word, pos) in text that
-    parses up to it: letter i of a word is at (word, i), and a "/" after
-    the word's letters at (word, its length).  Run on the error path only."""
+def _tokens(text: str) -> Iterator[tuple[re.Match, int, int, int]]:
+    """Every token of ``text`` as (match, line, word, position): letter i of
+    a word is at (word, i), and a "/" after the word's letters at (word, its
+    length).  Run on the error path only."""
     w = k = 0
     for line, raw in enumerate(text.splitlines(), start=1):
         for m in _SCAN.finditer(raw.split("#", 1)[0]):
-            if w == word and k == pos:
-                return m, line
+            yield m, line, w, k
             if m[1]:
                 w, k = w + 1, 0
             else:
                 k += 1
         if k:
             w, k = w + 1, 0
+
+
+def _token_at(text: str, word: int, pos: int) -> tuple[re.Match, int]:
+    """The match and line number of the token at (word, pos) in text that
+    parses up to it."""
+    for m, line, w, k in _tokens(text):
+        if w == word and k == pos:
+            return m, line
     raise ValueError(f"no token at word {word}, position {pos}")
 
 
-def _lexical_error(text: str, word: int, pos: int) -> GaussError:
-    """The error for the token at (word, pos): a "/" with no word before or
-    after it, or a token that is not a letter."""
-    m, line = _token_at(text, word, pos)
+def _lexical_error(text: str) -> GaussError:
+    """The error for the first token of ``text`` that is not a letter, or
+    for the first "/" with no word before or after it."""
+    last = None
+    for m, line, _, k in _tokens(text):
+        if m[1] and not k or not m[1] and (not m[3] or m[2] and m[4]):
+            break
+        last = m, line
+    else:  # the text ends with a "/"
+        m, line = last
     if m[1]:
         return ValidationError(
             ValidationError.EMPTY_WORD, "empty word", line=line, col=m.start() + 1
@@ -464,7 +522,13 @@ def render(p: SignedParagraph, format: str = "text") -> str:
 
 
 def paragraph_dict(p: SignedParagraph) -> dict:
-    return {"words": [[{"sym": l.sym, "exp": l.exp} for l in w] for w in p.words]}
+    names = p._names
+    return {
+        "words": [
+            [{"sym": names[c >> 1], "exp": NEGATIVE if c & 1 else POSITIVE} for c in w]
+            for w in p._code
+        ]
+    }
 
 
 # --- isomorphism moves and canonical form ----------------------------------
@@ -479,27 +543,28 @@ def rotate(w: SignedWord, k: int) -> SignedWord:
 
 
 def relabel(p: SignedParagraph, mapping: dict[str, str]) -> SignedParagraph:
-    """Exponent-preserving change of alphabet; ``mapping`` must be injective."""
+    """Exponent-preserving change of alphabet; ``mapping`` must be injective,
+    map onto symbol tokens and give no two symbols of ``p`` one name."""
     if len(set(mapping.values())) != len(mapping):
         raise OperationError("relabeling is not injective")
-    words = tuple(
-        SignedWord(tuple(SignedLetter(mapping.get(l.sym, l.sym), l.exp) for l in w))
-        for w in p.words
-    )
-    return SignedParagraph(words)
-
-
-def _canonical_name(i: int) -> str:
-    return string.ascii_lowercase[i] if i < 26 else f"s{i}"
+    for name in mapping.values():
+        if not SYMBOL_RE.fullmatch(name):
+            raise OperationError(f"target {name!r} is not a valid symbol token")
+    names = tuple(mapping.get(s, s) for s in p._names)
+    if len(set(names)) != len(names):
+        raise OperationError("relabeling gives two symbols one name")
+    return _from_code(p._code, names)
 
 
 def canonicalize(p: SignedParagraph) -> SignedParagraph:
     """The least representative of the isomorphism class of ``p``
-    (``_canonical``), its symbols named a, b, ... in order of appearance.
-    Idempotent, and equal for any two isomorphic paragraphs."""
-    canonical = _canonical(p._code)
-    names = [_canonical_name(i) for i in range(p.n)]
-    return _from_code(canonical, _letter_table(names))
+    (``_canonical``), its symbols named a, b, ..., z, s26, s27, ... in order
+    of appearance.  Idempotent, and equal for any two isomorphic paragraphs."""
+    return _from_code(_canonical(p._code), list(map(_canonical_name, range(p.n))))
+
+
+def _canonical_name(i: int) -> str:
+    return string.ascii_lowercase[i] if i < 26 else f"s{i}"
 
 
 def _canonical(code: Code) -> Code:
@@ -569,6 +634,6 @@ def _canonical(code: Code) -> Code:
 
 def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
     """Whether two paragraphs differ only by rotations, relabeling and word order."""
-    if len(p.words) != len(q.words) or p.n != q.n:
+    if len(p._code) != len(q._code) or p.n != q.n:
         return False
     return _canonical(p._code) == _canonical(q._code)

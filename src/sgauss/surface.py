@@ -36,10 +36,12 @@ slot k of every quad, and the circles are the cycles of that table
 (``_faces``); the mirror surface is the same call on the reversed quads
 (``_mirror``).  Both take O(n) time and 4n ints.
 
-``RotationSystem`` holds this numbering and nothing else: ``letters`` (the
-2n letters in order), ``heads`` (arc k+1 runs from ``letters[k]`` to
-``letters[heads[k]]``) and ``quads`` (the rotation of every symbol), and
-renders a dart as a signed edge for the ``circles`` output.  A
+``RotationSystem`` holds this numbering and nothing else: the paragraph's
+symbol ``names`` and the ``codes`` of its 2n letters in order, ``heads``
+(arc k+1 runs from letter k to letter ``heads[k]``) and ``quads`` (the
+rotation of every symbol).  It renders each of the 2n arcs once, as
+``[a,b^-1]``, and a dart as its arc behind a sign, for the ``circles``
+output; ``letters`` builds letter objects only when read.  A
 ``CarterCircle`` is a tuple of dart numbers.
 """
 
@@ -47,9 +49,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
-from .model import POSITIVE, Code, SignedLetter, SignedParagraph
+from .model import NEGATIVE, POSITIVE, Code, SignedLetter, SignedParagraph
 
 __all__ = [
     "RotationSystem",
@@ -66,14 +69,15 @@ __all__ = [
 class RotationSystem:
     """Counterclockwise dart order at every crossing, on the dart numbering.
 
-    ``letters[k]`` is letter k, counted across the words in order; arc k+1
-    runs from ``letters[k]`` to ``letters[heads[k]]``.  ``quads[sym]`` holds
-    the darts (out+, in-, in+, out-) at ``sym``; an incoming arc end is held
-    as the reverse dart of the arriving arc, so each of the 4n darts occupies
-    exactly one slot.
+    Letter k, counted across the words in order, has code ``codes[k]``
+    (2i + (exp == -1) for symbol ``names[i]``); arc k+1 runs from letter k
+    to letter ``heads[k]``.  ``quads[sym]`` holds the darts (out+, in-, in+,
+    out-) at ``sym``; an incoming arc end is held as the reverse dart of the
+    arriving arc, so each of the 4n darts occupies exactly one slot.
     """
 
-    letters: tuple[SignedLetter, ...]
+    names: tuple[str, ...]
+    codes: tuple[int, ...]
     heads: tuple[int, ...]
     quads: dict[str, tuple[int, int, int, int]]
 
@@ -81,23 +85,31 @@ class RotationSystem:
     def n(self) -> int:
         return len(self.quads)
 
+    @property
+    def letters(self) -> tuple[SignedLetter, ...]:
+        """The 2n letters in order."""
+        names = self.names
+        return tuple(
+            SignedLetter(names[c >> 1], NEGATIVE if c & 1 else POSITIVE) for c in self.codes
+        )
+
     def mirror(self) -> "RotationSystem":
         """Reverse every cyclic order; the mirror embedding."""
         quads = dict(zip(self.quads, _mirror(self.quads.values())))
-        return RotationSystem(self.letters, self.heads, quads)
+        return RotationSystem(self.names, self.codes, self.heads, quads)
 
     def edge(self, d: int) -> str:
         """Render dart ``d`` as a signed edge, e.g. ``+[a,b^-1]``."""
-        k = d // 2
-        tokens = self._tokens
-        return f"{'-' if d & 1 else '+'}[{tokens[k]},{tokens[self.heads[k]]}]"
+        return self._edges[d]
 
     @cached_property
-    def _tokens(self) -> tuple[str, ...]:
-        """Every letter rendered once, as ``a`` or ``a^-1``."""
-        return tuple(
-            l.sym if l.exp == POSITIVE else f"{l.sym}^-1" for l in self.letters
-        )
+    def _edges(self) -> list[str]:
+        """Every dart rendered once: the 2n arc labels ``[a,b^-1]``, each
+        behind "+" (dart 2k) and "-" (dart 2k + 1)."""
+        tokens = [t for s in self.names for t in (s, s + "^-1")]
+        letters = [tokens[c] for c in self.codes]
+        arcs = map("[{},{}]".format, letters, map(letters.__getitem__, self.heads))
+        return [e for arc in arcs for e in ("+" + arc, "-" + arc)]
 
 
 @dataclass(frozen=True)
@@ -187,13 +199,13 @@ def _faces(quads) -> list[list[int]]:
 
 def build_ribbon(p: SignedParagraph) -> RotationSystem:
     """The rotation system induced by ``p`` under the fixed chirality."""
-    letters, heads = [], []
-    for w in p.words:
-        k, length = len(letters), len(w)
-        letters.extend(w.letters)
-        heads.extend(k + (i + 1) % length for i in range(length))
-    quads = dict(zip(p._index, _quads(p._code).values()))
-    return RotationSystem(tuple(letters), tuple(heads), quads)
+    heads: list[int] = []
+    for w in p._code:
+        k = len(heads)
+        heads.extend(range(k + 1, k + len(w)))
+        heads.append(k)
+    quads = dict(zip(p._names, _quads(p._code).values()))
+    return RotationSystem(p._names, tuple(chain.from_iterable(p._code)), tuple(heads), quads)
 
 
 def trace_circles(r: RotationSystem) -> list[CarterCircle]:

@@ -15,37 +15,46 @@ reduces any paragraph to a single word of the same genus
 from __future__ import annotations
 
 from .model import (
-    NEGATIVE,
-    POSITIVE,
     Code,
     OperationError,
     SignedParagraph,
     SignedWord,
     SYMBOL_RE,
+    _check_connected,
     _from_code,
-    _letter_table,
-    rotate,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
 
 
-def split(w: SignedWord, sym: str) -> SignedParagraph:
-    """Cut ``w`` at ``sym`` into the 2-component paragraph {u, v}.
+def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
+    """Cut the valid standalone word ``w`` (a word, or a one-word paragraph)
+    at ``sym`` into the 2-component paragraph {u, v}.
 
     Raises ``OperationError`` if either part is empty (the occurrences of
-    ``sym`` are adjacent) and ``ValidationError`` if the parts share no
-    symbol, since the result is validated like any other paragraph.
+    ``sym`` are adjacent) and ``ValidationError`` if ``w`` is not a valid
+    word or the parts share no symbol.
     """
-    pos = w.find(sym, POSITIVE)
-    k = (w.find(sym, NEGATIVE) - pos) % len(w)
-    letters = rotate(w, pos).letters  # from sym's +1 letter; its -1 is letter k
-    first, second = letters[1:k], letters[k + 1 :]
+    p = w if isinstance(w, SignedParagraph) else SignedParagraph((w,))
+    if len(p._code) != 1:
+        raise OperationError(f"split needs a single word, got {len(p._code)} words")
+    if sym not in p._index:
+        raise OperationError(f"symbol {sym!r} does not occur in {p}")
+    s = p._index[sym]
+    word = p._code[0]
+    pos = p._where[2 * s][1]
+    k = (p._where[2 * s + 1][1] - pos) % len(word)
+    # From sym's +1 letter, its -1 being letter k; the symbols after sym
+    # move down one number.
+    letters = [c - 2 if c > 2 * s + 1 else c for c in word[pos:] + word[:pos]]
+    first, second = tuple(letters[1:k]), tuple(letters[k + 1 :])
     if not first or not second:
         raise OperationError(
             f"splitting at {sym!r} leaves an empty component (adjacent occurrences)"
         )
-    return SignedParagraph((SignedWord(first), SignedWord(second)))
+    parts = _from_code((first, second), p._names[:s] + p._names[s + 1 :])
+    _check_connected(2, parts._where)
+    return parts
 
 
 def join(
@@ -58,7 +67,7 @@ def join(
     one holds the +1 occurrence is immaterial (the roles swap).  The merged
     word replaces the earlier of the two components.
     """
-    m = len(p.words)
+    m = len(p._code)
     if not (0 <= c1 < m and 0 <= c2 < m) or c1 == c2:
         raise OperationError(f"bad component indices ({c1}, {c2}) for {m} words")
     pos, neg = p.occurrences(shared)
@@ -68,10 +77,10 @@ def join(
         )
     if not SYMBOL_RE.fullmatch(fresh):
         raise OperationError(f"fresh symbol {fresh!r} is not a valid symbol token")
-    if fresh in p.alphabet:
+    if fresh in p._index:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
     merged = _join_code(p._code, (pos.word, pos.pos), (neg.word, neg.pos), p.n)
-    return _from_code(merged, _letter_table([*p._index, fresh]))
+    return _from_code(merged, (*p._names, fresh))
 
 
 def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
@@ -103,7 +112,12 @@ def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedWord:
     deterministically from ``prefix``; the result has the same genus as
     ``p``.
     """
-    while len(p.words) > 1:
+    return _reduce(p, prefix).words[0]
+
+
+def _reduce(p: SignedParagraph, prefix: str) -> SignedParagraph:
+    """``reduce_to_word(p, prefix)`` as a one-word paragraph."""
+    while len(p._code) > 1:
         candidates = []
         for sym, s in p._index.items():
             plus, minus = p._where[2 * s][0], p._where[2 * s + 1][0]
@@ -111,4 +125,4 @@ def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedWord:
                 candidates.append((sym, max(plus, minus)))
         shared, other = min(candidates)
         p = join(p, 0, other, shared, fresh_symbol(p.alphabet, prefix))
-    return p.words[0]
+    return p

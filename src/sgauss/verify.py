@@ -34,7 +34,6 @@ from .model import (
     SignedParagraph,
     _canonical,
     _from_code,
-    _letter_table,
     render,
 )
 from .surface import _faces, _mirror, _quads, _summary
@@ -96,10 +95,6 @@ def _matchings(free: tuple[int, ...], base: list[int]) -> Iterator[tuple[int, ..
         yield from _matchings(rest[:i] + rest[i + 1 :], base)
 
 
-# Letter code -> letter for the enumerators' symbols a..z.
-_LETTERS = _letter_table(string.ascii_lowercase)
-
-
 def _codes_of_size(n: int, kind: str) -> Iterator[Code]:
     """The codes of the objects of ``kind`` with ``n`` symbols: chord k of
     each matching is symbol k, and bit k of the mask makes its first letter
@@ -143,7 +138,7 @@ def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
 
 
 def _paragraph(code: Code) -> SignedParagraph:
-    return _from_code(code, _LETTERS)
+    return _from_code(code, string.ascii_lowercase)
 
 
 def _text(code: Code) -> str:
@@ -158,7 +153,7 @@ def apply_random_moves(
     names = sorted(p.alphabet)
     to_sorted = {p._index[s]: 2 * i for i, s in enumerate(names)}
     code = tuple(tuple(to_sorted[c >> 1] | c & 1 for c in w) for w in p._code)
-    return _from_code(_moved(code, p.n, rng, moves), _letter_table(names))
+    return _from_code(_moved(code, p.n, rng, moves), names)
 
 
 def _moved(code: Code, n: int, rng: random.Random, moves: int | None = None) -> Code:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import TEXTS
 from sgauss.cli import main
-from sgauss.model import SignedParagraph
+from sgauss.model import SignedLetter, SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -276,6 +276,50 @@ class TestOperations:
         assert json.loads(out) == {
             "words": [[{"sym": "b", "exp": 1}], [{"sym": "b", "exp": -1}]]
         }
+
+
+class TestNoLetters:
+    """The commands run on the parsed code: they build no letter objects,
+    and validate each input file once (the parse) and nothing they build."""
+
+    WORD = "a b c -a d -b -c e -d f -e g -f h -g -h\n"
+    CHAIN = "x1 y1 -x2 -y1\nx2 y2 -x3 -y2 / x3 y3 -x1 -y3\n"
+    PAIR = "a b c / -a -b -c\n"
+    CASES = {
+        "validate": (["validate"], [WORD]),
+        "summary": (["summary"], [CHAIN]),
+        "canon": (["canon"], [CHAIN]),
+        "circles": (["circles"], [WORD]),
+        "profile": (["profile"], [WORD]),
+        "split": (["split", "--at", "d"], [WORD]),
+        "iso": (["iso"], [CHAIN, CHAIN]),
+        "join": (["join", "--shared", "x2", "--fresh", "z"], [CHAIN]),
+        "reduce": (["reduce"], [CHAIN]),
+        "pairing": (["pairing"], [PAIR]),
+    }
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", CASES)
+    def test_counts(self, command, json_flag, capsys, monkeypatch, tmp_path):
+        argv, texts = self.CASES[command]
+        files = []
+        for i, text in enumerate(texts):
+            f = tmp_path / f"input{i}"
+            f.write_text(text)
+            files.append(str(f))
+        counts = {SignedLetter: 0, SignedParagraph: 0}
+        for cls in counts:
+
+            def counted(obj, cls=cls, original=cls.__post_init__):
+                counts[cls] += 1
+                original(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        args = [argv[0], *files, *argv[1:]] + (["--json"] if json_flag else [])
+        code, out, err = run(capsys, monkeypatch, args)
+        assert (code, err) == (0, "")
+        assert out
+        assert counts == {SignedLetter: 0, SignedParagraph: len(files)}
 
 
 class TestVerifyCommand:

@@ -502,6 +502,56 @@ class TestIsomorphism:
                 assert not naive_isomorphic(p, q)
 
 
+@st.composite
+def letter_texts(draw):
+    """A valid paragraph built from letters, and its text with every -1
+    letter written as "-a" or "a^-1" at random."""
+    p = draw(signed_paragraphs(1, 6))
+    text = " / ".join(
+        " ".join(
+            draw(st.sampled_from([f"-{l.sym}", f"{l.sym}^-1"])) if l.exp < 0 else l.sym
+            for l in w
+        )
+        for w in p.words
+    )
+    return p, text
+
+
+class TestStoredCode:
+    """A paragraph is its symbol names and its code; ``words`` is a view of
+    them, built on first use."""
+
+    @given(letter_texts())
+    def test_parsed_equals_built_from_letters(self, case):
+        p, text = case
+        parsed, built = parse_paragraph(text), SignedParagraph(p.words)
+        assert parsed.words == built.words == p.words
+        assert parsed == built and hash(parsed) == hash(built)
+        assert str(parsed) == str(built) == str(p)
+        assert parsed.alphabet == built.alphabet
+        assert (parsed._names, parsed._code) == (built._names, built._code)
+        assert parsed._where == built._where
+
+    @given(signed_paragraphs(1, 6), st.integers(0, 2**16))
+    def test_equality_ignores_the_numbering(self, p, seed):
+        # The moves number symbols in sorted-name order, the parser by
+        # first appearance; equal words make equal paragraphs either way.
+        moved = apply_random_moves(p, random.Random(seed))
+        again = parse_paragraph(render(moved))
+        assert again == moved and hash(again) == hash(moved)
+        assert again.words == moved.words
+
+    def test_words_are_built_once(self):
+        p = parse_paragraph("a b -a c / -b -c")
+        assert p._words is None
+        assert p.words is p.words
+
+    def test_immutable(self):
+        p = parse_paragraph("a -a")
+        with pytest.raises(AttributeError):
+            p._code = ((0, 1),)
+
+
 class TestRelabel:
     def test_requires_injective(self):
         p = parse_paragraph("a b -a -b")
@@ -513,6 +563,21 @@ class TestRelabel:
         q = relabel(p, {"a": "x", "b": "y"})
         assert render(q) == "x y -x -y"
         assert relabel(q, {"x": "a", "y": "b"}) == p
+
+    @pytest.mark.parametrize("target", ["-c", "c^-1", "1c", "c d", ""])
+    def test_target_must_be_a_symbol(self, target):
+        # Otherwise the result renders as text that does not parse back.
+        with pytest.raises(OperationError):
+            relabel(parse_paragraph("a b -a -b"), {"a": target})
+
+    def test_no_two_symbols_share_a_name(self):
+        with pytest.raises(OperationError):
+            relabel(parse_paragraph("a b -a -b"), {"a": "b"})
+
+    def test_swap_renders_and_parses_back(self):
+        q = relabel(parse_paragraph("a -b / -a b"), {"a": "b", "b": "a_2"})
+        assert render(q) == "b -a_2 / -b a_2"
+        assert parse_paragraph(render(q)) == q
 
 
 class TestOccurrenceIndex:

@@ -25,3 +25,16 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"sgauss.{module}"), name)
     ]
     assert missing == []
+
+
+def test_traced_classes_define_post_init():
+    # The tracer counts a class through the ``__post_init__`` in the class's
+    # own namespace; without one, a traced run stops with a KeyError.
+    classes = [
+        (f"{module}.{name}", getattr(importlib.import_module(f"sgauss.{module}"), name))
+        for module, names in traced_targets().items()
+        for name in names
+    ]
+    classes = [(name, obj) for name, obj in classes if isinstance(obj, type)]
+    assert classes
+    assert [name for name, cls in classes if "__post_init__" not in vars(cls)] == []
