@@ -15,18 +15,17 @@ import json
 import os
 import sys
 
-from .homology import _profile, pairing
+from .homology import pairing, profile
 from .model import (
     GaussError,
-    OperationError,
+    ParseError,
     canonicalize,
     is_isomorphic,
     parse_paragraph,
-    paragraph_dict,
     render,
 )
 from .surface import build_ribbon, summarize, trace_circles
-from .transforms import _reduce, join, split
+from .transforms import join, reduce_to_word, split
 from .verify import (
     KIND_PARAGRAPHS,
     KIND_WORDS,
@@ -54,22 +53,25 @@ def _error(e: GaussError) -> int:
 
 
 def _read(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        # The text before the bad byte decodes; the byte stands where the
+        # placeholder "?" ends that text.
+        lines = (e.object[: e.start].decode("utf-8") + "?").splitlines()
+        message = f"byte {e.object[e.start]:#04x} is not valid UTF-8"
+        raise ParseError(message, len(lines), len(lines[-1])) from None
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
-def _single_word(p):
-    if len(p._code) != 1:
-        raise OperationError(
-            f"expected a single-word paragraph, got {len(p._code)} words"
-        )
-    return p
+def _show(p, args) -> None:
+    print(render(p, "json" if args.json else "text"))
 
 
 def _cmd_validate(args) -> int:
@@ -82,8 +84,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    c = canonicalize(parse_paragraph(_read(args.file)))
-    _emit(paragraph_dict(c)) if args.json else print(render(c))
+    _show(canonicalize(parse_paragraph(_read(args.file))), args)
     return 0
 
 
@@ -147,15 +148,13 @@ def _cmd_circles(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    p = _single_word(parse_paragraph(_read(args.file)))
-    pr = _profile(p._code[0], p._names)  # p is already validated
+    pr = profile(parse_paragraph(_read(args.file)))
     if args.json:
         _emit(pr.as_dict())
     else:
-        d = pr.as_dict()
-        print("alpha: " + " ".join(f"{s}={v}" for s, v in d["alpha"].items()))
-        print("beta:" + "".join(f" {i},{j}={v}" for i, j, v in d["beta"]))
-        print(f"planar: {str(d['planar']).lower()}")
+        print("alpha: " + " ".join(f"{s}={v}" for s, v in pr.alpha.items()))
+        print("beta:" + "".join(f" {i},{j}={v}" for (i, j), v in pr.beta.items()))
+        print(f"planar: {str(pr.is_zero).lower()}")
     return 0
 
 
@@ -166,26 +165,17 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    result = split(_single_word(parse_paragraph(_read(args.file))), args.at)
-    _emit(paragraph_dict(result)) if args.json else print(render(result))
+    _show(split(parse_paragraph(_read(args.file)), args.at), args)
     return 0
 
 
 def _cmd_join(args) -> int:
-    p = parse_paragraph(_read(args.file))
-    pos, neg = p.occurrences(args.shared)
-    if pos.word == neg.word:
-        raise OperationError(
-            f"symbol {args.shared!r} occurs twice in one component; nothing to join"
-        )
-    result = join(p, pos.word, neg.word, args.shared, args.fresh)
-    _emit(paragraph_dict(result)) if args.json else print(render(result))
+    _show(join(parse_paragraph(_read(args.file)), args.shared, args.fresh), args)
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    p = _reduce(parse_paragraph(_read(args.file)), args.prefix)
-    _emit(paragraph_dict(p)) if args.json else print(render(p))
+    _show(reduce_to_word(parse_paragraph(_read(args.file)), args.prefix), args)
     return 0
 
 

@@ -33,8 +33,9 @@ over the word.  Then, with bit_i the bit of i,
 
 A profile of a word with n symbols therefore costs O(n) for the pass and n^2
 entries of O(n / 64) machine-word operations each.  ``segment_of``, ``alpha``,
-``beta`` and ``profile`` read the code of their word validated as a one-word
-``SignedParagraph``, so each rejects a word that is not a valid standalone one.
+``beta`` and ``profile`` take a ``SignedWord``, which they validate as a
+one-word paragraph and reject unless it is a valid standalone word, or a
+one-word ``SignedParagraph``, whose code they read as it is.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .model import (
     SignedParagraph,
     SignedWord,
     ValidationError,
+    _single_word,
 )
 
 __all__ = [
@@ -61,11 +63,12 @@ __all__ = [
 ]
 
 
-def _valid(w: SignedWord, *required: str) -> SignedParagraph:
-    """``w`` as a validated one-word paragraph; raises OperationError unless
-    it is a valid standalone word in which every ``required`` symbol occurs."""
+def _valid(w: SignedWord | SignedParagraph, *required: str) -> SignedParagraph:
+    """``w`` as a one-word paragraph (``model._single_word``); raises
+    OperationError unless it is a valid standalone word in which every
+    ``required`` symbol occurs."""
     try:
-        p = SignedParagraph((w,))
+        p = _single_word(w)
     except ValidationError:
         raise OperationError(f"{w!r} is not a valid standalone word") from None
     for sym in required:
@@ -101,10 +104,10 @@ def _segments(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return segs
 
 
-def segment_of(w: SignedWord, sym: str) -> tuple[SignedLetter, ...]:
+def segment_of(w: SignedWord | SignedParagraph, sym: str) -> tuple[SignedLetter, ...]:
     """Letters strictly between sym's +1 and -1 occurrences, read forward
     cyclically from the +1 occurrence.  Rotation-invariant.  ``w`` must be a
-    valid standalone word."""
+    valid standalone word, or a one-word paragraph."""
     p = _valid(w, sym)
     start, end = _segments(p._code[0])[p._index[sym]][3:]
     letters = p.words[0].letters
@@ -113,13 +116,13 @@ def segment_of(w: SignedWord, sym: str) -> tuple[SignedLetter, ...]:
     return letters[start + 1 :] + letters[:end]
 
 
-def alpha(w: SignedWord, sym: str) -> int:
+def alpha(w: SignedWord | SignedParagraph, sym: str) -> int:
     """Exponent sum over the letters of sym's segment."""
     p = _valid(w, sym)
     return _segments(p._code[0])[p._index[sym]][2]
 
 
-def beta(w: SignedWord, i: str, j: str) -> int:
+def beta(w: SignedWord | SignedParagraph, i: str, j: str) -> int:
     """Exponent sum over the closed letter set of i's segment intersected
     with the inverted letter set of j's segment; zero on the diagonal by
     convention."""
@@ -157,7 +160,7 @@ class IntersectionProfile:
         }
 
 
-def profile(w: SignedWord) -> IntersectionProfile:
+def profile(w: SignedWord | SignedParagraph) -> IntersectionProfile:
     """alpha for every symbol and beta for every ordered pair of ``w``."""
     p = _valid(w)
     return _profile(p._code[0], p._names)
@@ -179,7 +182,7 @@ def _profile(word: tuple[int, ...], names) -> IntersectionProfile:
     return IntersectionProfile(alphas, betas)
 
 
-def word_is_planar_homology(w: SignedWord) -> bool:
+def word_is_planar_homology(w: SignedWord | SignedParagraph) -> bool:
     """Planarity by the vanishing of the whole intersection profile."""
     return profile(w).is_zero
 

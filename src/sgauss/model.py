@@ -323,6 +323,16 @@ def _from_code(code: Code, names: Sequence[str]) -> SignedParagraph:
     return _store(object.__new__(SignedParagraph), names, index, code, where)
 
 
+def _single_word(w: SignedWord | SignedParagraph) -> SignedParagraph:
+    """``w`` as a one-word paragraph: a paragraph as it is, once it is seen
+    to hold one word, and a word validated as a standalone one."""
+    if not isinstance(w, SignedParagraph):
+        return SignedParagraph((w,))
+    if len(w._code) != 1:
+        raise OperationError(f"expected a single-word paragraph, got {len(w._code)} words")
+    return w
+
+
 def _validate(code: Code, names: Sequence[str]) -> list:
     """One pass over ``code``, whose letters are all below 2 * len(names):
     the letter addresses, or the first structural failure."""

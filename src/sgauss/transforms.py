@@ -1,15 +1,18 @@
 """Structural operations: split a word at a crossing, join two components.
 
 Splitting w = t . u . t^-1 . v at t yields the 2-component paragraph {u, v}.
-Joining two components at a shared symbol s with a fresh symbol f produces
+Joining the two components that hold the letters of a shared symbol s, with
+a fresh symbol f, produces
 
     s . u . f . s^-1 . v . f^-1
 
-where u is the first component rotated to start right after s^+1 and v the
-second rotated to start right after s^-1.  A join adds one crossing, removes
-one component and preserves the minimal-realization genus, so iterating it
-reduces any paragraph to a single word of the same genus
-(``reduce_to_word``).
+where u is the component of s^+1 rotated to start right after it and v the
+component of s^-1 rotated to start right after it.  A join adds one
+crossing, removes one component and preserves the minimal-realization
+genus, so iterating it reduces any paragraph to a one-word paragraph of the
+same genus (``reduce_to_word``).  Each operation returns a paragraph built
+from its code without validation; ``split`` takes a word or a one-word
+paragraph, as the word functions of :mod:`sgauss.homology` do.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     SYMBOL_RE,
     _check_connected,
     _from_code,
+    _single_word,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
@@ -35,9 +39,7 @@ def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
     ``sym`` are adjacent) and ``ValidationError`` if ``w`` is not a valid
     word or the parts share no symbol.
     """
-    p = w if isinstance(w, SignedParagraph) else SignedParagraph((w,))
-    if len(p._code) != 1:
-        raise OperationError(f"split needs a single word, got {len(p._code)} words")
+    p = _single_word(w)
     if sym not in p._index:
         raise OperationError(f"symbol {sym!r} does not occur in {p}")
     s = p._index[sym]
@@ -57,30 +59,26 @@ def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
     return parts
 
 
-def join(
-    p: SignedParagraph, c1: int, c2: int, shared: str, fresh: str
-) -> SignedParagraph:
-    """Merge components ``c1`` and ``c2`` of ``p`` at ``shared``, inserting
-    the new crossing ``fresh``.
+def join(p: SignedParagraph, shared: str, fresh: str) -> SignedParagraph:
+    """Merge the two components of ``p`` that hold the letters of
+    ``shared``, inserting the new crossing ``fresh``.
 
-    ``shared`` must have one occurrence in each of the two components; which
-    one holds the +1 occurrence is immaterial (the roles swap).  The merged
-    word replaces the earlier of the two components.
+    Which component holds the +1 letter is immaterial (the roles swap).
+    The merged word replaces the earlier of the two components.
     """
-    m = len(p._code)
-    if not (0 <= c1 < m and 0 <= c2 < m) or c1 == c2:
-        raise OperationError(f"bad component indices ({c1}, {c2}) for {m} words")
-    pos, neg = p.occurrences(shared)
-    if {pos.word, neg.word} != {c1, c2}:
+    s = p._index.get(shared)
+    if s is None:
+        raise OperationError(f"symbol {shared!r} not in paragraph")
+    plus, minus = p._where[2 * s], p._where[2 * s + 1]
+    if plus[0] == minus[0]:
         raise OperationError(
-            f"symbol {shared!r} is not shared between components {c1} and {c2}"
+            f"symbol {shared!r} occurs twice in one component; nothing to join"
         )
     if not SYMBOL_RE.fullmatch(fresh):
         raise OperationError(f"fresh symbol {fresh!r} is not a valid symbol token")
     if fresh in p._index:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
-    merged = _join_code(p._code, (pos.word, pos.pos), (neg.word, neg.pos), p.n)
-    return _from_code(merged, (*p._names, fresh))
+    return _from_code(_join_code(p._code, plus, minus, p.n), (*p._names, fresh))
 
 
 def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
@@ -104,25 +102,21 @@ def fresh_symbol(alphabet: frozenset[str], prefix: str = "j") -> str:
     return f"{prefix}{k}"
 
 
-def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedWord:
-    """Join components onto the first one until a single word remains.
+def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedParagraph:
+    """Join components onto the first one until a single word remains, and
+    return that one-word paragraph.
 
-    Each step uses the lexicographically least symbol shared between the
-    first component and any other, with fresh symbols generated
+    Each step joins at the lexicographically least symbol with exactly one
+    letter in the first component, with fresh symbols generated
     deterministically from ``prefix``; the result has the same genus as
     ``p``.
     """
-    return _reduce(p, prefix).words[0]
-
-
-def _reduce(p: SignedParagraph, prefix: str) -> SignedParagraph:
-    """``reduce_to_word(p, prefix)`` as a one-word paragraph."""
     while len(p._code) > 1:
-        candidates = []
-        for sym, s in p._index.items():
-            plus, minus = p._where[2 * s][0], p._where[2 * s + 1][0]
-            if plus != minus and 0 in (plus, minus):
-                candidates.append((sym, max(plus, minus)))
-        shared, other = min(candidates)
-        p = join(p, 0, other, shared, fresh_symbol(p.alphabet, prefix))
+        where = p._where
+        shared = min(
+            sym
+            for sym, s in p._index.items()
+            if (where[2 * s][0] == 0) != (where[2 * s + 1][0] == 0)
+        )
+        p = join(p, shared, fresh_symbol(p.alphabet, prefix))
     return p

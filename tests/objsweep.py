@@ -168,7 +168,7 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 pos, neg = p.occurrences(sym)
                 if pos.word == neg.word:
                     continue
-                joined = join(p, 0, 1, sym, fresh_symbol(p.alphabet, "z"))
+                joined = join(p, sym, fresh_symbol(p.alphabet, "z"))
                 bj = len(trace_circles(build_ribbon(joined)))
                 ok_join = ok_join and (joined.n + 2 - bj) == 2 * s.genus
                 shift_counter[bj - s.b] += 1

@@ -142,7 +142,7 @@ def test_criterion_6_join_genus_preservation(paragraphs_le_3):
             pos, neg = p.occurrences(sym)
             if pos.word == neg.word:
                 continue
-            joined = join(p, 0, 1, sym, fresh_symbol(p.alphabet, "z"))
+            joined = join(p, sym, fresh_symbol(p.alphabet, "z"))
             sj = summarize(joined)
             joins += 1
             shifts.add(sj.b - s.b)
@@ -150,7 +150,7 @@ def test_criterion_6_join_genus_preservation(paragraphs_le_3):
                 violations += 1
     # Fresh-name choice is immaterial: spot-check two names on one paragraph.
     p = parse_paragraph("a -b / -a b")
-    same = summarize(join(p, 0, 1, "a", "c")) == summarize(join(p, 0, 1, "a", "q7"))
+    same = summarize(join(p, "a", "c")) == summarize(join(p, "a", "q7"))
     ok = violations == 0 and len(shifts) == 1 and same
     report(
         6,

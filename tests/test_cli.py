@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -21,6 +25,7 @@ from sgauss.cli import main
 from sgauss.model import SignedLetter, SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SPOT_INPUTS = {
     "kink": "a -a",
@@ -102,6 +107,30 @@ class TestExitCodes:
         assert code == 1
         assert "1:3" in err
         assert "[syntax]" in err
+
+    def test_file_not_utf8_is_a_domain_error(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "p.gauss"
+        f.write_bytes(b"a -a\nb \xff -b\n")
+        code, out, err = run(capsys, monkeypatch, ["summary", str(f)])
+        assert (code, out) == (1, "")
+        assert err == "error: 2:3: byte 0xff is not valid UTF-8 [syntax]\n"
+
+    def test_stdin_not_utf8_is_a_domain_error(self):
+        # Outside UTF-8 mode's surrogateescape, a strict stdin decoder
+        # raises on the bad byte.
+        env = dict(os.environ, PYTHONIOENCODING="utf-8", GAUSS_COLOR="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        r = subprocess.run(
+            [sys.executable, "-m", "sgauss.cli", "summary"],
+            input=b"a \xff -a",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (r.returncode, r.stdout) == (1, b"")
+        assert r.stderr == b"error: 1:3: byte 0xff is not valid UTF-8 [syntax]\n"
 
 
 class TestValidate:
@@ -322,6 +351,41 @@ class TestNoLetters:
         assert counts == {SignedLetter: 0, SignedParagraph: len(files)}
 
 
+def private_imports(source: str) -> list[str]:
+    """Every underscore-prefixed name that ``source`` imports from the
+    package, by a relative import or from ``sgauss``."""
+    return [
+        f"{'.' * node.level}{node.module or ''}:{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "sgauss")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+class TestPublicApiOnly:
+    """The CLI calls the package by its public names, the ones the
+    benchmark's tracer (``bench/tracing.py``) wraps, so that a traced run
+    charges the work to the layer that does it."""
+
+    def test_cli_imports_no_private_name(self):
+        assert private_imports((SRC / "sgauss" / "cli.py").read_text()) == []
+
+    def test_a_private_import_is_caught(self):
+        source = (
+            "from .homology import _profile, pairing\n"
+            "from sgauss.transforms import _reduce\n"
+            "from . import _x\n"
+            "from os import _exit\n"
+        )
+        assert private_imports(source) == [
+            ".homology:_profile",
+            "sgauss.transforms:_reduce",
+            ".:_x",
+        ]
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["verify", "--max-n", "2"])
@@ -349,6 +413,13 @@ class TestVerifyCommand:
         assert out == ""
         assert err.splitlines()[-1] == (
             f"sgauss verify: error: argument --max-n: must be in 1..26, got {k}"
+        )
+
+    def test_non_integer_bound_is_usage_error(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["verify", "--max-n", "x"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "sgauss verify: error: argument --max-n: invalid int value: 'x'"
         )
 
     # sha256 of the full stdout, recorded before the sweep moved onto

@@ -236,6 +236,39 @@ class TestAgainstSetOracle:
             setprofile.profile(w)
 
 
+class TestOneWordParagraph:
+    """A one-word paragraph is a word: the word functions read its code as
+    it is, without validating it again."""
+
+    TEXT = "a b c -a d -b -c e -d f -e g -f h -g -h"
+
+    def test_same_values_as_the_word(self):
+        p = parse_paragraph(self.TEXT)
+        w = p.words[0]
+        assert profile(p) == profile(w)
+        assert word_is_planar_homology(p) == word_is_planar_homology(w)
+        for i in sorted(p.alphabet):
+            assert segment_of(p, i) == segment_of(w, i)
+            assert alpha(p, i) == alpha(w, i)
+            for j in sorted(p.alphabet):
+                assert beta(p, i, j) == beta(w, i, j)
+
+    def test_not_validated_again(self, monkeypatch):
+        p = parse_paragraph(self.TEXT)
+        built = []
+        monkeypatch.setattr(SignedParagraph, "__post_init__", lambda p: built.append(p))
+        profile(p), word_is_planar_homology(p), segment_of(p, "d")
+        alpha(p, "d"), beta(p, "d", "e")
+        assert built == []
+
+    @pytest.mark.parametrize("call", [profile, lambda p: alpha(p, "a")])
+    def test_several_words_rejected(self, call):
+        with pytest.raises(
+            OperationError, match="^expected a single-word paragraph, got 2 words$"
+        ):
+            call(parse_paragraph("a -b / -a b"))
+
+
 def _kink_word(n: int, rng: random.Random) -> SignedWord:
     """Planar by construction: n kinks, each inserted as an adjacent pair
     x -x or -x x at a random place in the word built so far."""

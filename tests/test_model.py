@@ -276,6 +276,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SignedParagraph((SignedWord((SignedLetter("a", 1),)),))
 
+    def test_no_words(self):
+        with pytest.raises(ValidationError, match="^empty paragraph$") as exc:
+            SignedParagraph([])
+        assert exc.value.kind == ValidationError.EMPTY_WORD
+
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             SignedLetter("a", 2)

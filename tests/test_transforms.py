@@ -48,6 +48,12 @@ class TestSplit:
         p = split(W("t b -b c -t -c"), "t")
         assert render(p) == "b -b c / -c"
 
+    def test_several_words_rejected(self):
+        with pytest.raises(
+            OperationError, match="^expected a single-word paragraph, got 2 words$"
+        ):
+            split(P("a -b / -a b"), "a")
+
     def test_raises_component_count(self):
         assert len(split(W("a b -a -b"), "b").words) == 2
 
@@ -55,55 +61,60 @@ class TestSplit:
 class TestJoin:
     def test_planar_pair(self):
         p = P("a -b / -a b")
-        assert render(join(p, 0, 1, "a", "c")) == "a -b c -a b -c"
+        assert render(join(p, "a", "c")) == "a -b c -a b -c"
 
     def test_torus_pair(self):
         p = P("a b / -a -b")
-        assert render(join(p, 0, 1, "a", "c")) == "a b c -a -b -c"
+        assert render(join(p, "a", "c")) == "a b c -a -b -c"
 
     def test_roles_swap_when_negative_first(self):
         p = P("-a b / a -b")
-        assert render(join(p, 0, 1, "a", "c")) == "a -b c -a b -c"
+        assert render(join(p, "a", "c")) == "a -b c -a b -c"
 
     def test_fresh_collision(self):
         with pytest.raises(OperationError):
-            join(P("a -b / -a b"), 0, 1, "a", "a")
+            join(P("a -b / -a b"), "a", "a")
         with pytest.raises(OperationError):
-            join(P("a -b / -a b"), 0, 1, "a", "b")
+            join(P("a -b / -a b"), "a", "b")
 
     def test_fresh_must_be_token(self):
         with pytest.raises(OperationError):
-            join(P("a -b / -a b"), 0, 1, "a", "9bad")
+            join(P("a -b / -a b"), "a", "9bad")
 
     def test_not_shared(self):
         p = P("a b -b / -a")
-        with pytest.raises(OperationError):
-            join(p, 0, 1, "b", "c")
+        with pytest.raises(OperationError, match="occurs twice in one component"):
+            join(p, "b", "c")
 
-    def test_bad_indices(self):
-        p = P("a -b / -a b")
-        with pytest.raises(OperationError):
-            join(p, 0, 0, "a", "c")
-        with pytest.raises(OperationError):
-            join(p, 0, 5, "a", "c")
+    def test_absent_symbol(self):
+        with pytest.raises(OperationError, match="symbol 'z' not in paragraph"):
+            join(P("a -b / -a b"), "z", "c")
+
+    def test_joins_the_components_holding_the_symbol(self):
+        # b links words 2 and 3; word 1 is left alone, and the merged word
+        # takes the place of word 2.
+        p = P("a -a c / b -c / -b")
+        assert render(join(p, "b", "x")) == "a -a c / b -c x -b -x"
 
     def test_component_count_drops_by_one(self):
         p = P("a / -a b / -b")
-        q = join(p, 0, 1, "a", "c")
+        q = join(p, "a", "c")
         assert len(q.words) == 2
 
     def test_alphabet_gains_fresh(self):
-        q = join(P("a -b / -a b"), 0, 1, "a", "c")
+        q = join(P("a -b / -a b"), "a", "c")
         assert q.alphabet == {"a", "b", "c"}
 
 
 class TestReduce:
     def test_single_word_unchanged(self):
-        w = W("a b -a -b")
-        assert reduce_to_word(w.as_paragraph()) == w
+        p = P("a b -a -b")
+        assert reduce_to_word(p) is p
 
     def test_one_join_step(self):
-        assert str(reduce_to_word(P("a -b / -a b"))) == "a -b j1 -a b -j1"
+        w = reduce_to_word(P("a -b / -a b"))
+        assert isinstance(w, SignedParagraph)
+        assert str(w) == "a -b j1 -a b -j1"
 
     def test_prefix_collision_skipped(self):
         # Least shared symbol is b; the fresh counter skips the taken j1.
@@ -115,7 +126,8 @@ class TestReduce:
         p = P("a / -a b / -b")
         w = reduce_to_word(p)
         assert len(p.words) == 3  # input untouched
-        assert summarize(w.as_paragraph()).genus == summarize(p).genus
+        assert len(w.words) == 1
+        assert summarize(w).genus == summarize(p).genus
 
     def test_joins_onto_the_first_component(self):
         # The least symbol linking two words is a, between words 2 and 3;
@@ -126,8 +138,7 @@ class TestReduce:
     def test_genus_preserved_on_examples(self):
         for text in ("a -b / -a b", "a b / -a -b", "a / -a"):
             p = P(text)
-            w = reduce_to_word(p)
-            assert summarize(w.as_paragraph()).genus == summarize(p).genus
+            assert summarize(reduce_to_word(p)).genus == summarize(p).genus
 
 
 class TestFreshSymbol:
@@ -148,7 +159,7 @@ class TestCorpusProperties:
                 pos, neg = p.occurrences(sym)
                 if pos.word == neg.word:
                     continue
-                sj = summarize(join(p, 0, 1, sym, fresh_symbol(p.alphabet, "z")))
+                sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 assert sj.genus == s.genus
 
     def test_join_shifts_circles_by_one(self, paragraphs_le_3):
@@ -159,7 +170,7 @@ class TestCorpusProperties:
                 pos, neg = p.occurrences(sym)
                 if pos.word == neg.word:
                     continue
-                sj = summarize(join(p, 0, 1, sym, fresh_symbol(p.alphabet, "z")))
+                sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 shifts.add(sj.b - s.b)
         assert shifts == {1}
 
@@ -174,10 +185,7 @@ class TestCorpusProperties:
                     parts = split(w, sym)
                 except (OperationError, ValidationError):
                     continue
-                back = reduce_to_word(parts)
-                assert (
-                    summarize(back.as_paragraph()).genus == summarize(parts).genus
-                )
+                assert summarize(reduce_to_word(parts)).genus == summarize(parts).genus
 
     def test_split_can_lower_genus(self):
         w = W("b a -c -b -a c")
@@ -185,4 +193,4 @@ class TestCorpusProperties:
         parts = split(w, "b")
         assert render(parts) == "a -c / -a c"
         assert summarize(parts).genus == 0
-        assert summarize(reduce_to_word(parts).as_paragraph()).genus == 0
+        assert summarize(reduce_to_word(parts)).genus == 0

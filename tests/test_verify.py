@@ -33,6 +33,112 @@ verify_module = importlib.import_module("sgauss.verify")
 surface_module = importlib.import_module("sgauss.surface")
 model_module = importlib.import_module("sgauss.model")
 transforms_module = importlib.import_module("sgauss.transforms")
+homology_module = importlib.import_module("sgauss.homology")
+
+
+# Kernel mutants: each maps the real kernel to a broken one.
+
+
+def extra_circle(real):
+    return lambda quads: real(quads) + [[]]
+
+
+def two_extra_circles(real):
+    return lambda quads: real(quads) + [[], []]
+
+
+def repeated_dart(real):
+    def fault(code):
+        quads = real(code)
+        sym = min(quads)
+        out_p, _, in_p, out_m = quads[sym]
+        quads[sym] = (out_p, out_p, in_p, out_m)  # in- replaced by out+
+        return quads
+
+    return fault
+
+
+def unreversed_mirror(real):
+    return lambda quads: list(quads)
+
+
+def rotated_canonical(real):
+    # Each word rotated by one, symbols renumbered by first appearance.
+    def fault(code):
+        ids = {}
+        renumber = lambda c: 2 * ids.setdefault(c >> 1, len(ids)) + (c & 1)
+        return tuple(tuple(map(renumber, w[1:] + w[:1])) for w in code)
+
+    return fault
+
+
+def fresh_exponents_swapped(real):
+    def fault(code, plus, minus, fresh):
+        joined = real(code, plus, minus, fresh)
+        return tuple(tuple(c ^ (c >> 1 == fresh) for c in w) for w in joined)
+
+    return fault
+
+
+def unwrapped_segments(real):
+    # The wrap XOR left out: a segment that wraps past the end of the word
+    # gets the complement of its symbol masks.
+    def fault(word):
+        everything = (1 << len(word) // 2) - 1
+        return [
+            (sp ^ everything, sm ^ everything, a, p, q) if q < p else (sp, sm, a, p, q)
+            for sp, sm, a, p, q in real(word)
+        ]
+
+    return fault
+
+
+def first_word_length_pairing(real):
+    return lambda code: len(code[0])
+
+
+# Each mutant with the module that defines the kernel it breaks, and the
+# checks of the report that it must fail.
+MUTANTS = {
+    "extra_circle": (surface_module, "_faces", extra_circle, {"euler-parity"}),
+    "two_extra_circles": (surface_module, "_faces", two_extra_circles, {"genus-bounds"}),
+    "repeated_dart": (surface_module, "_quads", repeated_dart, {"carter-partition"}),
+    "unreversed_mirror": (surface_module, "_mirror", unreversed_mirror, {"mirror-circles"}),
+    "rotated_canonical": (
+        model_module,
+        "_canonical",
+        rotated_canonical,
+        {"isomorphism-invariance", "canonical-idempotence"},
+    ),
+    "fresh_exponents_swapped": (
+        transforms_module,
+        "_join_code",
+        fresh_exponents_swapped,
+        {"join-genus"},
+    ),
+    "unwrapped_segments": (
+        homology_module,
+        "_segments",
+        unwrapped_segments,
+        {"criterion-equivalence"},
+    ),
+    "first_word_length_pairing": (
+        homology_module,
+        "_pairing",
+        first_word_length_pairing,
+        {"null-pairing"},
+    ),
+}
+
+
+def patch(monkeypatch, mutant: str) -> None:
+    """Patch ``mutant`` into its kernel's module and, where the sweep holds
+    its own binding of the kernel, into ``sgauss.verify``."""
+    module, name, make, _ = MUTANTS[mutant]
+    broken = make(getattr(module, name))
+    monkeypatch.setattr(module, name, broken)
+    if hasattr(verify_module, name):
+        monkeypatch.setattr(verify_module, name, broken)
 
 
 class TestEnumerateWords:
@@ -199,7 +305,7 @@ class TestTrustedConstruction:
         for s in sorted(p.alphabet):
             pos, neg = p.occurrences(s)
             if pos.word != neg.word:
-                yield join(p, pos.word, neg.word, s, "z1")
+                yield join(p, s, "z1")
 
     def check_all(self, built):
         rng = random.Random(0)
@@ -318,48 +424,14 @@ class TestAgainstObjectSweep:
     def test_equal_reports(self, spec, seed):
         assert verify(spec, seed=seed).to_json() == verify_by_objects(spec, seed=seed).to_json()
 
-    @staticmethod
-    def extra_circle(real):
-        return lambda quads: real(quads) + [[]]
+    FAULTS = ["extra_circle", "rotated_canonical", "unreversed_mirror", "fresh_exponents_swapped"]
 
-    @staticmethod
-    def rotated_canonical(real):
-        # Each word rotated by one, symbols renumbered by first appearance.
-        def fault(code):
-            ids = {}
-            renumber = lambda c: 2 * ids.setdefault(c >> 1, len(ids)) + (c & 1)
-            return tuple(tuple(map(renumber, w[1:] + w[:1])) for w in code)
-
-        return fault
-
-    @staticmethod
-    def unreversed_mirror(real):
-        return lambda quads: list(quads)
-
-    @staticmethod
-    def fresh_exponents_swapped(real):
-        def fault(code, plus, minus, fresh):
-            joined = real(code, plus, minus, fresh)
-            return tuple(tuple(c ^ (c >> 1 == fresh) for c in w) for w in joined)
-
-        return fault
-
-    FAULTS = {
-        "extra_circle": (surface_module, "_faces"),
-        "rotated_canonical": (model_module, "_canonical"),
-        "unreversed_mirror": (surface_module, "_mirror"),
-        "fresh_exponents_swapped": (transforms_module, "_join_code"),
-    }
-
-    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize(
         "spec", [CorpusSpec(3), CorpusSpec(2, kind=KIND_PARAGRAPHS)], ids=["words", "paragraphs"]
     )
     def test_equal_reports_under_a_fault(self, monkeypatch, spec, fault):
-        module, name = self.FAULTS[fault]
-        broken = getattr(self, fault)(getattr(module, name))
-        monkeypatch.setattr(module, name, broken)
-        monkeypatch.setattr(verify_module, name, broken)
+        patch(monkeypatch, fault)
         report = verify(spec, seed=7)
         assert report.to_json() == verify_by_objects(spec, seed=7).to_json()
         if fault != "fresh_exponents_swapped" or spec.kind == KIND_PARAGRAPHS:
@@ -371,8 +443,7 @@ class TestMutantsAreCaught:
     ``sgauss.verify``, without an exception."""
 
     def test_extra_circle_fails_euler_parity(self, monkeypatch):
-        real = verify_module._faces
-        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        patch(monkeypatch, "extra_circle")
         report = verify(CorpusSpec(2))
         assert report.checks["euler-parity"].failed == report.size > 0
         assert not report.ok
@@ -384,8 +455,7 @@ class TestMutantsAreCaught:
     def test_unreached_checks_are_listed(self, monkeypatch):
         # Every object fails euler-parity, so no object reaches the checks
         # after it; the report lists them all the same, in order.
-        real = verify_module._faces
-        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        patch(monkeypatch, "extra_circle")
         report = verify(CorpusSpec(2))
         assert list(report.checks) == [
             "carter-partition",
@@ -404,8 +474,7 @@ class TestMutantsAreCaught:
         assert "check criterion-equivalence: checked=0 failed=0" in report.to_text()
 
     def test_paragraph_checks_are_listed(self, monkeypatch):
-        real = verify_module._faces
-        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[]])
+        patch(monkeypatch, "extra_circle")
         report = verify(CorpusSpec(2, kind=KIND_PARAGRAPHS))
         assert list(report.checks)[-3:] == [
             "canonical-idempotence",
@@ -416,8 +485,7 @@ class TestMutantsAreCaught:
         assert report.checks["join-genus"].checked == 0
 
     def test_two_extra_circles_fail_genus_bounds(self, monkeypatch):
-        real = verify_module._faces
-        monkeypatch.setattr(verify_module, "_faces", lambda quads: real(quads) + [[], []])
+        patch(monkeypatch, "two_extra_circles")
         report = verify(CorpusSpec(2))
         assert report.checks["euler-parity"].failed == 0
         assert report.checks["genus-bounds"].failed > 0
@@ -425,11 +493,44 @@ class TestMutantsAreCaught:
         assert not report.ok
 
     def test_unreversed_mirror_fails_mirror_circles(self, monkeypatch):
-        monkeypatch.setattr(verify_module, "_mirror", lambda quads: list(quads))
+        patch(monkeypatch, "unreversed_mirror")
         report = verify(CorpusSpec(2))
         assert report.checks["mirror-circles"].failed == report.size > 0
         assert not report.ok
         assert all(c.prop == "mirror-circles" for c in report.counterexamples)
+
+    def test_unwrapped_segments_fail_criterion_equivalence(self, monkeypatch):
+        patch(monkeypatch, "unwrapped_segments")
+        report = verify(CorpusSpec(3))
+        assert report.checks["criterion-equivalence"].failed == 2
+        assert not report.ok
+        assert report.counterexamples[0] == Counterexample(
+            "a -b c -a b -c", "criterion-equivalence", "profile zero=False", "geometric=True"
+        )
+
+    def test_wrong_pairing_fails_null_pairing(self, monkeypatch):
+        patch(monkeypatch, "first_word_length_pairing")
+        report = verify(CorpusSpec(3, kind=KIND_PARAGRAPHS))
+        assert report.checks["null-pairing"].failed == 68
+        assert not report.ok
+        assert all(c.prop == "null-pairing" for c in report.counterexamples)
+
+    @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
+    def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
+        # The gate: a check that no mutant fails could not catch a fault.
+        # Each check must fail under a mutant of the table that names it.
+        uncaught = []
+        for check in verify_module._CHECKS[kind]:
+            caught = False
+            for mutant, (*_, targets) in MUTANTS.items():
+                if check in targets:
+                    with monkeypatch.context() as m:
+                        patch(m, mutant)
+                        report = verify(CorpusSpec(3, kind=kind))
+                    caught |= report.checks[check].failed > 0 and not report.ok
+            if not caught:
+                uncaught.append(check)
+        assert uncaught == []
 
 
 class TestCorruptDartTable:
@@ -437,16 +538,7 @@ class TestCorruptDartTable:
     darts, and a table that is not one is a counterexample, not a crash."""
 
     def test_repeated_dart_is_recorded(self, monkeypatch):
-        real = verify_module._quads
-
-        def repeat_a_dart(p):
-            quads = real(p)
-            sym = min(quads)
-            out_p, _, in_p, out_m = quads[sym]
-            quads[sym] = (out_p, out_p, in_p, out_m)  # in- replaced by out+
-            return quads
-
-        monkeypatch.setattr(verify_module, "_quads", repeat_a_dart)
+        patch(monkeypatch, "repeated_dart")
         report = verify(CorpusSpec(3))
         partition = report.checks["carter-partition"]
         assert partition.checked == report.size
