@@ -53,9 +53,11 @@ def _error(e: GaussError) -> int:
 
 
 def _read(path: str | None) -> str:
+    """The text of a file, or of stdin, decoded strictly as UTF-8 either way
+    (stdin as bytes, so that its decoder's error handler plays no part)."""
     try:
         if path is None or path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as e:

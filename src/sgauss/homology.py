@@ -32,7 +32,11 @@ over the word.  Then, with bit_i the bit of i,
                - ((Sm[i] | bit_i) & Sp[j]).bit_count().
 
 A profile of a word with n symbols therefore costs O(n) for the pass and n^2
-entries of O(n / 64) machine-word operations each.  ``segment_of``, ``alpha``,
+entries of O(n / 64) machine-word operations each.  The sweep of
+:mod:`sgauss.verify` reads two verdicts of a word's profile, whether it
+vanishes and whether beta is antisymmetric; ``_verdicts`` gives both
+straight from the masks, over the n(n - 1)/2 pairs, without the names and
+the (name, name)-keyed dict that ``profile`` builds.  ``segment_of``, ``alpha``,
 ``beta`` and ``profile`` take a ``SignedWord``, which they validate as a
 one-word paragraph and reject unless it is a valid standalone word, or a
 one-word ``SignedParagraph``, whose code they read as it is.
@@ -180,6 +184,24 @@ def _profile(word: tuple[int, ...], names) -> IntersectionProfile:
         if i != j
     }
     return IntersectionProfile(alphas, betas)
+
+
+def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
+    """(whether the profile vanishes, whether beta is antisymmetric) for a
+    valid code word, from its segment masks: ``_profile(word, names)``'s
+    ``is_zero`` and ``beta[i, j] == -beta[j, i]`` for every pair, with no
+    names and no dicts."""
+    segs = _segments(word)
+    zero = not any([seg[2] for seg in segs])
+    antisymmetric = True
+    rows = [(sp | 1 << s, sm | 1 << s, sp, sm) for s, (sp, sm, *_) in enumerate(segs)]
+    for i, (closed_plus_i, closed_minus_i, sp_i, sm_i) in enumerate(rows):
+        for closed_plus_j, closed_minus_j, sp_j, sm_j in rows[i + 1 :]:
+            ij = (closed_plus_i & sm_j).bit_count() - (closed_minus_i & sp_j).bit_count()
+            ji = (closed_plus_j & sm_i).bit_count() - (closed_minus_j & sp_i).bit_count()
+            zero = zero and not (ij or ji)
+            antisymmetric = antisymmetric and ij == -ji
+    return zero, antisymmetric
 
 
 def word_is_planar_homology(w: SignedWord | SignedParagraph) -> bool:

@@ -583,18 +583,30 @@ def _canonical(code: Code) -> Code:
     x first-appearance relabeling, with exponent -1 < +1, symbol i being the
     i-th to appear.
 
-    Word lengths compare first, so words are taken in ascending length.  The
-    search is breadth-first over the letter stream: every live candidate (a
-    word order and rotations chosen so far) has emitted the same least prefix,
-    hence assigned the same number of first-appearance ids, so its next
-    letter, keyed ``2 * ids.get(sym, next_id) + (exp == +1)``, compares
-    directly with the others', and only the candidates with the least next
-    letter survive.  A candidate that finishes a word branches into every
-    unused word of the next length at every rotation.  The cost is
-    near-linear on random words, O(L^2) on a fully symmetric word of length
-    L (``x1 .. xn -x1 .. -xn``, where n rotations tie for n letters), and
+    A one-word code has no word order to branch on and goes to
+    ``_canonical_word``, which keeps no symbol maps: near-linear on random
+    words, O(L^2) on a fully symmetric word of length L (``x1 .. xn -x1 ..
+    -xn``, where n rotations tie for n letters).  Codes with more words go
+    to ``_canonical_search``: near-linear on random paragraphs, and
     factorial only when many interchangeable words tie for long, as in a
     star of symbol-disjoint short words linked through one long word.
+    """
+    if len(code) == 1:
+        return (_canonical_word(code[0]),)
+    return _canonical_search(code)
+
+
+def _canonical_search(code: Code) -> Code:
+    """``_canonical`` for any code, by a search over word orders too.
+
+    Word lengths compare first, so words are taken in ascending length.  The
+    search is breadth-first over the letter stream: every live candidate (a
+    word order and rotations chosen so far) has emitted the same least
+    prefix, hence assigned the same number of first-appearance ids, so its
+    next letter, keyed ``2 * ids.get(sym, next_id) + (exp == +1)``, compares
+    directly with the others', and only the candidates with the least next
+    letter survive.  A candidate that finishes a word branches into every
+    unused word of the next length at every rotation.
     """
     # Letters with the exponent bit flipped, so that -1 keys below +1; each
     # word doubled, so rotation r of a word of length L is doubled[r : r + L].
@@ -640,6 +652,58 @@ def _canonical(code: Code) -> Code:
             stream.append(least ^ 1)
         words.append(tuple(stream))
     return tuple(words)
+
+
+def _canonical_word(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical code of the one-word code ``(w,)``, as one word: the
+    least first-appearance letter stream over the rotations of ``w``.
+
+    Only a -1 letter can open the least stream, so the candidates are the
+    rotations that start at one; the search keeps, step by step, those with
+    the best next letter, and keeps no symbol-to-id map.  Every live
+    candidate has emitted the same prefix, so at step ``pos`` a letter whose
+    partner lies ``back <= pos`` letters behind it has the id of the letter
+    at step ``pos - back`` for all of them: a larger ``back`` is an earlier,
+    hence smaller, id.  A letter with ``back > pos`` is a new symbol and
+    ranks after every old one, a -1 letter before a +1 letter.  The winner
+    is relabeled once at the end.
+    """
+    size = len(w)
+    # back[k]: how far back, cyclically, the partner of letter k lies.
+    first = [-1] * (size // 2)
+    back = [0] * size
+    for k, c in enumerate(w):
+        k0 = first[c >> 1]
+        if k0 < 0:
+            first[c >> 1] = k
+        else:
+            back[k] = k - k0
+            back[k0] = size - k + k0
+    # Doubled, so that rotation r reads positions r .. r + size - 1.
+    back += back
+    doubled = w + w
+    # The starts of the live candidates.  The key of the next letter is its
+    # back if its symbol is old, else 0 for a -1 letter and -1 for a +1
+    # letter; the greatest key wins.
+    live = [k for k, c in enumerate(w) if c & 1]
+    pos = 1
+    while len(live) > 1 and pos < size:
+        keys = [
+            b if (b := back[r + pos]) <= pos else (doubled[r + pos] & 1) - 1 for r in live
+        ]
+        best = max(keys)
+        live = [r for r, key in zip(live, keys) if key == best]
+        pos += 1
+    r = live[0]
+    out: list[int] = []
+    next_id = 0
+    for pos, b, c in zip(range(size), back[r:], doubled[r:]):
+        if b <= pos:
+            out.append(out[pos - b] ^ 1)
+        else:
+            out.append(2 * next_id + (c & 1))
+            next_id += 1
+    return tuple(out)
 
 
 def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:

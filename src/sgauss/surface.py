@@ -150,9 +150,9 @@ class SurfaceSummary(NamedTuple):
         }
 
 
-def _quads(code: Code) -> dict[int, tuple[int, int, int, int]]:
+def _quads(code: Code) -> list[tuple[int, int, int, int]]:
     """The integer rotation (out+, in-, in+, out-) of every symbol of
-    ``code``, keyed by symbol index."""
+    ``code``, listed by symbol index."""
     # ends[2c] and ends[2c + 1]: the darts leaving and reaching letter c.
     ends = [0] * (2 * sum(map(len, code)))
     k = 0
@@ -163,7 +163,7 @@ def _quads(code: Code) -> dict[int, tuple[int, int, int, int]]:
             ends[2 * c + 1] = arriving
             arriving = 2 * k + 1
             k += 1
-    return dict(enumerate(zip(ends[0::4], ends[3::4], ends[1::4], ends[2::4])))
+    return list(zip(ends[0::4], ends[3::4], ends[1::4], ends[2::4]))
 
 
 def _mirror(quads):
@@ -204,7 +204,7 @@ def build_ribbon(p: SignedParagraph) -> RotationSystem:
         k = len(heads)
         heads.extend(range(k + 1, k + len(w)))
         heads.append(k)
-    quads = dict(zip(p._names, _quads(p._code).values()))
+    quads = dict(zip(p._names, _quads(p._code)))
     return RotationSystem(p._names, tuple(chain.from_iterable(p._code)), tuple(heads), quads)
 
 
@@ -228,7 +228,7 @@ def _summary(n: int, b: int) -> SurfaceSummary:
 
 def summarize(p: SignedParagraph) -> SurfaceSummary:
     """Crossing count, Carter circle count, Euler characteristic and genus."""
-    return _summary(p.n, len(_faces(_quads(p._code).values())))
+    return _summary(p.n, len(_faces(_quads(p._code))))
 
 
 def is_geometric(p: SignedParagraph) -> bool:

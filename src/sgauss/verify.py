@@ -13,9 +13,11 @@ The sweep runs on integer codes, the form a ``SignedParagraph`` stores: a
 tuple of words, each a tuple of ints 2 * symbol + (exp == -1), symbol k
 being the k-th letter of the alphabet.  It enumerates codes straight from
 the matchings, and the circles, the random moves, the canonical form (itself
-a code), the joins, the pairing and the intersection profile are computed on
-them by the same kernels that the public functions wrap.  A paragraph is
-built, and text rendered, only for a counterexample.
+a code), the joins and the pairing are computed on them by the same kernels
+that the public functions wrap.  Of a word's intersection profile the sweep
+reads two verdicts, whether it vanishes and whether beta is antisymmetric,
+which ``homology._verdicts`` gives from the segment masks that ``profile``
+names.  A paragraph is built, and text rendered, only for a counterexample.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .homology import _pairing, _profile
+from .homology import _pairing, _verdicts
 from .model import (
     Code,
     SignedParagraph,
@@ -36,7 +38,7 @@ from .model import (
     _from_code,
     render,
 )
-from .surface import _faces, _mirror, _quads, _summary
+from .surface import _faces, _mirror, _quads
 from .transforms import _join_code
 
 __all__ = [
@@ -159,22 +161,25 @@ def apply_random_moves(
 def _moved(code: Code, n: int, rng: random.Random, moves: int | None = None) -> Code:
     """``apply_random_moves`` on a code with ``n`` symbols numbered in
     sorted-name order; it draws from ``rng`` exactly as that does."""
-    count = rng.randint(1, 8) if moves is None else moves
+    randrange, shuffle = rng.randrange, rng.shuffle
+    # randrange(1, 9) draws as rng.randint(1, 8) does.
+    count = randrange(1, 9) if moves is None else moves
     for _ in range(count):
-        kind = rng.randrange(3)
+        kind = randrange(3)
         if kind == 0:
-            i = rng.randrange(len(code))
-            k = rng.randrange(len(code[i]))
+            i = randrange(len(code))
+            k = randrange(len(code[i]))
             code = code[:i] + (code[i][k:] + code[i][:k],) + code[i + 1 :]
         elif kind == 1:
             order = list(range(len(code)))
-            rng.shuffle(order)
-            code = tuple(code[i] for i in order)
+            shuffle(order)
+            code = tuple(map(code.__getitem__, order))
         else:
             # Shuffling the sorted names draws as shuffling their indices.
             perm = list(range(n))
-            rng.shuffle(perm)
-            code = tuple(tuple(2 * perm[c >> 1] | c & 1 for c in w) for w in code)
+            shuffle(perm)
+            letter = [2 * i + e for i in perm for e in (0, 1)]
+            code = tuple(tuple(map(letter.__getitem__, w)) for w in code)
     return code
 
 
@@ -270,10 +275,14 @@ def _backwards(faces: list[list[int]]) -> list[list[int]]:
     as ``_faces`` lists them: each from its least dart, in order of it."""
     out = []
     for f in faces:
-        r = [d ^ 1 for d in reversed(f)]
-        i = r.index(min(r)) if r else 0
-        out.append(r[i:] + r[:i])
-    return sorted(out)
+        r = [d ^ 1 for d in f]
+        if r:
+            # Backwards from the least reverse dart, round to the one after it.
+            i = r.index(min(r))
+            r = r[i::-1] + r[:i:-1]
+        out.append(r)
+    out.sort()
+    return out
 
 
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
@@ -283,13 +292,15 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     beta_checked = 0
     beta_holds = 0
     beta_violations: list[str] = []
+    # Re-seeded per object, which gives it the state of a new generator.
+    rng = random.Random()
 
     # A counterexample's texts are made only when its check fails.
     for idx, code in enumerate(_corpus_codes(spec)):
         report.size += 1
-        rng = random.Random((seed << 24) ^ idx)
+        rng.seed((seed << 24) ^ idx)
         n = sum(map(len, code)) // 2
-        quads = _quads(code).values()
+        quads = _quads(code)
         # The circles partition the darts only if the table is a permutation.
         slots = sorted(chain.from_iterable(quads))
         if not report.check("carter-partition", slots == list(range(4 * n))):
@@ -316,7 +327,6 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             )
         if not (parity and bounded):
             continue
-        s = _summary(n, b)
         mirror = _faces(_mirror(quads))
         if not report.check("mirror-circles", mirror == _backwards(faces)):
             report.fail(
@@ -327,7 +337,7 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             )
         moved = _moved(code, n, rng)
         c1 = _canonical(code)
-        same = len(_faces(_quads(moved).values())) == b and _canonical(moved) == c1
+        same = len(_faces(_quads(moved))) == b and _canonical(moved) == c1
         if not report.check("isomorphism-invariance", same):
             report.fail(
                 _text(code),
@@ -340,27 +350,26 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             report.fail(_text(code), "canonical-idempotence", _text(c2), _text(c1))
 
         if len(code) == 1:
-            pr = _profile(code[0], string.ascii_lowercase)
-            if not report.check("criterion-equivalence", pr.is_zero == s.geometric):
+            zero, holds = _verdicts(code[0])
+            geometric = twice_genus == 0
+            if not report.check("criterion-equivalence", zero == geometric):
                 report.fail(
                     _text(code),
                     "criterion-equivalence",
-                    f"profile zero={pr.is_zero}",
-                    f"geometric={s.geometric}",
+                    f"profile zero={zero}",
+                    f"geometric={geometric}",
                 )
-            beta = pr.beta
-            holds = all(v == -beta[j, i] for (i, j), v in beta.items())
             beta_checked += 1
             beta_holds += holds
             if not holds:
                 beta_violations.append(_text(code))
         else:
             pair = _pairing(code)
-            if not report.check("null-pairing", s.genus > 0 or pair == 0):
+            if not report.check("null-pairing", twice_genus > 0 or pair == 0):
                 report.fail(
                     _text(code),
                     "null-pairing",
-                    f"genus={s.genus} pairing={pair}",
+                    f"genus={twice_genus // 2} pairing={pair}",
                     "pairing 0 on genus 0",
                 )
             where = {c: (wi, k) for wi, w in enumerate(code) for k, c in enumerate(w)}
@@ -370,7 +379,7 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 if plus[0] == minus[0]:
                     continue
                 # The join adds crossing n; its genus is (n + 3 - b) / 2.
-                bj = len(_faces(_quads(_join_code(code, plus, minus, n)).values()))
+                bj = len(_faces(_quads(_join_code(code, plus, minus, n))))
                 ok_join = ok_join and n + 3 - bj == twice_genus
                 shift_counter[bj - b] += 1
             if not report.check("join-genus", ok_join):

@@ -14,7 +14,12 @@ from sgauss.model import (
     ValidationError,
     rotate,
 )
-from sgauss.verify import enumerate_two_component_paragraphs, enumerate_words
+from sgauss.verify import (
+    KIND_WORDS,
+    _codes_of_size,
+    enumerate_two_component_paragraphs,
+    enumerate_words,
+)
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -113,3 +118,9 @@ def paragraphs_le_3() -> list[SignedParagraph]:
     return [
         p for n in range(1, 4) for p in enumerate_two_component_paragraphs(n)
     ]
+
+
+@pytest.fixture(scope="session")
+def word_codes_le_5() -> list[tuple[int, ...]]:
+    """The code word of every word with 1..5 symbols, 32,054 of them."""
+    return [w for n in range(1, 6) for (w,) in _codes_of_size(n, KIND_WORDS)]

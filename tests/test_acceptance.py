@@ -218,7 +218,8 @@ def test_criterion_9_round_trip_and_golden(
         for argv, suffix in commands:
             outs = []
             for _ in range(2):
-                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+                monkeypatch.setattr("sys.stdin", stdin)
                 assert main(argv) == 0
                 outs.append(capsys.readouterr().out.encode())
             golden = (golden_dir / f"{name}_{suffix}").read_bytes()

@@ -34,8 +34,14 @@ SPOT_INPUTS = {
 }
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` holding ``text``, with its bytes behind
+    it as the real one has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+
+
 def run(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     monkeypatch.setenv("GAUSS_COLOR", "0")
     code = main(argv)
     out = capsys.readouterr()
@@ -115,22 +121,38 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: 2:3: byte 0xff is not valid UTF-8 [syntax]\n"
 
-    def test_stdin_not_utf8_is_a_domain_error(self):
-        # Outside UTF-8 mode's surrogateescape, a strict stdin decoder
-        # raises on the bad byte.
-        env = dict(os.environ, PYTHONIOENCODING="utf-8", GAUSS_COLOR="0")
+    @staticmethod
+    def summary_in_subprocess(data: bytes, *options: str, **env: str):
+        env = dict(os.environ, GAUSS_COLOR="0", **env)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
-        r = subprocess.run(
-            [sys.executable, "-m", "sgauss.cli", "summary"],
-            input=b"a \xff -a",
+        return subprocess.run(
+            [sys.executable, *options, "-m", "sgauss.cli", "summary"],
+            input=data,
             capture_output=True,
             env=env,
             timeout=60,
         )
+
+    def test_stdin_not_utf8_is_a_domain_error(self):
+        # Outside UTF-8 mode's surrogateescape, a strict stdin decoder
+        # raises on the bad byte.
+        r = self.summary_in_subprocess(b"a \xff -a", PYTHONIOENCODING="utf-8")
         assert (r.returncode, r.stdout) == (1, b"")
         assert r.stderr == b"error: 1:3: byte 0xff is not valid UTF-8 [syntax]\n"
+
+    def test_stdin_not_utf8_in_utf8_mode(self):
+        # UTF-8 mode decodes stdin with surrogateescape, which would hand the
+        # parser '\udcff'; the bytes are decoded strictly instead, as a
+        # file's are.
+        r = self.summary_in_subprocess(b"a \xff -a", "-X", "utf8", PYTHONIOENCODING="")
+        assert (r.returncode, r.stdout) == (1, b"")
+        assert r.stderr == b"error: 1:3: byte 0xff is not valid UTF-8 [syntax]\n"
+
+    def test_stdin_is_decoded_as_utf8(self, capsys, monkeypatch):
+        code, _, err = run(capsys, monkeypatch, ["summary"], stdin="ä -ä")
+        assert (code, err) == (1, "error: 1:1: bad token 'ä' [syntax]\n")
 
 
 class TestValidate:
@@ -448,7 +470,7 @@ class TestStyling:
             def isatty(self):
                 return True
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b -a"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a b -a"))
         monkeypatch.delenv("GAUSS_COLOR", raising=False)
         fake_err = FakeTTY()
         monkeypatch.setattr("sys.stderr", fake_err)
@@ -574,7 +596,7 @@ FILE_COMMANDS = [
 
 def run_plain(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(
+    with mock.patch("sys.stdin", stdin_of(stdin)), contextlib.redirect_stdout(
         out
     ), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setprofile
 from conftest import signed_words
 from setprofile import closed_letter_set, inverse_set, letter_set
 from sgauss.homology import (
+    _profile,
+    _verdicts,
     alpha,
     beta,
     pairing,
@@ -30,6 +34,8 @@ from sgauss.model import (
     relabel,
 )
 from sgauss.surface import is_geometric, summarize
+
+homology = importlib.import_module("sgauss.homology")
 
 
 def W(text: str):
@@ -234,6 +240,37 @@ class TestAgainstSetOracle:
             profile(w)
         with pytest.raises(OperationError):
             setprofile.profile(w)
+
+
+def dict_verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
+    """(is_zero, beta antisymmetric) read off the named profile's dicts."""
+    pr = _profile(word, string.ascii_lowercase)
+    return pr.is_zero, all(v == -pr.beta[j, i] for (i, j), v in pr.beta.items())
+
+
+class TestVerdicts:
+    """The sweep's mask kernel against the named profile."""
+
+    def test_every_word_up_to_5(self, word_codes_le_5):
+        assert len(word_codes_le_5) == 32054
+        wrong = [w for w in word_codes_le_5 if _verdicts(w) != dict_verdicts(w)]
+        assert wrong == []
+
+    @settings(max_examples=50)
+    @given(signed_words(max_symbols=12))
+    def test_hypothesis_words(self, w):
+        (word,) = SignedParagraph((w,))._code
+        assert _verdicts(word) == dict_verdicts(word)
+
+    def test_not_antisymmetric(self, monkeypatch):
+        # beta is antisymmetric on every valid word, so break the masks to
+        # see the kernel report a violation as the dict scan does.
+        real = homology._segments
+        monkeypatch.setattr(
+            homology, "_segments", lambda word: [(0, *seg[1:]) for seg in real(word)]
+        )
+        word = parse_paragraph("a b -a -b")._code[0]
+        assert _verdicts(word) == dict_verdicts(word) == (False, False)
 
 
 class TestOneWordParagraph:

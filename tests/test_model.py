@@ -25,6 +25,8 @@ from sgauss.model import (
     relabel,
     render,
     rotate,
+    _canonical_search,
+    _canonical_word,
 )
 from sgauss.verify import apply_random_moves, enumerate_words
 from tokenparse import parse_by_tokens
@@ -395,6 +397,7 @@ class TestCanonicalizeAgainstBruteForce:
     equivalent one."""
 
     def test_all_words_up_to_4(self, words_le_4):
+        # A word's canonical form comes from ``_canonical_word``.
         assert len(words_le_4) == 1814
         for p in words_le_4:
             assert canonicalize(p) == bruteforce_canonicalize(p), render(p)
@@ -439,6 +442,51 @@ class TestCanonicalizeAgainstBruteForce:
         c = canonicalize(p)
         assert {"s26", "s27"} <= c.alphabet
         assert canonicalize(c) == c
+
+
+def symmetric_word(n: int) -> tuple[int, ...]:
+    """The code of x1 .. xn -x1 .. -xn, whose n starts at a -1 letter tie
+    for n letters."""
+    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+
+
+def random_word(rng: random.Random, n: int) -> tuple[int, ...]:
+    letters = list(range(2 * n))
+    rng.shuffle(letters)
+    return tuple(letters)
+
+
+class TestCanonicalWord:
+    """The one-word kernel returns what the search over word orders returns
+    on the one-word code."""
+
+    def test_every_word_up_to_5(self, word_codes_le_5):
+        assert len(word_codes_le_5) == 32054
+        wrong = [w for w in word_codes_le_5 if (_canonical_word(w),) != _canonical_search((w,))]
+        assert wrong == []
+
+    @settings(max_examples=50)
+    @given(signed_words(max_symbols=7))
+    def test_hypothesis_words(self, w):
+        p = SignedParagraph((w,))
+        (word,) = p._code
+        assert (_canonical_word(word),) == _canonical_search(p._code)
+        assert canonicalize(p) == bruteforce_canonicalize(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 200])
+    def test_symmetric_words(self, n):
+        w = symmetric_word(n)
+        for r in {0, 1, n, 2 * n - 1}:
+            rotated = w[r:] + w[:r]
+            assert (_canonical_word(rotated),) == _canonical_search((rotated,))
+        assert _canonical_word(w) == tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
+
+    def test_random_large_words(self):
+        rng = random.Random(11)
+        for n in (50, 120, 250, 400):
+            for _ in range(3):
+                w = random_word(rng, n)
+                assert (_canonical_word(w),) == _canonical_search((w,))
 
 
 class TestIsomorphism:

@@ -50,12 +50,16 @@ def two_extra_circles(real):
 def repeated_dart(real):
     def fault(code):
         quads = real(code)
-        sym = min(quads)
-        out_p, _, in_p, out_m = quads[sym]
-        quads[sym] = (out_p, out_p, in_p, out_m)  # in- replaced by out+
+        out_p, _, in_p, out_m = quads[0]
+        quads[0] = (out_p, out_p, in_p, out_m)  # in- replaced by out+
         return quads
 
     return fault
+
+
+def swapped_in_slots(real):
+    # (out+, in+, in-, out-): the two incoming arc ends trade places.
+    return lambda code: [(out_p, in_p, in_m, out_m) for out_p, in_m, in_p, out_m in real(code)]
 
 
 def unreversed_mirror(real):
@@ -68,6 +72,17 @@ def rotated_canonical(real):
         ids = {}
         renumber = lambda c: 2 * ids.setdefault(c >> 1, len(ids)) + (c & 1)
         return tuple(tuple(map(renumber, w[1:] + w[:1])) for w in code)
+
+    return fault
+
+
+def plus_start_canonical_word(real):
+    # No rotation compared: the word read from its first +1 letter, its
+    # symbols renumbered by first appearance.
+    def fault(w):
+        k = next(k for k, c in enumerate(w) if not c & 1)
+        ids = {}
+        return tuple(2 * ids.setdefault(c >> 1, len(ids)) + (c & 1) for c in w[k:] + w[:k])
 
     return fault
 
@@ -103,12 +118,24 @@ MUTANTS = {
     "extra_circle": (surface_module, "_faces", extra_circle, {"euler-parity"}),
     "two_extra_circles": (surface_module, "_faces", two_extra_circles, {"genus-bounds"}),
     "repeated_dart": (surface_module, "_quads", repeated_dart, {"carter-partition"}),
+    "swapped_in_slots": (
+        surface_module,
+        "_quads",
+        swapped_in_slots,
+        {"criterion-equivalence", "null-pairing", "join-genus"},
+    ),
     "unreversed_mirror": (surface_module, "_mirror", unreversed_mirror, {"mirror-circles"}),
     "rotated_canonical": (
         model_module,
         "_canonical",
         rotated_canonical,
         {"isomorphism-invariance", "canonical-idempotence"},
+    ),
+    "plus_start_canonical_word": (
+        model_module,
+        "_canonical_word",
+        plus_start_canonical_word,
+        {"isomorphism-invariance"},
     ),
     "fresh_exponents_swapped": (
         transforms_module,
@@ -349,7 +376,7 @@ class TestPerObjectWork:
     """A passing sweep runs on integer codes: it builds no paragraph and
     calls each kernel a fixed number of times per object."""
 
-    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "_profile")
+    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "_verdicts")
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -368,6 +395,8 @@ class TestPerObjectWork:
 
         for name in self.KERNELS:
             count(verify_module, name)
+        # The named profile, which the sweep no longer binds, where it lives.
+        count(homology_module, "_profile")
         count(SignedParagraph, "__post_init__", "SignedParagraph.__post_init__")
         # The sweep's own binding of the trusted constructor.
         count(verify_module, "_from_code", "model._from_code")
@@ -383,7 +412,8 @@ class TestPerObjectWork:
             "_moved": size,
             "_join_code": 0,
             "_pairing": 0,
-            "_profile": size,
+            "_verdicts": size,  # the profile's two verdicts, from its masks
+            "_profile": 0,
             "SignedParagraph.__post_init__": 0,
             "model._from_code": 0,
         }
@@ -406,6 +436,7 @@ class TestPerObjectWork:
             "_moved": size,
             "_join_code": joins,
             "_pairing": size,
+            "_verdicts": 0,
             "_profile": 0,
             "SignedParagraph.__post_init__": 0,
             "model._from_code": 0,
@@ -515,22 +546,44 @@ class TestMutantsAreCaught:
         assert not report.ok
         assert all(c.prop == "null-pairing" for c in report.counterexamples)
 
+    def test_swapped_in_slots(self, monkeypatch):
+        # The surface changes, and the circles with it, but not the profile.
+        patch(monkeypatch, "swapped_in_slots")
+        report = verify(CorpusSpec(3))
+        failed = {name: s.failed for name, s in report.checks.items() if s.failed}
+        assert failed == {"criterion-equivalence": 52}
+        assert report.counterexamples[0] == Counterexample(
+            "a -a", "criterion-equivalence", "profile zero=True", "geometric=False"
+        )
+        report = verify(CorpusSpec(2, kind=KIND_PARAGRAPHS))
+        assert {name for name, s in report.checks.items() if s.failed} == {
+            "null-pairing",
+            "join-genus",
+        }
+
+    def test_canonical_word_plus_start(self, monkeypatch):
+        # Only words reach the one-word kernel.
+        patch(monkeypatch, "plus_start_canonical_word")
+        report = verify(CorpusSpec(3))
+        failed = {name for name, s in report.checks.items() if s.failed}
+        assert failed == {"isomorphism-invariance"}
+        assert verify(CorpusSpec(2, kind=KIND_PARAGRAPHS)).ok
+
     @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
     def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
         # The gate: a check that no mutant fails could not catch a fault.
         # Each check must fail under a mutant of the table that names it.
-        uncaught = []
-        for check in verify_module._CHECKS[kind]:
-            caught = False
-            for mutant, (*_, targets) in MUTANTS.items():
-                if check in targets:
-                    with monkeypatch.context() as m:
-                        patch(m, mutant)
-                        report = verify(CorpusSpec(3, kind=kind))
-                    caught |= report.checks[check].failed > 0 and not report.ok
-            if not caught:
-                uncaught.append(check)
-        assert uncaught == []
+        checks = verify_module._CHECKS[kind]
+        caught = set()
+        for mutant, (*_, targets) in MUTANTS.items():
+            if targets.isdisjoint(checks):
+                continue
+            with monkeypatch.context() as m:
+                patch(m, mutant)
+                report = verify(CorpusSpec(3, kind=kind))
+            if not report.ok:
+                caught |= {c for c in targets & set(checks) if report.checks[c].failed}
+        assert [c for c in checks if c not in caught] == []
 
 
 class TestCorruptDartTable:
