@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -69,6 +68,7 @@ def _read(path: str | None) -> str:
 
 
 def _emit(obj: dict) -> None:
+    import json
     print(json.dumps(obj))
 
 

@@ -44,8 +44,6 @@ one-word ``SignedParagraph``, whose code they read as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Code,
     OperationError,
@@ -54,6 +52,7 @@ from .model import (
     SignedWord,
     ValidationError,
     _single_word,
+    _Value,
 )
 
 __all__ = [
@@ -138,16 +137,14 @@ def beta(w: SignedWord | SignedParagraph, i: str, j: str) -> int:
     return ((sp_i | 1 << s) & sm_j).bit_count() - ((sm_i | 1 << s) & sp_j).bit_count()
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(_Value):
     """All alpha values and off-diagonal beta values of a word.
 
     ``profile`` fills ``alpha`` in sorted symbol order and ``beta`` in sorted
     (i, j) order, and ``as_dict`` keeps that order.
     """
 
-    alpha: dict[str, int]
-    beta: dict[tuple[str, str], int]
+    _fields = __match_args__ = ("alpha", "beta")
 
     def beta_of(self, i: str, j: str) -> int:
         return 0 if i == j else self.beta[(i, j)]

@@ -45,10 +45,7 @@ threads; operations never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 import re
-import string
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -133,6 +130,8 @@ class OperationError(GaussError):
 
 POSITIVE = 1
 NEGATIVE = -1
+# The names of the first 26 symbols of a canonical form and of the sweep.
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Occurrence(NamedTuple):
@@ -144,12 +143,75 @@ class Occurrence(NamedTuple):
     pos: int
 
 
-@dataclass(frozen=True, slots=True)
-class SignedLetter:
+_set = object.__setattr__
+
+
+class _Record:
+    """Fields by name, as in a dataclass: ``__init__`` binds its arguments
+    to ``__match_args__`` (with ``_defaults``), sets them and calls the
+    validation hook ``__post_init__``; ``==`` and ``repr`` go by ``_fields``,
+    the same names unless a subclass has its own ``__init__``.  Unhashable."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        # From a list: a generator expression takes about twice as long.
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """An immutable record: hashed by its fields, which cannot be assigned or
+    deleted (dataclasses, slower to import than this package, loads only
+    then), and pickled and copied by calling the class on them."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SignedLetter(_Value):
     """A crossing symbol traversed with exponent +1 or -1."""
 
-    sym: str
-    exp: int
+    __slots__ = _fields = __match_args__ = ("sym", "exp")
 
     def __post_init__(self):
         if self.exp not in (POSITIVE, NEGATIVE):
@@ -165,18 +227,17 @@ class SignedLetter:
         return f"SignedLetter({str(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class SignedWord:
+class SignedWord(_Value):
     """A cyclically-ordered sequence of signed letters.
 
     The stored sequence is a fixed representative; cyclic rotations of it
     describe the same closed curve and are identified by ``canonicalize``.
     """
 
-    letters: tuple[SignedLetter, ...]
+    __slots__ = _fields = __match_args__ = ("letters",)
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+        _set(self, "letters", tuple(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -214,7 +275,7 @@ class SignedWord:
 Code = tuple[tuple[int, ...], ...]
 
 
-class SignedParagraph:
+class SignedParagraph(_Value):
     """A validated signed Gauss paragraph.
 
     A paragraph is stored as its integer code: ``_names`` (symbol number ->
@@ -232,6 +293,7 @@ class SignedParagraph:
     """
 
     __slots__ = ("_names", "_index", "_code", "_where", "_words")
+    _fields = __match_args__ = ("words",)
 
     def __init__(self, words: Iterable[SignedWord | Iterable[SignedLetter]]):
         words = tuple(w if isinstance(w, SignedWord) else SignedWord(tuple(w)) for w in words)
@@ -276,19 +338,8 @@ class SignedParagraph:
         """The (+1, -1) occurrence pair of ``sym``."""
         return self.occurrence(sym, POSITIVE), self.occurrence(sym, NEGATIVE)
 
-    def __eq__(self, other):
-        if not isinstance(other, SignedParagraph):
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __reduce__(self):
+        return _from_code, (self._code, self._names)
 
     def __str__(self) -> str:
         tokens = [t for s in self._names for t in (s, "-" + s)]
@@ -296,9 +347,6 @@ class SignedParagraph:
 
     def __repr__(self) -> str:
         return f"SignedParagraph({str(self)!r})"
-
-
-_set = object.__setattr__
 
 
 def _store(p: SignedParagraph, names, index, code: Code, where=None, words=None):
@@ -527,6 +575,7 @@ def render(p: SignedParagraph, format: str = "text") -> str:
     if format == "text":
         return str(p)
     if format == "json":
+        import json
         return json.dumps(paragraph_dict(p))
     raise ValueError(f"unknown format {format!r}")
 
@@ -574,7 +623,7 @@ def canonicalize(p: SignedParagraph) -> SignedParagraph:
 
 
 def _canonical_name(i: int) -> str:
-    return string.ascii_lowercase[i] if i < 26 else f"s{i}"
+    return LETTERS[i] if i < 26 else f"s{i}"
 
 
 def _canonical(code: Code) -> Code:

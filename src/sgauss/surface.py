@@ -47,12 +47,11 @@ output; ``letters`` builds letter objects only when read.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .model import NEGATIVE, POSITIVE, Code, SignedLetter, SignedParagraph
+from .model import NEGATIVE, POSITIVE, Code, SignedLetter, SignedParagraph, _Value
 
 __all__ = [
     "RotationSystem",
@@ -65,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(_Value):
     """Counterclockwise dart order at every crossing, on the dart numbering.
 
     Letter k, counted across the words in order, has code ``codes[k]``
@@ -76,10 +74,7 @@ class RotationSystem:
     arriving arc, so each of the 4n darts occupies exactly one slot.
     """
 
-    names: tuple[str, ...]
-    codes: tuple[int, ...]
-    heads: tuple[int, ...]
-    quads: dict[str, tuple[int, int, int, int]]
+    _fields = __match_args__ = ("names", "codes", "heads", "quads")
 
     @property
     def n(self) -> int:
@@ -112,11 +107,10 @@ class RotationSystem:
         return [e for arc in arcs for e in ("+" + arc, "-" + arc)]
 
 
-@dataclass(frozen=True)
-class CarterCircle:
+class CarterCircle(_Value):
     """One boundary walk: a cyclically-ordered orbit of darts."""
 
-    darts: tuple[int, ...]
+    _fields = __match_args__ = ("darts",)
 
     def __len__(self) -> int:
         return len(self.darts)

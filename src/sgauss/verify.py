@@ -22,20 +22,20 @@ names.  A paragraph is built, and text rendered, only for a counterexample.
 
 from __future__ import annotations
 
-import json
 import random
-import string
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .homology import _pairing, _verdicts
 from .model import (
+    LETTERS,
     Code,
     SignedParagraph,
     _canonical,
     _from_code,
+    _Record,
+    _Value,
     render,
 )
 from .surface import _faces, _mirror, _quads
@@ -59,7 +59,7 @@ __all__ = [
 KIND_WORDS = "words"
 KIND_PARAGRAPHS = "two-component-paragraphs"
 # The enumerators name symbols a..z.
-MAX_SYMBOLS = len(string.ascii_lowercase)
+MAX_SYMBOLS = len(LETTERS)
 # The checks of each corpus kind, in the order the report lists them.
 _COMMON_CHECKS = """carter-partition euler-parity genus-bounds mirror-circles
     isomorphism-invariance canonical-idempotence"""
@@ -69,17 +69,16 @@ _CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_Value):
     """What to enumerate: all objects of ``kind`` with 1..max_symbols symbols."""
 
-    max_symbols: int
-    dedupe: bool = False
-    kind: str = KIND_WORDS
+    _fields = __match_args__ = ("max_symbols", "dedupe", "kind")
+    _defaults = {"dedupe": False, "kind": KIND_WORDS}
 
     def __post_init__(self):
-        if not 1 <= self.max_symbols <= MAX_SYMBOLS:
-            raise ValueError(f"max_symbols must be in 1..{MAX_SYMBOLS}")
+        m = self.max_symbols
+        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_SYMBOLS:
+            raise ValueError(f"max_symbols must be an int in 1..{MAX_SYMBOLS}, got {m!r}")
         if self.kind not in _CHECKS:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
 
@@ -140,7 +139,7 @@ def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
 
 
 def _paragraph(code: Code) -> SignedParagraph:
-    return _from_code(code, string.ascii_lowercase)
+    return _from_code(code, LETTERS)
 
 
 def _text(code: Code) -> str:
@@ -190,14 +189,12 @@ class Counterexample(NamedTuple):
     expected: str
 
 
-@dataclass
-class CheckStat:
-    checked: int = 0
-    failed: int = 0
+class CheckStat(_Record):
+    _fields = __match_args__ = ("checked", "failed")
+    _defaults = {"checked": 0, "failed": 0}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one corpus sweep.
 
     ``checks`` hold the hard properties (any failure makes ``ok`` false),
@@ -206,14 +203,15 @@ class VerificationReport:
     quantities that are reported either way.
     """
 
-    spec: CorpusSpec
-    size: int = 0
-    checks: dict[str, CheckStat] = field(init=False)
-    counterexamples: list[Counterexample] = field(default_factory=list)
-    empirical: dict[str, dict] = field(default_factory=dict)
+    _fields = ("spec", "size", "checks", "counterexamples", "empirical")
+    __match_args__ = ("spec", "size", "counterexamples", "empirical")
 
-    def __post_init__(self):
-        self.checks = {name: CheckStat() for name in _CHECKS[self.spec.kind]}
+    def __init__(self, spec: CorpusSpec, size: int = 0, counterexamples=None, empirical=None):
+        self.spec = spec
+        self.size = size
+        self.checks = {name: CheckStat() for name in _CHECKS[spec.kind]}
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.empirical = {} if empirical is None else empirical
 
     @property
     def ok(self) -> bool:
@@ -246,9 +244,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.as_dict())
 
     def to_text(self) -> str:
+        import json
         lines = [
             f"corpus kind={self.spec.kind} max-n={self.spec.max_symbols} "
             f"dedupe={str(self.spec.dedupe).lower()} size={self.size}"
