@@ -8,7 +8,6 @@ verifier tying the routes together.
 
 from .model import (
     GaussError,
-    Occurrence,
     OperationError,
     ParseError,
     SignedLetter,
@@ -18,11 +17,9 @@ from .model import (
     canonicalize,
     check_pairwise,
     is_isomorphic,
-    paragraph_dict,
     parse_paragraph,
     relabel,
     render,
-    rotate,
 )
 from .surface import (
     CarterCircle,
@@ -35,11 +32,8 @@ from .surface import (
 )
 from .homology import (
     IntersectionProfile,
-    alpha,
-    beta,
     pairing,
     profile,
-    segment_of,
     word_is_planar_homology,
 )
 from .transforms import fresh_symbol, join, reduce_to_word, split
@@ -48,8 +42,6 @@ from .verify import (
     VerificationReport,
     apply_random_moves,
     enumerate_corpus,
-    enumerate_two_component_paragraphs,
-    enumerate_words,
     verify,
 )
 
@@ -60,14 +52,11 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "OperationError",
-    "Occurrence",
     "SignedLetter",
     "SignedWord",
     "SignedParagraph",
     "parse_paragraph",
-    "paragraph_dict",
     "render",
-    "rotate",
     "relabel",
     "canonicalize",
     "is_isomorphic",
@@ -79,9 +68,6 @@ __all__ = [
     "trace_circles",
     "summarize",
     "is_geometric",
-    "segment_of",
-    "alpha",
-    "beta",
     "IntersectionProfile",
     "profile",
     "word_is_planar_homology",
@@ -92,8 +78,6 @@ __all__ = [
     "fresh_symbol",
     "CorpusSpec",
     "VerificationReport",
-    "enumerate_words",
-    "enumerate_two_component_paragraphs",
     "enumerate_corpus",
     "apply_random_moves",
     "verify",

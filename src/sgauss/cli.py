@@ -4,7 +4,9 @@ Every subcommand reads one paragraph from a positional file path or stdin
 ("-" or omitted) and writes text, or JSON with --json.  Exit status: 0 on
 success, 1 on a domain error (invalid input, failed precondition, failed
 verification) or an internal error (reported on one line, no traceback), 2
-on usage errors.  Set GAUSS_COLOR=0 to disable ANSI styling of diagnostics.
+on usage errors.  If the reader of stdout closes it early, the command ends
+with status 1 and prints nothing more.  Set GAUSS_COLOR=0 to disable ANSI
+styling of diagnostics.
 """
 
 from __future__ import annotations
@@ -277,7 +279,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: end quietly, sending what is still
+        # buffered to devnull so that the flush at exit succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except GaussError as e:
         return _error(e)
     except OSError as e:

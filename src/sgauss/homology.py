@@ -1,14 +1,15 @@
 """Homological planarity test for signed Gauss words.
 
-Cutting a word w open at a symbol a gives w = a . seg . a^-1 . rest: ``seg``
-(here ``segment_of``) is read forward from the +1 occurrence.  Exponent sums
-over such segments compute intersection numbers of the curve and its
-split-off loops on the minimal realization surface:
+Cutting a word w open at a symbol a gives w = a . seg . a^-1 . rest: a's
+segment ``seg`` is read forward from the +1 occurrence.  Exponent sums over
+such segments compute intersection numbers of the curve and its split-off
+loops on the minimal realization surface:
 
-* alpha(w, a) sums the exponents of the letters of a's segment;
-* beta(w, i, j) sums exponents over the intersection of the closed letter
-  set of i's segment (the segment plus i itself, both signs) with the
-  inverted letter set of j's segment;
+* alpha(a) sums the exponents of the letters of a's segment;
+* beta(i, j), for i != j, sums exponents over the intersection of the
+  closed letter set of i's segment (the segment plus i itself, both signs)
+  with the inverted letter set of j's segment; the diagonal is zero by
+  convention;
 * the two-component pairing sums p over letters a^p occurring in the first
   word whose inverse occurs in the second.
 
@@ -36,10 +37,12 @@ entries of O(n / 64) machine-word operations each.  The sweep of
 :mod:`sgauss.verify` reads two verdicts of a word's profile, whether it
 vanishes and whether beta is antisymmetric; ``_verdicts`` gives both
 straight from the masks, over the n(n - 1)/2 pairs, without the names and
-the (name, name)-keyed dict that ``profile`` builds.  ``segment_of``, ``alpha``,
-``beta`` and ``profile`` take a ``SignedWord``, which they validate as a
-one-word paragraph and reject unless it is a valid standalone word, or a
-one-word ``SignedParagraph``, whose code they read as it is.
+the (name, name)-keyed dict that ``profile`` builds.  ``profile`` gives
+every entry at once: alpha of every symbol and beta of every ordered pair of
+distinct symbols.  It and ``word_is_planar_homology`` take a ``SignedWord``,
+which they validate as a one-word paragraph and reject unless it is a valid
+standalone word, or a one-word ``SignedParagraph``, whose code they read as
+it is.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from __future__ import annotations
 from .model import (
     Code,
     OperationError,
-    SignedLetter,
     SignedParagraph,
     SignedWord,
     ValidationError,
@@ -56,28 +58,11 @@ from .model import (
 )
 
 __all__ = [
-    "segment_of",
-    "alpha",
-    "beta",
     "IntersectionProfile",
     "profile",
     "word_is_planar_homology",
     "pairing",
 ]
-
-
-def _valid(w: SignedWord | SignedParagraph, *required: str) -> SignedParagraph:
-    """``w`` as a one-word paragraph (``model._single_word``); raises
-    OperationError unless it is a valid standalone word in which every
-    ``required`` symbol occurs."""
-    try:
-        p = _single_word(w)
-    except ValidationError:
-        raise OperationError(f"{w!r} is not a valid standalone word") from None
-    for sym in required:
-        if sym not in p._index:
-            raise OperationError(f"symbol {sym!r} does not occur in {w}")
-    return p
 
 
 def _segments(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -107,36 +92,6 @@ def _segments(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return segs
 
 
-def segment_of(w: SignedWord | SignedParagraph, sym: str) -> tuple[SignedLetter, ...]:
-    """Letters strictly between sym's +1 and -1 occurrences, read forward
-    cyclically from the +1 occurrence.  Rotation-invariant.  ``w`` must be a
-    valid standalone word, or a one-word paragraph."""
-    p = _valid(w, sym)
-    start, end = _segments(p._code[0])[p._index[sym]][3:]
-    letters = p.words[0].letters
-    if start < end:
-        return letters[start + 1 : end]
-    return letters[start + 1 :] + letters[:end]
-
-
-def alpha(w: SignedWord | SignedParagraph, sym: str) -> int:
-    """Exponent sum over the letters of sym's segment."""
-    p = _valid(w, sym)
-    return _segments(p._code[0])[p._index[sym]][2]
-
-
-def beta(w: SignedWord | SignedParagraph, i: str, j: str) -> int:
-    """Exponent sum over the closed letter set of i's segment intersected
-    with the inverted letter set of j's segment; zero on the diagonal by
-    convention."""
-    p = _valid(w, i, j)
-    if i == j:
-        return 0
-    segs, s = _segments(p._code[0]), p._index[i]
-    (sp_i, sm_i, *_), (sp_j, sm_j, *_) = segs[s], segs[p._index[j]]
-    return ((sp_i | 1 << s) & sm_j).bit_count() - ((sm_i | 1 << s) & sp_j).bit_count()
-
-
 class IntersectionProfile(_Value):
     """All alpha values and off-diagonal beta values of a word.
 
@@ -145,9 +100,6 @@ class IntersectionProfile(_Value):
     """
 
     _fields = __match_args__ = ("alpha", "beta")
-
-    def beta_of(self, i: str, j: str) -> int:
-        return 0 if i == j else self.beta[(i, j)]
 
     @property
     def is_zero(self) -> bool:
@@ -162,8 +114,13 @@ class IntersectionProfile(_Value):
 
 
 def profile(w: SignedWord | SignedParagraph) -> IntersectionProfile:
-    """alpha for every symbol and beta for every ordered pair of ``w``."""
-    p = _valid(w)
+    """alpha for every symbol and beta for every ordered pair of distinct
+    symbols of ``w``, a valid standalone word or a one-word paragraph
+    (``model._single_word``); raises OperationError otherwise."""
+    try:
+        p = _single_word(w)
+    except ValidationError:
+        raise OperationError(f"{w!r} is not a valid standalone word") from None
     return _profile(p._code[0], p._names)
 
 

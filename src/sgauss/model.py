@@ -46,20 +46,18 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "GaussError",
     "ParseError",
     "ValidationError",
     "OperationError",
-    "Occurrence",
     "SignedLetter",
     "SignedWord",
     "SignedParagraph",
     "parse_paragraph",
     "render",
-    "rotate",
     "relabel",
     "canonicalize",
     "is_isomorphic",
@@ -132,15 +130,6 @@ POSITIVE = 1
 NEGATIVE = -1
 # The names of the first 26 symbols of a canonical form and of the sweep.
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-class Occurrence(NamedTuple):
-    """One of the two appearances of a symbol: its sign and address."""
-
-    sym: str
-    exp: int
-    word: int
-    pos: int
 
 
 _set = object.__setattr__
@@ -248,23 +237,6 @@ class SignedWord(_Value):
     def __getitem__(self, i: int) -> SignedLetter:
         return self.letters[i]
 
-    def at(self, i: int) -> SignedLetter:
-        """Letter at cyclic position ``i`` (any integer)."""
-        return self.letters[i % len(self.letters)]
-
-    def symbols(self) -> frozenset[str]:
-        return frozenset(l.sym for l in self.letters)
-
-    def find(self, sym: str, exp: int) -> int:
-        """Position of the occurrence of ``sym`` with exponent ``exp``."""
-        for i, l in enumerate(self.letters):
-            if l.sym == sym and l.exp == exp:
-                return i
-        raise OperationError(f"symbol {sym!r} has no exponent-{exp:+d} occurrence in {self}")
-
-    def as_paragraph(self) -> SignedParagraph:
-        return SignedParagraph((self,))
-
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters)
 
@@ -284,7 +256,8 @@ class SignedParagraph(_Value):
     and ``_where`` (letter code -> (word, position)).  ``words`` is a view,
     built from the code the first time it is read and then kept.
 
-    Construction from words numbers their symbols and validates the three
+    Construction from words numbers their symbols, raises ``ValueError`` on
+    a name that is not a ``SYMBOL_RE`` token, and validates the three
     structural invariants (every symbol exactly twice with opposite
     exponents, no empty word, connected sharing graph) in ``__post_init__``,
     raising :class:`ValidationError` otherwise.  ``parse_paragraph`` numbers
@@ -303,6 +276,9 @@ class SignedParagraph(_Value):
             tuple(2 * number(l.sym, len(index)) + (l.exp == NEGATIVE) for l in w)
             for w in words
         )
+        for name in index:
+            if not (isinstance(name, str) and SYMBOL_RE.fullmatch(name)):
+                raise ValueError(f"symbol name {name!r} is not a valid symbol token")
         _store(self, tuple(index), index, code, words=words)
         self.__post_init__()
 
@@ -326,17 +302,6 @@ class SignedParagraph(_Value):
     def n(self) -> int:
         """Number of crossing symbols."""
         return len(self._names)
-
-    def occurrence(self, sym: str, exp: int) -> Occurrence:
-        try:
-            c = 2 * self._index[sym] + (exp == NEGATIVE)
-        except KeyError:
-            raise OperationError(f"symbol {sym!r} not in paragraph") from None
-        return Occurrence(sym, exp, *self._where[c])
-
-    def occurrences(self, sym: str) -> tuple[Occurrence, Occurrence]:
-        """The (+1, -1) occurrence pair of ``sym``."""
-        return self.occurrence(sym, POSITIVE), self.occurrence(sym, NEGATIVE)
 
     def __reduce__(self):
         return _from_code, (self._code, self._names)
@@ -474,6 +439,11 @@ _NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
 _SCAN = re.compile(r"(/)|(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?(?![^\s/])|[^\s/]+")
 
 
+def _check_token(what: str, name: str) -> None:
+    if not SYMBOL_RE.fullmatch(name):
+        raise OperationError(f"{what} {name!r} is not a valid symbol token")
+
+
 def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
     """Parse paragraph text into a validated :class:`SignedParagraph`.
 
@@ -593,22 +563,13 @@ def paragraph_dict(p: SignedParagraph) -> dict:
 # --- isomorphism moves and canonical form ----------------------------------
 
 
-def rotate(w: SignedWord, k: int) -> SignedWord:
-    """Cyclic left shift by ``k``: rotate(w, len(w)) == w."""
-    if not len(w):
-        return w
-    k %= len(w)
-    return SignedWord(w.letters[k:] + w.letters[:k])
-
-
 def relabel(p: SignedParagraph, mapping: dict[str, str]) -> SignedParagraph:
     """Exponent-preserving change of alphabet; ``mapping`` must be injective,
     map onto symbol tokens and give no two symbols of ``p`` one name."""
     if len(set(mapping.values())) != len(mapping):
         raise OperationError("relabeling is not injective")
     for name in mapping.values():
-        if not SYMBOL_RE.fullmatch(name):
-            raise OperationError(f"target {name!r} is not a valid symbol token")
+        _check_token("target", name)
     names = tuple(mapping.get(s, s) for s in p._names)
     if len(set(names)) != len(names):
         raise OperationError("relabeling gives two symbols one name")

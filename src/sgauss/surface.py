@@ -40,9 +40,8 @@ slot k of every quad, and the circles are the cycles of that table
 symbol ``names`` and the ``codes`` of its 2n letters in order, ``heads``
 (arc k+1 runs from letter k to letter ``heads[k]``) and ``quads`` (the
 rotation of every symbol).  It renders each of the 2n arcs once, as
-``[a,b^-1]``, and a dart as its arc behind a sign, for the ``circles``
-output; ``letters`` builds letter objects only when read.  A
-``CarterCircle`` is a tuple of dart numbers.
+``[a,b^-1]``, and a dart as its arc behind a sign, in ``_edges`` for the
+``circles`` output.  A ``CarterCircle`` is a tuple of dart numbers.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .model import NEGATIVE, POSITIVE, Code, SignedLetter, SignedParagraph, _Value
+from .model import Code, SignedParagraph, _Value
 
 __all__ = [
     "RotationSystem",
@@ -76,26 +75,10 @@ class RotationSystem(_Value):
 
     _fields = __match_args__ = ("names", "codes", "heads", "quads")
 
-    @property
-    def n(self) -> int:
-        return len(self.quads)
-
-    @property
-    def letters(self) -> tuple[SignedLetter, ...]:
-        """The 2n letters in order."""
-        names = self.names
-        return tuple(
-            SignedLetter(names[c >> 1], NEGATIVE if c & 1 else POSITIVE) for c in self.codes
-        )
-
     def mirror(self) -> "RotationSystem":
         """Reverse every cyclic order; the mirror embedding."""
         quads = dict(zip(self.quads, _mirror(self.quads.values())))
         return RotationSystem(self.names, self.codes, self.heads, quads)
-
-    def edge(self, d: int) -> str:
-        """Render dart ``d`` as a signed edge, e.g. ``+[a,b^-1]``."""
-        return self._edges[d]
 
     @cached_property
     def _edges(self) -> list[str]:

@@ -22,8 +22,8 @@ from .model import (
     OperationError,
     SignedParagraph,
     SignedWord,
-    SYMBOL_RE,
     _check_connected,
+    _check_token,
     _from_code,
     _single_word,
 )
@@ -74,8 +74,7 @@ def join(p: SignedParagraph, shared: str, fresh: str) -> SignedParagraph:
         raise OperationError(
             f"symbol {shared!r} occurs twice in one component; nothing to join"
         )
-    if not SYMBOL_RE.fullmatch(fresh):
-        raise OperationError(f"fresh symbol {fresh!r} is not a valid symbol token")
+    _check_token("fresh symbol", fresh)
     if fresh in p._index:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
     return _from_code(_join_code(p._code, plus, minus, p.n), (*p._names, fresh))
@@ -94,8 +93,7 @@ def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
 
 def fresh_symbol(alphabet: frozenset[str], prefix: str = "j") -> str:
     """Smallest ``prefix + k`` (k >= 1) not already in the alphabet."""
-    if not SYMBOL_RE.fullmatch(prefix):
-        raise OperationError(f"prefix {prefix!r} is not a valid symbol token")
+    _check_token("prefix", prefix)
     k = 1
     while f"{prefix}{k}" in alphabet:
         k += 1
@@ -108,9 +106,11 @@ def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedParagraph:
 
     Each step joins at the lexicographically least symbol with exactly one
     letter in the first component, with fresh symbols generated
-    deterministically from ``prefix``; the result has the same genus as
+    deterministically from ``prefix``, which must be a valid symbol token
+    even when ``p`` is already one word; the result has the same genus as
     ``p``.
     """
+    _check_token("prefix", prefix)
     while len(p._code) > 1:
         where = p._where
         shared = min(

@@ -1,9 +1,10 @@
 """Exhaustive enumeration of small codes and cross-module consistency checks.
 
-The enumerators generate every valid signed Gauss word (or two-component
-paragraph) with exactly n symbols: lexicographic perfect matchings of the 2n
-cyclic positions, symbols named by first appearance, times all 2^n choices
-of which occurrence of each symbol is positive.  ``verify`` sweeps a corpus
+The enumeration (``_codes_of_size``) generates every valid signed Gauss
+word (or two-component paragraph) with exactly n symbols: lexicographic
+perfect matchings of the 2n cyclic positions, symbols named by first
+appearance, times all 2^n choices of which occurrence of each symbol is
+positive.  ``verify`` sweeps a corpus
 and checks every inter-module property this package promises; failures are
 collected as counterexamples, not raised, and two empirical quantities (beta
 antisymmetry, the Carter-circle shift under join) are tallied and reported
@@ -46,8 +47,6 @@ __all__ = [
     "KIND_PARAGRAPHS",
     "MAX_SYMBOLS",
     "CorpusSpec",
-    "enumerate_words",
-    "enumerate_two_component_paragraphs",
     "enumerate_corpus",
     "apply_random_moves",
     "Counterexample",
@@ -120,16 +119,6 @@ def _corpus_codes(spec: CorpusSpec) -> Iterator[Code]:
     if not spec.dedupe:
         return codes
     return iter(dict.fromkeys(map(_canonical, codes)))
-
-
-def enumerate_words(n: int) -> Iterator[SignedParagraph]:
-    """Every valid signed Gauss word with exactly ``n`` symbols."""
-    return map(_paragraph, _codes_of_size(n, KIND_WORDS))
-
-
-def enumerate_two_component_paragraphs(n: int) -> Iterator[SignedParagraph]:
-    """Every valid two-component paragraph with exactly ``n`` symbols."""
-    return map(_paragraph, _codes_of_size(n, KIND_PARAGRAPHS))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:

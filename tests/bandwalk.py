@@ -29,7 +29,7 @@ def boundary_count(p: SignedParagraph) -> int:
     for w in p.words:
         length = len(w)
         for i in range(length):
-            a, b = w[i], w.at(i + 1)
+            a, b = w[i], w[(i + 1) % length]
             start_at[(a.sym, a.exp)] = arcs
             end_at[(b.sym, b.exp)] = arcs
             arcs += 1

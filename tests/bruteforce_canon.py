@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from sgauss.model import SignedParagraph, SignedWord, _canonical_name, relabel, rotate
+from conftest import rotate
+from sgauss.model import SignedParagraph, SignedWord, _canonical_name, relabel
 
 
 def _stream_key(words: list[SignedWord]) -> tuple:

@@ -7,19 +7,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from sgauss.model import (
-    SignedLetter,
-    SignedParagraph,
-    SignedWord,
-    ValidationError,
-    rotate,
-)
-from sgauss.verify import (
-    KIND_WORDS,
-    _codes_of_size,
-    enumerate_two_component_paragraphs,
-    enumerate_words,
-)
+from sgauss.model import SignedLetter, SignedParagraph, SignedWord, ValidationError
+from sgauss.verify import KIND_PARAGRAPHS, KIND_WORDS, _codes_of_size, _paragraph
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -29,6 +18,12 @@ TEXTS = st.one_of(
     st.text(max_size=80),
     st.text(alphabet="ab-/ ^1#\n\r\t_x", max_size=80),
 )
+
+
+def rotate(w: SignedWord, k: int) -> SignedWord:
+    """Cyclic left shift by ``k``: rotate(w, len(w)) == w."""
+    k %= len(w) or 1
+    return SignedWord(w.letters[k:] + w.letters[:k])
 
 
 @st.composite
@@ -44,13 +39,13 @@ def signed_paragraphs(draw, min_symbols=2, max_symbols=4) -> SignedParagraph:
     w = draw(signed_words(min_symbols, max_symbols))
     cut = draw(st.integers(0, len(w) - 1))
     if cut == 0:
-        return w.as_paragraph()
+        return SignedParagraph((w,))
     try:
         return SignedParagraph(
             (SignedWord(w.letters[:cut]), SignedWord(w.letters[cut:]))
         )
     except ValidationError:
-        return w.as_paragraph()  # disconnected cut; fall back to the word
+        return SignedParagraph((w,))  # disconnected cut; fall back to the word
 
 
 def naive_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
@@ -105,19 +100,17 @@ def double_factorial_count(n: int) -> int:
 
 @pytest.fixture(scope="session")
 def words_le_3() -> list[SignedParagraph]:
-    return [p for n in range(1, 4) for p in enumerate_words(n)]
+    return [_paragraph(c) for n in range(1, 4) for c in _codes_of_size(n, KIND_WORDS)]
 
 
 @pytest.fixture(scope="session")
 def words_le_4() -> list[SignedParagraph]:
-    return [p for n in range(1, 5) for p in enumerate_words(n)]
+    return [_paragraph(c) for n in range(1, 5) for c in _codes_of_size(n, KIND_WORDS)]
 
 
 @pytest.fixture(scope="session")
 def paragraphs_le_3() -> list[SignedParagraph]:
-    return [
-        p for n in range(1, 4) for p in enumerate_two_component_paragraphs(n)
-    ]
+    return [_paragraph(c) for n in range(1, 4) for c in _codes_of_size(n, KIND_PARAGRAPHS)]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ successor table in ``sgauss.surface``.
 
 It applies the left-turn rule to one dart at a time, reading the ribbon off
 ``RotationSystem`` the way the rule is stated: the crossing a dart arrives
-at (from ``letters`` and ``heads``), the slot of the reverse dart in that
+at (from ``names``, ``codes`` and ``heads``), the slot of the reverse dart in that
 crossing's rotation, and the slot before it.  It does not use the successor
 table that ``surface._faces`` builds.
 """
@@ -17,7 +17,7 @@ def arrival(r: RotationSystem, d: int) -> str:
     """Symbol of the crossing dart ``d`` arrives at: the head of its arc if
     ``d`` is forward (even), the tail if backward (odd)."""
     k = d // 2
-    return (r.letters[k] if d % 2 else r.letters[r.heads[k]]).sym
+    return r.names[(r.codes[k] if d % 2 else r.codes[r.heads[k]]) >> 1]
 
 
 def successor(r: RotationSystem, d: int) -> int:
@@ -32,7 +32,7 @@ def trace_circles_by_objects(r: RotationSystem) -> list[CarterCircle]:
     """Orbits of ``successor``, in order of least dart, each from it."""
     seen: set[int] = set()
     circles: list[CarterCircle] = []
-    for start in range(2 * len(r.letters)):
+    for start in range(2 * len(r.codes)):
         if start in seen:
             continue
         orbit = [start]

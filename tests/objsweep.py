@@ -5,7 +5,7 @@ It runs every check on ``SignedParagraph`` objects through the public
 functions: ``enumerate_corpus``, ``build_ribbon``, ``trace_circles``,
 ``RotationSystem.mirror``, ``canonicalize``, ``summarize``, ``profile``,
 ``pairing`` and ``join``, and renders every counterexample eagerly.  The
-random moves are made on objects by ``rotate`` and ``relabel``
+random moves are made on objects by ``conftest.rotate`` and ``relabel``
 (``moves_by_objects``).  Its report must equal the one ``verify`` gives,
 check by check and counterexample by counterexample.  ``record`` counts one
 object under a check and renders its counterexample on failure.
@@ -17,8 +17,9 @@ import random
 from collections import Counter
 from itertools import chain
 
+from conftest import rotate
 from sgauss.homology import pairing, profile
-from sgauss.model import SignedParagraph, canonicalize, relabel, render, rotate
+from sgauss.model import SignedParagraph, canonicalize, relabel, render
 from sgauss.surface import SurfaceSummary, build_ribbon, summarize, trace_circles
 from sgauss.transforms import fresh_symbol, join
 from sgauss.verify import (
@@ -146,10 +147,7 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 f"profile zero={pr.is_zero}",
                 f"geometric={s.geometric}",
             )
-            syms = sorted(pr.alpha)
-            holds = all(
-                pr.beta_of(i, j) == -pr.beta_of(j, i) for i in syms for j in syms
-            )
+            holds = all(v == -pr.beta[j, i] for (i, j), v in pr.beta.items())
             beta_checked += 1
             beta_holds += holds
             if not holds:
@@ -165,8 +163,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             )
             ok_join = True
             for sym in sorted(p.alphabet):
-                pos, neg = p.occurrences(sym)
-                if pos.word == neg.word:
+                k = 2 * p._index[sym]
+                if p._where[k][0] == p._where[k + 1][0]:
                     continue
                 joined = join(p, sym, fresh_symbol(p.alphabet, "z"))
                 bj = len(trace_circles(build_ribbon(joined)))

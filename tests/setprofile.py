@@ -21,8 +21,15 @@ from sgauss.homology import IntersectionProfile
 from sgauss.model import NEGATIVE, POSITIVE, OperationError, SignedLetter, SignedWord
 
 
+def _position(w: SignedWord, sym: str, exp: int) -> int:
+    for i, l in enumerate(w):
+        if l.sym == sym and l.exp == exp:
+            return i
+    raise OperationError(f"symbol {sym!r} has no exponent-{exp:+d} letter in {w}")
+
+
 def _positions(w: SignedWord, sym: str) -> tuple[int, int]:
-    return w.find(sym, POSITIVE), w.find(sym, NEGATIVE)
+    return _position(w, sym, POSITIVE), _position(w, sym, NEGATIVE)
 
 
 def segment_of(w: SignedWord, sym: str) -> tuple[SignedLetter, ...]:
@@ -72,7 +79,7 @@ def beta(w: SignedWord, i: str, j: str) -> int:
 
 def profile(w: SignedWord) -> IntersectionProfile:
     """alpha for every symbol and beta for every ordered pair of ``w``."""
-    syms = sorted(w.symbols())
+    syms = sorted({l.sym for l in w})
     if 2 * len(syms) != len(w):
         raise OperationError(f"{w!r} is not a valid standalone word")
     for s in syms:

@@ -122,18 +122,34 @@ class TestExitCodes:
         assert err == "error: 2:3: byte 0xff is not valid UTF-8 [syntax]\n"
 
     @staticmethod
-    def summary_in_subprocess(data: bytes, *options: str, **env: str):
+    def in_subprocess(argv, data: bytes, *options: str, stdout=subprocess.PIPE, **env: str):
         env = dict(os.environ, GAUSS_COLOR="0", **env)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
         return subprocess.run(
-            [sys.executable, *options, "-m", "sgauss.cli", "summary"],
+            [sys.executable, *options, "-m", "sgauss.cli", *argv],
             input=data,
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             env=env,
             timeout=60,
         )
+
+    def summary_in_subprocess(self, data: bytes, *options: str, **env: str):
+        return self.in_subprocess(["summary"], data, *options, **env)
+
+    @pytest.mark.parametrize("argv", [["summary"], ["verify", "--max-n", "3"]])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # The reader of stdout is gone before the command writes: status 1,
+        # and neither an error line nor an "Exception ignored" at exit.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = self.in_subprocess(argv, b"a -a", stdout=write)
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (1, b"")
 
     def test_stdin_not_utf8_is_a_domain_error(self):
         # Outside UTF-8 mode's surrogateescape, a strict stdin decoder
@@ -319,6 +335,12 @@ class TestOperations:
             capsys, monkeypatch, ["reduce", "--prefix", "k"], stdin="a -b / -a b"
         )
         assert out == "a -b k1 -a b -k1\n"
+
+    @pytest.mark.parametrize("text", ["a -b c -a b -c", "a -b / -a b"])
+    def test_reduce_bad_prefix(self, capsys, monkeypatch, text):
+        code, out, err = run(capsys, monkeypatch, ["reduce", "--prefix", "9"], stdin=text)
+        assert (code, out) == (1, "")
+        assert err == "error: prefix '9' is not a valid symbol token\n"
 
     def test_split_json(self, capsys, monkeypatch):
         code, out, _ = run(

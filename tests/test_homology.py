@@ -1,4 +1,8 @@
-"""Segments, alpha/beta, intersection profile, two-component pairing."""
+"""Segments, alpha/beta, intersection profile, two-component pairing.
+
+The segment tests hold the set-based oracle ``setprofile`` to the
+definition; the profile tests hold ``profile`` to hand values and to the
+oracle."""
 
 from __future__ import annotations
 
@@ -12,25 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setprofile
-from conftest import signed_words
-from setprofile import closed_letter_set, inverse_set, letter_set
-from sgauss.homology import (
-    _profile,
-    _verdicts,
-    alpha,
-    beta,
-    pairing,
-    profile,
-    segment_of,
-    word_is_planar_homology,
-)
+from conftest import rotate, signed_words
+from setprofile import closed_letter_set, inverse_set, letter_set, segment_of
+from sgauss.homology import _profile, _verdicts, pairing, profile, word_is_planar_homology
 from sgauss.model import (
     OperationError,
     SignedLetter,
     SignedParagraph,
     SignedWord,
     parse_paragraph,
-    rotate,
     relabel,
 )
 from sgauss.surface import is_geometric, summarize
@@ -54,17 +48,18 @@ class TestSegment:
 
     @given(signed_words(), st.integers(0, 20))
     def test_rotation_invariant(self, w, k):
-        for sym in sorted(w.symbols()):
+        for sym in sorted({l.sym for l in w}):
             assert segment_of(rotate(w, k), sym) == segment_of(w, sym)
 
     @given(signed_words())
     def test_segment_complement_lengths(self, w):
         # |segment| + |complement| + 2 = |w|, the complement being the letters
         # from the -1 occurrence forward to the +1 occurrence.
-        for sym in sorted(w.symbols()):
+        letters = list(w)
+        for sym in sorted({l.sym for l in w}):
             seg = segment_of(w, sym)
-            pos = w.find(sym, 1)
-            neg = w.find(sym, -1)
+            pos = letters.index(SignedLetter(sym, 1))
+            neg = letters.index(SignedLetter(sym, -1))
             comp_len = (pos - neg - 1) % len(w)
             assert len(seg) + comp_len + 2 == len(w)
 
@@ -98,13 +93,13 @@ class TestAlpha:
         ],
     )
     def test_spot_values(self, text, sym, value):
-        assert alpha(W(text), sym) == value
+        assert profile(W(text)).alpha[sym] == value
 
     @given(signed_words())
     def test_set_sum_equals_plain_sum(self, w):
-        for sym in sorted(w.symbols()):
-            seg = segment_of(w, sym)
-            assert alpha(w, sym) == sum(l.exp for l in seg)
+        alpha = profile(w).alpha
+        for sym in sorted(alpha):
+            assert alpha[sym] == sum(l.exp for l in segment_of(w, sym))
 
 
 class TestBeta:
@@ -118,21 +113,23 @@ class TestBeta:
         ],
     )
     def test_spot_values(self, text, i, j, value):
-        assert beta(W(text), i, j) == value
+        assert profile(W(text)).beta[i, j] == value
 
     def test_diagonal_is_zero(self):
-        assert beta(W("a b -a -b"), "a", "a") == 0
+        # Zero by convention, so the profile leaves the diagonal out.
+        assert profile(W("a b -a -b")).beta.keys() == {("a", "b"), ("b", "a")}
+        assert setprofile.beta(W("a b -a -b"), "a", "a") == 0
 
     def test_diagonal_still_requires_presence(self):
         with pytest.raises(OperationError):
-            beta(W("a -a"), "z", "z")
+            setprofile.beta(W("a -a"), "z", "z")
 
     def test_three_symbol_example(self):
-        w = W("a b -a c -b -c")
-        assert beta(w, "a", "b") == 1
-        assert beta(w, "b", "a") == -1
-        assert beta(w, "a", "c") == 1
-        assert beta(w, "c", "a") == -1
+        beta = profile(W("a b -a c -b -c")).beta
+        assert beta.get(("a", "b"), 0) == 1
+        assert beta.get(("b", "a"), 0) == -1
+        assert beta.get(("a", "c"), 0) == 1
+        assert beta.get(("c", "a"), 0) == -1
 
 
 class TestProfile:
@@ -194,8 +191,8 @@ class TestProfile:
 
     @given(signed_words(max_symbols=4))
     def test_relabeling_permutes_indices(self, w):
-        mapping = {s: s + "_r" for s in w.symbols()}
-        moved = relabel(w.as_paragraph(), mapping).words[0]
+        mapping = {l.sym: l.sym + "_r" for l in w}
+        moved = relabel(SignedParagraph((w,)), mapping).words[0]
         pr = profile(w)
         prm = profile(moved)
         assert prm.alpha == {mapping[s]: v for s, v in pr.alpha.items()}
@@ -231,8 +228,6 @@ class TestAgainstSetOracle:
     @given(signed_words(max_symbols=12))
     def test_random_words(self, w):
         assert profile(w) == setprofile.profile(w)
-        for sym in sorted(w.symbols()):
-            assert segment_of(w, sym) == setprofile.segment_of(w, sym)
 
     @given(invalid_words())
     def test_invalid_words_rejected_by_both(self, w):
@@ -284,21 +279,15 @@ class TestOneWordParagraph:
         w = p.words[0]
         assert profile(p) == profile(w)
         assert word_is_planar_homology(p) == word_is_planar_homology(w)
-        for i in sorted(p.alphabet):
-            assert segment_of(p, i) == segment_of(w, i)
-            assert alpha(p, i) == alpha(w, i)
-            for j in sorted(p.alphabet):
-                assert beta(p, i, j) == beta(w, i, j)
 
     def test_not_validated_again(self, monkeypatch):
         p = parse_paragraph(self.TEXT)
         built = []
         monkeypatch.setattr(SignedParagraph, "__post_init__", lambda p: built.append(p))
-        profile(p), word_is_planar_homology(p), segment_of(p, "d")
-        alpha(p, "d"), beta(p, "d", "e")
+        profile(p), word_is_planar_homology(p)
         assert built == []
 
-    @pytest.mark.parametrize("call", [profile, lambda p: alpha(p, "a")])
+    @pytest.mark.parametrize("call", [profile, word_is_planar_homology])
     def test_several_words_rejected(self, call):
         with pytest.raises(
             OperationError, match="^expected a single-word paragraph, got 2 words$"
@@ -329,12 +318,12 @@ class TestLargeWords:
             rng.shuffle(pool)
             w = SignedWord(tuple(pool))
         pr = profile(w)
-        geometric = summarize(w.as_paragraph()).geometric
+        geometric = summarize(SignedParagraph((w,))).geometric
         assert pr.is_zero == geometric
         assert geometric == (kind == "kinks")
         syms = sorted(pr.alpha)
         assert len(syms) == 200
-        assert all(pr.beta_of(i, j) == -pr.beta_of(j, i) for i in syms for j in syms)
+        assert all(v == -pr.beta[j, i] for (i, j), v in pr.beta.items())
 
 
 class TestCriterionEquivalence:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce_canon import bruteforce_canonicalize
-from conftest import LETTERS, TEXTS, naive_isomorphic, signed_paragraphs, signed_words
+from conftest import LETTERS, TEXTS, naive_isomorphic, rotate, signed_paragraphs, signed_words
+from sgauss import model
 from sgauss.model import (
     GaussError,
     OperationError,
@@ -24,11 +26,11 @@ from sgauss.model import (
     parse_paragraph,
     relabel,
     render,
-    rotate,
     _canonical_search,
     _canonical_word,
 )
-from sgauss.verify import apply_random_moves, enumerate_words
+from sgauss.transforms import join
+from sgauss.verify import apply_random_moves
 from tokenparse import parse_by_tokens
 
 
@@ -41,8 +43,7 @@ class TestParse:
         p = parse_paragraph("a -a")
         assert words_of(p) == ["a -a"]
         assert p.alphabet == {"a"}
-        assert p.occurrence("a", 1).pos == 0
-        assert p.occurrence("a", -1).pos == 1
+        assert p._where == [(0, 0), (0, 1)]
 
     def test_length_four(self):
         p = parse_paragraph("a b -a -b")
@@ -286,6 +287,22 @@ class TestValidation:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             SignedLetter("a", 2)
+
+    @pytest.mark.parametrize("name", ["x y", "-a", "a^-1", "a/b", "", "9", "a\n", 1, None])
+    def test_symbol_names_must_be_tokens(self, name):
+        # Such a name would render as text that parses to another paragraph,
+        # or not at all.
+        with pytest.raises(ValueError, match="is not a valid symbol token"):
+            SignedParagraph(((SignedLetter(name, 1), SignedLetter(name, -1)),))
+
+    def test_each_distinct_name_checked_once(self, monkeypatch):
+        seen = []
+        fullmatch = model.SYMBOL_RE.fullmatch
+        counted = SimpleNamespace(fullmatch=lambda s: seen.append(s) or fullmatch(s))
+        monkeypatch.setattr(model, "SYMBOL_RE", counted)
+        p = SignedParagraph(parse_paragraph("a b -a c / -b -c").words)
+        assert seen == ["a", "b", "c"]
+        assert render(p) == "a b -a c / -b -c"
 
     @given(signed_paragraphs())
     def test_exponent_sum_is_zero(self, p):
@@ -634,12 +651,13 @@ class TestRelabel:
 
 
 class TestOccurrenceIndex:
+    """``_where``, the letter addresses the operations find a symbol by."""
+
     def test_resolution(self):
         p = parse_paragraph("a -b / -a b")
-        pos, neg = p.occurrences("b")
-        assert (pos.word, pos.pos) == (1, 1)
-        assert (neg.word, neg.pos) == (0, 1)
+        k = 2 * p._index["b"]
+        assert p._where[k : k + 2] == [(1, 1), (0, 1)]
 
     def test_missing_symbol(self):
-        with pytest.raises(OperationError):
-            parse_paragraph("a -a").occurrence("z", 1)
+        with pytest.raises(OperationError, match="symbol 'z' not in paragraph"):
+            join(parse_paragraph("a -b / -a b"), "z", "c")

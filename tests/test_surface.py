@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bandwalk import boundary_count
 from conftest import signed_paragraphs, signed_words
 from darttrace import successor, trace_circles_by_objects
-from sgauss.model import SignedParagraph, SignedWord, parse_paragraph
+from sgauss.model import SignedParagraph, parse_paragraph
 from sgauss.surface import build_ribbon, is_geometric, summarize, trace_circles
 from sgauss.verify import apply_random_moves
 
@@ -25,7 +25,7 @@ class TestBuildRibbon:
         # Slots (out+, in-, in+, out-).
         r = build_ribbon(P("a -a"))
         assert r.quads["a"] == (0, 1, 3, 2)
-        assert [str(l) for l in r.letters] == ["a", "-a"]
+        assert (r.names, r.codes) == (("a",), (0, 1))
         assert r.heads == (1, 0)
 
     def test_arc_count(self):
@@ -44,7 +44,8 @@ class TestBuildRibbon:
         assert r.heads == (0, 1)
         # Both arcs are loops at the single crossing.
         assert all(
-            r.letters[k].sym == r.letters[h].sym == "a" for k, h in enumerate(r.heads)
+            r.names[r.codes[k] >> 1] == r.names[r.codes[h] >> 1] == "a"
+            for k, h in enumerate(r.heads)
         )
 
 
@@ -164,7 +165,7 @@ class TestSummarize:
 def symbolic(p: SignedParagraph) -> list[tuple[str, ...]]:
     """The Carter circles rendered as signed edges, in trace order."""
     r = build_ribbon(p)
-    return [tuple(map(r.edge, c.darts)) for c in trace_circles(r)]
+    return [tuple(map(r._edges.__getitem__, c.darts)) for c in trace_circles(r)]
 
 
 def crossings(edge: str) -> tuple[str, str]:
@@ -174,7 +175,7 @@ def crossings(edge: str) -> tuple[str, str]:
 
 
 class TestSymbolicCircles:
-    """Darts rendered by ``RotationSystem.edge``."""
+    """Darts rendered by ``RotationSystem._edges``, as ``circles`` shows them."""
 
     def test_smallest_word(self):
         assert symbolic(P("a -a")) == [
@@ -204,19 +205,19 @@ class TestSymbolicCircles:
 
     def test_dart_numbering(self):
         r = build_ribbon(P("a -b / -a b"))
-        assert [r.edge(d) for d in range(4)] == [
+        assert r._edges[:4] == [
             "+[a,b^-1]",
             "-[a,b^-1]",
             "+[b^-1,a]",
             "-[b^-1,a]",
         ]
-        assert [r.edge(d) for d in range(4, 8, 2)] == ["+[a^-1,b]", "+[b,a^-1]"]
+        assert r._edges[4:8:2] == ["+[a^-1,b]", "+[b,a^-1]"]
 
     @given(signed_paragraphs())
     def test_distinct_and_reversible(self, p):
         r = build_ribbon(p)
-        edges = [r.edge(d) for d in range(4 * p.n)]
-        assert len(set(edges)) == 4 * p.n
+        edges = r._edges
+        assert len(edges) == len(set(edges)) == 4 * p.n
         for d in range(0, 4 * p.n, 2):
             assert (edges[d][0], edges[d + 1][0]) == ("+", "-")
             assert edges[d][1:] == edges[d + 1][1:]
@@ -249,12 +250,12 @@ class TestInvariance:
                 continue
             length = len(w)
             for i in range(length):
-                if w[i].sym == w.at(i + 1).sym:
+                if w[i].sym == w[(i + 1) % length].sym:
                     rest = [
                         w[j] for j in range(length) if j not in (i, (i + 1) % length)
                     ]
                     s0 = summarize(p)
-                    s1 = summarize(SignedWord(tuple(rest)).as_paragraph())
+                    s1 = summarize(SignedParagraph((rest,)))
                     assert s1.n == s0.n - 1
                     assert s1.b == s0.b - 1
                     assert s1.genus == s0.genus

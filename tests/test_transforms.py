@@ -135,6 +135,13 @@ class TestReduce:
         p = P("x -y / y -a / a -x")
         assert str(reduce_to_word(p)) == "a -j1 x -y j1 -x j2 -a y -j2"
 
+    @pytest.mark.parametrize("text", ["a -b c -a b -c", "a -b / -a b"])
+    def test_prefix_validated_before_any_join(self, text):
+        # A one-word paragraph needs no join, and its prefix is checked all
+        # the same.
+        with pytest.raises(OperationError, match="^prefix '9' is not a valid symbol token$"):
+            reduce_to_word(P(text), "9")
+
     def test_genus_preserved_on_examples(self):
         for text in ("a -b / -a b", "a b / -a -b", "a / -a"):
             p = P(text)
@@ -156,8 +163,8 @@ class TestCorpusProperties:
         for p in paragraphs_le_3:
             s = summarize(p)
             for sym in sorted(p.alphabet):
-                pos, neg = p.occurrences(sym)
-                if pos.word == neg.word:
+                k = 2 * p._index[sym]
+                if p._where[k][0] == p._where[k + 1][0]:
                     continue
                 sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 assert sj.genus == s.genus
@@ -167,8 +174,8 @@ class TestCorpusProperties:
         for p in paragraphs_le_3:
             s = summarize(p)
             for sym in sorted(p.alphabet):
-                pos, neg = p.occurrences(sym)
-                if pos.word == neg.word:
+                k = 2 * p._index[sym]
+                if p._where[k][0] == p._where[k + 1][0]:
                     continue
                 sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 shifts.add(sj.b - s.b)
@@ -189,7 +196,7 @@ class TestCorpusProperties:
 
     def test_split_can_lower_genus(self):
         w = W("b a -c -b -a c")
-        assert summarize(w.as_paragraph()).genus == 1
+        assert summarize(SignedParagraph((w,))).genus == 1
         parts = split(w, "b")
         assert render(parts) == "a -c / -a c"
         assert summarize(parts).genus == 0

@@ -21,9 +21,10 @@ from sgauss.verify import (
     CorpusSpec,
     VerificationReport,
     apply_random_moves,
+    _codes_of_size,
+    _paragraph,
+    _text,
     enumerate_corpus,
-    enumerate_two_component_paragraphs,
-    enumerate_words,
     verify,
 )
 
@@ -169,24 +170,27 @@ def patch(monkeypatch, mutant: str) -> None:
 
 
 class TestEnumerateWords:
+    """The codes of the words with exactly n symbols, ``_codes_of_size``."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_count_matches_closed_form(self, n):
-        assert sum(1 for _ in enumerate_words(n)) == double_factorial_count(n)
+        assert sum(1 for _ in _codes_of_size(n, KIND_WORDS)) == double_factorial_count(n)
 
     def test_smallest_block(self):
-        assert [render(p) for p in enumerate_words(1)] == ["a -a", "-a a"]
+        assert list(map(_text, _codes_of_size(1, KIND_WORDS))) == ["a -a", "-a a"]
 
     def test_all_valid_and_exact_size(self):
-        for p in enumerate_words(3):
+        for code in _codes_of_size(3, KIND_WORDS):
+            p = SignedParagraph(_paragraph(code).words)
             assert p.n == 3
             assert len(p.words) == 1
 
     def test_no_duplicates(self):
-        block = list(enumerate_words(3))
+        block = list(_codes_of_size(3, KIND_WORDS))
         assert len(set(block)) == len(block)
 
     def test_deterministic_order(self):
-        assert [render(p) for p in enumerate_words(2)][:4] == [
+        assert list(map(_text, _codes_of_size(2, KIND_WORDS)))[:4] == [
             "a -a b -b",
             "-a a b -b",
             "a -a -b b",
@@ -196,14 +200,15 @@ class TestEnumerateWords:
 
 class TestEnumerateParagraphs:
     def test_n1(self):
-        block = [render(p) for p in enumerate_two_component_paragraphs(1)]
+        block = list(map(_text, _codes_of_size(1, KIND_PARAGRAPHS)))
         assert block == ["a / -a", "-a / a"]
 
     def test_n2_count_hand_verified(self):
-        assert sum(1 for _ in enumerate_two_component_paragraphs(2)) == 32
+        assert sum(1 for _ in _codes_of_size(2, KIND_PARAGRAPHS)) == 32
 
     def test_all_valid(self):
-        for p in enumerate_two_component_paragraphs(3):
+        for code in _codes_of_size(3, KIND_PARAGRAPHS):
+            p = SignedParagraph(_paragraph(code).words)
             assert len(p.words) == 2
             assert p.n == 3
 
@@ -220,7 +225,7 @@ class TestDedupe:
         assert len(reps) == 1
 
     def test_dedupe_matches_naive_partition(self):
-        block = list(enumerate_words(2))
+        block = list(map(_paragraph, _codes_of_size(2, KIND_WORDS)))
         reps = list(enumerate_corpus(CorpusSpec(2, dedupe=True)))
         reps = [p for p in reps if p.n == 2]
         # Every word matches exactly one representative under the
@@ -276,7 +281,7 @@ class TestVerify:
             report,
             "euler-parity",
             False,
-            next(iter(enumerate_words(1))),
+            _paragraph(next(_codes_of_size(1, KIND_WORDS))),
             "b=2 n=1",
             "b = n mod 2",
         )
@@ -316,13 +321,16 @@ class TestTrustedConstruction:
         where = {c: (wi, k) for wi, w in enumerate(p._code) for k, c in enumerate(w)}
         assert list(p._where) == [where[c] for c in range(2 * p.n)]
 
+    @staticmethod
+    def addresses(p):
+        """Symbol -> the (word, position) of its +1 and -1 letters."""
+        return {s: p._where[2 * i : 2 * i + 2] for s, i in p._index.items()}
+
     def check(self, q):
         checked = SignedParagraph(q.words)
         assert checked.alphabet == q.alphabet
         assert checked.n == q.n
-        assert {s: checked.occurrences(s) for s in checked.alphabet} == {
-            s: q.occurrences(s) for s in q.alphabet
-        }
+        assert self.addresses(checked) == self.addresses(q)
         assert _canonical(checked._code) == _canonical(q._code)
         self.check_code(q)
         self.check_code(checked)
@@ -330,8 +338,8 @@ class TestTrustedConstruction:
     @staticmethod
     def joins(p):
         for s in sorted(p.alphabet):
-            pos, neg = p.occurrences(s)
-            if pos.word != neg.word:
+            k = 2 * p._index[s]
+            if p._where[k][0] != p._where[k + 1][0]:
                 yield join(p, s, "z1")
 
     def check_all(self, built):
@@ -421,9 +429,9 @@ class TestPerObjectWork:
     def test_paragraphs(self, calls):
         corpus = list(enumerate_corpus(CorpusSpec(2, kind=KIND_PARAGRAPHS)))
         joins = sum(
-            len({o.word for o in p.occurrences(s)}) == 2
+            plus[0] != minus[0]
             for p in corpus
-            for s in p.alphabet
+            for plus, minus in zip(p._where[0::2], p._where[1::2])
         )
         for name in calls:
             calls[name] = 0
