@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand reads one paragraph from a positional file path or stdin
-("-" or omitted) and writes text, or JSON with --json.  Exit status: 0 on
+("-" or omitted) and writes text, or JSON with --json.  A call that names
+its command first makes one argparse pass, in that command's subparser, and
+reads its input once, as bytes, decoded strictly as UTF-8.  Exit status: 0 on
 success, 1 on a domain error (invalid input, failed precondition, failed
 verification) or an internal error (reported on one line, no traceback), 2
 on usage errors.  If the reader of stdout closes it early, the command ends
@@ -54,18 +56,21 @@ def _error(e: GaussError) -> int:
 
 
 def _read(path: str | None) -> str:
-    """The text of a file, or of stdin, decoded strictly as UTF-8 either way
-    (stdin as bytes, so that its decoder's error handler plays no part)."""
+    """The text of a file, or of stdin, read as bytes and decoded strictly as
+    UTF-8 (so that no decoder's error handler or newline translation plays
+    a part; the parser takes CRLF and a lone CR as line breaks)."""
+    if path is None or path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb", buffering=0) as f:
+            data = f.read()
     try:
-        if path is None or path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         # The text before the bad byte decodes; the byte stands where the
         # placeholder "?" ends that text.
-        lines = (e.object[: e.start].decode("utf-8") + "?").splitlines()
-        message = f"byte {e.object[e.start]:#04x} is not valid UTF-8"
+        lines = (data[: e.start].decode("utf-8") + "?").splitlines()
+        message = f"byte {data[e.start]:#04x} is not valid UTF-8"
         raise ParseError(message, len(lines), len(lines[-1])) from None
 
 
@@ -220,7 +225,8 @@ def _corpus_bound(text: str) -> int:
 
 
 @functools.cache  # built on the first call to main, then reused
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="sgauss",
         description="Realizability of signed Gauss words and paragraphs: "
@@ -238,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="paragraph file, or - for stdin (default)",
             )
         sp.add_argument("--json", action="store_true", help="JSON output")
-        sp.set_defaults(func=func)
+        sp.set_defaults(command=name, func=func)
         return sp
 
     sp = add("validate", _cmd_validate, "parse and validate a paragraph")
@@ -270,12 +276,30 @@ def _build_parser() -> argparse.ArgumentParser:
         help="word corpus bound (paragraphs use K-1; default 4)",
     )
     sp.add_argument("--dedupe", action="store_true", help="one word per isomorphism class")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The arguments of one call (``sys.argv[1:]`` if ``argv`` is None), from
+    one argparse pass: a known command's own subparser reads the rest of
+    ``argv``, and leftovers are reported as the top-level ``parse_args``
+    reports them.  Anything else (no arguments, an option or an unknown name
+    first) goes through the top-level parser, which picks the subparser."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -65,9 +65,8 @@ __all__ = [
 ]
 
 
-def _segments(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """One pass over a valid code word: per symbol index, (Sp, Sm, alpha, p,
-    q) with p and q the positions of its +1 and -1 letters."""
+def _segments(word: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """One pass over a valid code word: per symbol index, (Sp, Sm, alpha)."""
     # (position, + mask, - mask, exponent sum) of the prefix just after a
     # symbol's +1 letter and of the prefix just before its -1 letter.
     ends: list = [None] * len(word)
@@ -88,7 +87,7 @@ def _segments(word: tuple[int, ...]) -> list[tuple[int, ...]]:
         if q < p:  # the segment wraps past the end of the word
             p1 ^= seen_plus
             m1 ^= seen_minus
-        segs.append((p0 ^ p1, m0 ^ m1, e1 - e0, p, q))
+        segs.append((p0 ^ p1, m0 ^ m1, e1 - e0))
     return segs
 
 
@@ -148,7 +147,7 @@ def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
     segs = _segments(word)
     zero = not any([seg[2] for seg in segs])
     antisymmetric = True
-    rows = [(sp | 1 << s, sm | 1 << s, sp, sm) for s, (sp, sm, *_) in enumerate(segs)]
+    rows = [(sp | 1 << s, sm | 1 << s, sp, sm) for s, (sp, sm, _) in enumerate(segs)]
     for i, (closed_plus_i, closed_minus_i, sp_i, sm_i) in enumerate(rows):
         for closed_plus_j, closed_minus_j, sp_j, sm_j in rows[i + 1 :]:
             ij = (closed_plus_i & sm_j).bit_count() - (closed_minus_i & sp_j).bit_count()

@@ -275,8 +275,16 @@ def _backwards(faces: list[list[int]]) -> list[list[int]]:
 
 
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
-    """Run every applicable consistency property over the corpus."""
+    """Run every applicable consistency property over the corpus.
+
+    Canonical-idempotence is computed once per canonical form: a set kept
+    for the length of the call holds the forms found idempotent, and every
+    object is still checked, against its form itself when the set holds it.
+    The set holds one form per isomorphism class, as ``dedupe`` does: 3,273
+    for the words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
+    """
     report = VerificationReport(spec)
+    idempotent: set[Code] = set()
     shift_counter: Counter[int] = Counter()
     beta_checked = 0
     beta_holds = 0
@@ -334,8 +342,10 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 f"moved to {_text(moved)!r}",
                 "equal summary and canonical form",
             )
-        c2 = _canonical(c1)
-        if not report.check("canonical-idempotence", c2 == c1):
+        c2 = c1 if c1 in idempotent else _canonical(c1)
+        if report.check("canonical-idempotence", c2 == c1):
+            idempotent.add(c1)
+        else:
             report.fail(_text(code), "canonical-idempotence", _text(c2), _text(c1))
 
         if len(code) == 1:

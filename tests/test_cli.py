@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import time
 from datetime import timedelta
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEXTS
-from sgauss.cli import main
+from sgauss.cli import _build_parser, _parse, main
 from sgauss.model import SignedLetter, SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,10 +36,11 @@ SPOT_INPUTS = {
 }
 
 
-def stdin_of(text: str) -> io.TextIOWrapper:
-    """A stand-in for ``sys.stdin`` holding ``text``, with its bytes behind
-    it as the real one has."""
-    return io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+def stdin_of(text: str | bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` holding ``text`` (or these bytes), with
+    its bytes behind it as the real one has."""
+    data = text.encode() if isinstance(text, str) else text
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8")
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -86,8 +89,6 @@ class TestExitCodes:
         assert run(capsys, monkeypatch, ["--help"])[0] == 0
 
     def test_one_parser_serves_every_call(self, capsys, monkeypatch):
-        from sgauss.cli import _build_parser
-
         assert _build_parser() is _build_parser()
         first = run(capsys, monkeypatch, ["--help"])
         assert run(capsys, monkeypatch, ["split"], stdin="a -a")[0] == 2
@@ -649,3 +650,174 @@ class TestRobustness:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert err.count("\n") <= 1
+
+
+# --- dispatch ----------------------------------------------------------------
+
+# Each subcommand's positional arguments, and its options with their values.
+# "WORD" stands for a file holding a one-word paragraph; "-" reads the
+# two-component paragraph ``PAIR_TEXT`` from stdin.
+DISPATCH = {
+    "validate": (["WORD"], [["--pairwise"]]),
+    "canon": (["-"], []),
+    "iso": (["WORD", "-"], []),
+    "summary": (["-"], []),
+    "circles": (["WORD"], []),
+    "profile": (["WORD"], []),
+    "pairing": (["-"], []),
+    "split": (["WORD"], [["--at", "a"]]),
+    "join": (["-"], [["--shared", "a"], ["--fresh", "z"]]),
+    "reduce": (["-"], [["--prefix", "k"]]),
+    "verify": ([], [["--max-n", "1"], ["--dedupe"]]),
+}
+PAIR_TEXT = "a -b / -a b\n"
+WORD_FILE = str(GOLDEN / "torus_canon.txt")
+
+
+def dispatch_table() -> list[list[str]]:
+    """Every subcommand with its options after and before its files, with
+    -h and with an unknown option; missing and surplus arguments; bad
+    bounds; and the argv that the top-level parser reads itself."""
+    table = []
+    for command, (files, options) in DISPATCH.items():
+        flat = list(chain.from_iterable(options))
+        table += [
+            [command, *files, *flat, "--json"],
+            [command, "--json", *flat, *files],
+            [command, "-h"],
+            [command, *files, *flat, "--bogus"],
+        ]
+    return table + [
+        ["split", "WORD"],
+        ["join", "-", "--fresh", "z"],
+        ["join", "-", "--shared", "a"],
+        ["iso", "WORD"],
+        ["iso", "WORD", "-", "WORD"],
+        ["verify", "--max-n", "0"],
+        ["verify", "--max-n", "x"],
+        ["verify", "--max-n", "27"],
+        [],
+        ["frobnicate"],
+        ["--help"],
+        ["-h", "summary"],
+        ["--json", "summary"],
+    ]
+
+
+@st.composite
+def dispatch_argvs(draw) -> list[str]:
+    """A subcommand's arguments in any order, with --json spelled out or
+    abbreviated, an option's value attached by "=" or not, and at times one
+    argument left out or one more put in (a "--" among them)."""
+    command = draw(st.sampled_from(sorted(DISPATCH)))
+    files, options = DISPATCH[command]
+    units = [[f] for f in files] + [
+        [f"{u[0]}={u[1]}"] if len(u) == 2 and draw(st.booleans()) else u for u in options
+    ]
+    if draw(st.booleans()):
+        units.append([draw(st.sampled_from(["--json", "--js"]))])
+    units = draw(st.permutations(units))
+    # verify keeps its bound, without which it sweeps n <= 4.
+    if command != "verify" and units and draw(st.booleans()):
+        units.pop(draw(st.integers(0, len(units) - 1)))
+    argv = [command, *chain.from_iterable(units)]
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(["--", "extra", "--bogus", "WORD", "-"]))
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+def run_dispatch(argv, *, oracle=False):
+    """``run_plain`` on ``argv`` with "WORD" resolved; with ``oracle``, every
+    argv goes through the top-level ``parse_args``, which picks the
+    subparser and then runs it."""
+    argv = [WORD_FILE if a == "WORD" else a for a in argv]
+    if not oracle:
+        return run_plain(argv, PAIR_TEXT)
+    with mock.patch("sgauss.cli._parse", _build_parser()[0].parse_args):
+        return run_plain(argv, PAIR_TEXT)
+
+
+class TestDispatch:
+    """A known command's subparser reads its arguments directly, with the
+    same exit code, stdout and stderr as the top-level ``parse_args``."""
+
+    @pytest.mark.parametrize("argv", dispatch_table(), ids=lambda a: " ".join(a) or "(none)")
+    def test_same_as_top_level(self, argv):
+        assert run_dispatch(argv) == run_dispatch(argv, oracle=True)
+
+    @settings(deadline=timedelta(seconds=2))
+    @given(dispatch_argvs())
+    def test_any_order_same_as_top_level(self, argv):
+        assert run_dispatch(argv) == run_dispatch(argv, oracle=True)
+
+    @pytest.mark.parametrize("command", sorted(DISPATCH))
+    def test_same_namespace(self, command):
+        files, options = DISPATCH[command]
+        argv = [command, *chain.from_iterable(options), *files, "--js"]
+        assert _parse(argv) == _build_parser()[0].parse_args(argv)
+
+    @staticmethod
+    def passes(monkeypatch) -> list[str]:
+        """The prog of every parser whose ``parse_known_args`` runs, from
+        now on."""
+        passes = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        return passes
+
+    @pytest.mark.parametrize("command", sorted(DISPATCH))
+    def test_one_argparse_pass(self, monkeypatch, command):
+        passes = self.passes(monkeypatch)
+        files, options = DISPATCH[command]
+        argv = [command, *files, *chain.from_iterable(options)]
+        code, out, err = run_dispatch(argv)
+        assert (code, err) == (0, "") and out
+        assert passes == [f"sgauss {command}"]
+        passes.clear()
+        assert run_dispatch(argv, oracle=True) == (code, out, err)
+        assert passes == ["sgauss", f"sgauss {command}"]
+
+    def test_argv_from_sys_argv(self, monkeypatch):
+        # The console script calls main() with no argv.
+        argv = ["join", "-", "--shared=a", "--fresh", "z"]
+        monkeypatch.setattr("sys.argv", ["sgauss", *argv])
+        passes = self.passes(monkeypatch)
+        assert run_plain(None, PAIR_TEXT) == (0, "a -b z -a b -z\n", "")
+        assert passes == ["sgauss join"]
+
+
+class TestReadBytes:
+    """A file and stdin are both read as bytes and decoded once: the line
+    ends of either give the same output, and a bad byte the same error."""
+
+    CHAIN = ["x1 y1 -x2 -y1", "x2 y2 -x1 -y2  # the second component"]
+    ENDS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+
+    def outputs(self, argv, data, tmp_path) -> set:
+        f = tmp_path / "input"
+        f.write_bytes(data)
+        return {run_plain([*argv, str(f)], ""), run_plain(argv, data)}
+
+    @pytest.mark.parametrize("command", ["summary", "circles", "canon"])
+    def test_line_ends(self, tmp_path, command):
+        outputs = set()
+        for end in self.ENDS.values():
+            data = "".join(line + end for line in self.CHAIN).encode()
+            outputs |= self.outputs([command], data, tmp_path)
+        ((code, out, err),) = outputs
+        assert (code, err) == (0, "")
+        assert out == run_plain([command], " / ".join(self.CHAIN))[1]
+
+    @pytest.mark.parametrize("end", ENDS.values(), ids=ENDS)
+    def test_bad_byte(self, tmp_path, end):
+        data = f"a -a{end}b ".encode() + b"\xff -b" + end.encode()
+        assert self.outputs(["summary"], data, tmp_path) == {
+            (1, "", "error: 2:3: byte 0xff is not valid UTF-8 [syntax]\n")
+        }
+
