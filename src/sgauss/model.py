@@ -18,11 +18,11 @@ Text grammar::
 "/" is self-delimiting.  Blank lines are ignored, but an explicit "/" with no
 word on one side is an error.
 
-A paragraph is stored as its symbol names and its integer code:
-``_names`` lists the symbols by number, ``_index`` is its inverse, ``_code``
-is a tuple of words, each a tuple of ints 2 * symbol + (exp == -1), and
-``_where`` maps a letter code to its (word, position).  ``words``, the
-letter objects, is a view built from the code the first time it is read.
+A paragraph is stored as its symbol names and its integer code, and
+nothing else: ``_names`` lists the symbols by number, and ``_code`` is a
+tuple of words, each a tuple of ints 2 * symbol + (exp == -1).  ``words``,
+the letter objects, is a view built from the code the first time it is
+read.  An operation that needs a symbol's letters finds them in the code.
 The canonical search, the ribbon graph, the joins, the pairing, the
 renderers and the exhaustive verifier run on codes; ``_from_code`` turns a
 code the package built, with its symbol names, back into a paragraph
@@ -251,9 +251,8 @@ class SignedParagraph(_Value):
     """A validated signed Gauss paragraph.
 
     A paragraph is stored as its integer code: ``_names`` (symbol number ->
-    name, numbered by first appearance when validated), ``_index`` (name ->
-    number), ``_code`` (the words as letter codes 2 * number + (exp == -1))
-    and ``_where`` (letter code -> (word, position)).  ``words`` is a view,
+    name, numbered by first appearance when validated) and ``_code`` (the
+    words as letter codes 2 * number + (exp == -1)).  ``words`` is a view,
     built from the code the first time it is read and then kept.
 
     Construction from words numbers their symbols, raises ``ValueError`` on
@@ -265,7 +264,7 @@ class SignedParagraph(_Value):
     Two paragraphs are equal iff they have the same words.
     """
 
-    __slots__ = ("_names", "_index", "_code", "_where", "_words")
+    __slots__ = ("_names", "_code", "_words")
     _fields = __match_args__ = ("words",)
 
     def __init__(self, words: Iterable[SignedWord | Iterable[SignedLetter]]):
@@ -279,12 +278,12 @@ class SignedParagraph(_Value):
         for name in index:
             if not (isinstance(name, str) and SYMBOL_RE.fullmatch(name)):
                 raise ValueError(f"symbol name {name!r} is not a valid symbol token")
-        _store(self, tuple(index), index, code, words=words)
+        _store(self, tuple(index), code, words)
         self.__post_init__()
 
     def __post_init__(self):
-        """Validate the code; it fills ``_where`` in the same pass."""
-        _set(self, "_where", _validate(self._code, self._names))
+        """Validate the code."""
+        _validate(self._code, self._names)
 
     @property
     def words(self) -> tuple[SignedWord, ...]:
@@ -314,11 +313,9 @@ class SignedParagraph(_Value):
         return f"SignedParagraph({str(self)!r})"
 
 
-def _store(p: SignedParagraph, names, index, code: Code, where=None, words=None):
+def _store(p: SignedParagraph, names, code: Code, words=None):
     _set(p, "_names", names)
-    _set(p, "_index", index)
     _set(p, "_code", code)
-    _set(p, "_where", where)
     _set(p, "_words", words)
     return p
 
@@ -327,13 +324,8 @@ def _from_code(code: Code, names: Sequence[str]) -> SignedParagraph:
     """The paragraph of a code that is valid by construction, symbol i
     named ``names[i]`` (names past the code's symbols are ignored); symbol
     i keeps number i, and nothing is checked."""
-    where: list = [None] * sum(map(len, code))
-    for wi, w in enumerate(code):
-        for k, c in enumerate(w):
-            where[c] = (wi, k)
-    names = tuple(names[: len(where) // 2])
-    index = dict(zip(names, range(len(names))))
-    return _store(object.__new__(SignedParagraph), names, index, code, where)
+    names = tuple(names[: sum(map(len, code)) // 2])
+    return _store(object.__new__(SignedParagraph), names, code)
 
 
 def _single_word(w: SignedWord | SignedParagraph) -> SignedParagraph:
@@ -346,9 +338,9 @@ def _single_word(w: SignedWord | SignedParagraph) -> SignedParagraph:
     return w
 
 
-def _validate(code: Code, names: Sequence[str]) -> list:
-    """One pass over ``code``, whose letters are all below 2 * len(names):
-    the letter addresses, or the first structural failure."""
+def _validate(code: Code, names: Sequence[str]) -> None:
+    """One pass over ``code``, whose letters are all below 2 * len(names),
+    that raises its first structural failure."""
     if not code:
         raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
     where: list = [None] * (2 * len(names))
@@ -379,15 +371,11 @@ def _validate(code: Code, names: Sequence[str]) -> list:
             f"symbol {names[s]!r} occurs once, expected twice",
             where=where[2 * s] or where[2 * s + 1],
         )
-    if len(code) > 1:
-        _check_connected(len(code), where)
-    return where
-
-
-def _check_connected(m: int, where: list) -> None:
+    if len(code) == 1:
+        return
     # Union-find over word indices; a symbol whose letters sit in two
     # different words links them.
-    parent = list(range(m))
+    parent = list(range(len(code)))
 
     def find(x):
         while parent[x] != x:
@@ -398,7 +386,7 @@ def _check_connected(m: int, where: list) -> None:
     for (plus, _), (minus, _) in zip(where[0::2], where[1::2]):
         parent[find(plus)] = find(minus)
     root = find(0)
-    for wi in range(m):
+    for wi in range(len(code)):
         if find(wi) != root:
             raise ValidationError(
                 ValidationError.DISCONNECTED,
@@ -414,10 +402,11 @@ def check_pairwise(p: SignedParagraph) -> None:
     this raises ``ValidationError(PAIRWISE)`` when any two words are
     symbol-disjoint.
     """
-    linked = {
-        (min(plus, minus), max(plus, minus))
-        for (plus, _), (minus, _) in zip(p._where[0::2], p._where[1::2])
-    }
+    word_of = [0] * (2 * p.n)
+    for wi, w in enumerate(p._code):
+        for c in w:
+            word_of[c] = wi
+    linked = {(min(i, j), max(i, j)) for i, j in zip(word_of[0::2], word_of[1::2])}
     m = len(p._code)
     for i in range(m):
         for j in range(i + 1, m):
@@ -485,7 +474,7 @@ def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
         raise ValidationError(
             ValidationError.EMPTY_WORD, "empty paragraph", line=1, col=1
         )
-    p = _store(object.__new__(SignedParagraph), names, index, tuple(code))
+    p = _store(object.__new__(SignedParagraph), names, tuple(code))
     try:
         p.__post_init__()
         if pairwise:

@@ -10,9 +10,10 @@ where u is the component of s^+1 rotated to start right after it and v the
 component of s^-1 rotated to start right after it.  A join adds one
 crossing, removes one component and preserves the minimal-realization
 genus, so iterating it reduces any paragraph to a one-word paragraph of the
-same genus (``reduce_to_word``).  Each operation returns a paragraph built
-from its code without validation; ``split`` takes a word or a one-word
-paragraph, as the word functions of :mod:`sgauss.homology` do.
+same genus (``reduce_to_word``).  Each operation finds a symbol's letters
+in the code and returns a paragraph built from its code without validation;
+``split`` takes a word or a one-word paragraph, as the word functions of
+:mod:`sgauss.homology` do.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .model import (
     OperationError,
     SignedParagraph,
     SignedWord,
-    _check_connected,
     _check_token,
     _from_code,
     _single_word,
+    _validate,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
@@ -40,23 +41,24 @@ def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
     word or the parts share no symbol.
     """
     p = _single_word(w)
-    if sym not in p._index:
+    if sym not in p._names:
         raise OperationError(f"symbol {sym!r} does not occur in {p}")
-    s = p._index[sym]
+    s = p._names.index(sym)
     word = p._code[0]
-    pos = p._where[2 * s][1]
-    k = (p._where[2 * s + 1][1] - pos) % len(word)
+    pos = word.index(2 * s)
+    k = (word.index(2 * s + 1) - pos) % len(word)
     # From sym's +1 letter, its -1 being letter k; the symbols after sym
     # move down one number.
     letters = [c - 2 if c > 2 * s + 1 else c for c in word[pos:] + word[:pos]]
-    first, second = tuple(letters[1:k]), tuple(letters[k + 1 :])
-    if not first or not second:
+    parts = tuple(letters[1:k]), tuple(letters[k + 1 :])
+    if not parts[0] or not parts[1]:
         raise OperationError(
             f"splitting at {sym!r} leaves an empty component (adjacent occurrences)"
         )
-    parts = _from_code((first, second), p._names[:s] + p._names[s + 1 :])
-    _check_connected(2, parts._where)
-    return parts
+    names = p._names[:s] + p._names[s + 1 :]
+    # The parts are a valid code but for whether they share a symbol.
+    _validate(parts, names)
+    return _from_code(parts, names)
 
 
 def join(p: SignedParagraph, shared: str, fresh: str) -> SignedParagraph:
@@ -66,18 +68,25 @@ def join(p: SignedParagraph, shared: str, fresh: str) -> SignedParagraph:
     Which component holds the +1 letter is immaterial (the roles swap).
     The merged word replaces the earlier of the two components.
     """
-    s = p._index.get(shared)
-    if s is None:
+    if shared not in p._names:
         raise OperationError(f"symbol {shared!r} not in paragraph")
-    plus, minus = p._where[2 * s], p._where[2 * s + 1]
+    s = p._names.index(shared)
+    plus, minus = _find(p._code, 2 * s), _find(p._code, 2 * s + 1)
     if plus[0] == minus[0]:
         raise OperationError(
             f"symbol {shared!r} occurs twice in one component; nothing to join"
         )
     _check_token("fresh symbol", fresh)
-    if fresh in p._index:
+    if fresh in p._names:
         raise OperationError(f"fresh symbol {fresh!r} collides with the alphabet")
     return _from_code(_join_code(p._code, plus, minus, p.n), (*p._names, fresh))
+
+
+def _find(code: Code, c: int) -> tuple[int, int]:
+    """The (word, position) of letter ``c``, which occurs in ``code``."""
+    for wi, w in enumerate(code):
+        if c in w:
+            return wi, w.index(c)
 
 
 def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
@@ -112,11 +121,10 @@ def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedParagraph:
     """
     _check_token("prefix", prefix)
     while len(p._code) > 1:
-        where = p._where
-        shared = min(
-            sym
-            for sym, s in p._index.items()
-            if (where[2 * s][0] == 0) != (where[2 * s + 1][0] == 0)
-        )
+        # The symbols with one letter in the first word: of a +1 or a -1
+        # letter of it, not both.
+        first = p._code[0]
+        once = {c >> 1 for c in first if c & 1} ^ {c >> 1 for c in first if not c & 1}
+        shared = min(map(p._names.__getitem__, once))
         p = join(p, shared, fresh_symbol(p.alphabet, prefix))
     return p

@@ -78,6 +78,8 @@ class CorpusSpec(_Value):
         m = self.max_symbols
         if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_SYMBOLS:
             raise ValueError(f"max_symbols must be an int in 1..{MAX_SYMBOLS}, got {m!r}")
+        if not isinstance(self.dedupe, bool):
+            raise ValueError(f"dedupe must be a bool, got {self.dedupe!r}")
         if self.kind not in _CHECKS:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
 
@@ -135,24 +137,22 @@ def _text(code: Code) -> str:
     return render(_paragraph(code))
 
 
-def apply_random_moves(
-    p: SignedParagraph, rng: random.Random, moves: int | None = None
-) -> SignedParagraph:
-    """A random sequence of isomorphism moves: per-word rotations, word-order
-    permutations and exponent-preserving relabelings."""
-    names = sorted(p.alphabet)
-    to_sorted = {p._index[s]: 2 * i for i, s in enumerate(names)}
+def apply_random_moves(p: SignedParagraph, rng: random.Random) -> SignedParagraph:
+    """A random sequence of 1 to 8 isomorphism moves: per-word rotations,
+    word-order permutations and exponent-preserving relabelings."""
+    names = sorted(p._names)
+    rank = {s: 2 * i for i, s in enumerate(names)}
+    to_sorted = [rank[s] for s in p._names]
     code = tuple(tuple(to_sorted[c >> 1] | c & 1 for c in w) for w in p._code)
-    return _from_code(_moved(code, p.n, rng, moves), names)
+    return _from_code(_moved(code, p.n, rng), names)
 
 
-def _moved(code: Code, n: int, rng: random.Random, moves: int | None = None) -> Code:
+def _moved(code: Code, n: int, rng: random.Random) -> Code:
     """``apply_random_moves`` on a code with ``n`` symbols numbered in
     sorted-name order; it draws from ``rng`` exactly as that does."""
     randrange, shuffle = rng.randrange, rng.shuffle
     # randrange(1, 9) draws as rng.randint(1, 8) does.
-    count = randrange(1, 9) if moves is None else moves
-    for _ in range(count):
+    for _ in range(randrange(1, 9)):
         kind = randrange(3)
         if kind == 0:
             i = randrange(len(code))

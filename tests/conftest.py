@@ -48,6 +48,13 @@ def signed_paragraphs(draw, min_symbols=2, max_symbols=4) -> SignedParagraph:
         return SignedParagraph((w,))  # disconnected cut; fall back to the word
 
 
+def addresses(p: SignedParagraph) -> dict[str, tuple[tuple[int, int], tuple[int, int]]]:
+    """Symbol -> the (word, position) of its +1 and -1 letters, read off
+    ``p._code``; a paragraph stores no letter addresses."""
+    where = {c: (wi, k) for wi, w in enumerate(p._code) for k, c in enumerate(w)}
+    return {s: (where[2 * i], where[2 * i + 1]) for i, s in enumerate(p._names)}
+
+
 def naive_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
     """Brute-force isomorphism decision, independent of canonicalize.
 

@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from itertools import chain
 
-from conftest import rotate
+from conftest import addresses, rotate
 from sgauss.homology import pairing, profile
 from sgauss.model import SignedParagraph, canonicalize, relabel, render
 from sgauss.surface import SurfaceSummary, build_ribbon, summarize, trace_circles
@@ -42,13 +42,10 @@ def record(
         report.fail(render(p), name, observed, expected)
 
 
-def moves_by_objects(
-    p: SignedParagraph, rng: random.Random, moves: int | None = None
-) -> SignedParagraph:
-    """Random per-word rotations, word-order permutations and relabelings,
-    drawing from ``rng`` as ``apply_random_moves`` does."""
-    count = rng.randint(1, 8) if moves is None else moves
-    for _ in range(count):
+def moves_by_objects(p: SignedParagraph, rng: random.Random) -> SignedParagraph:
+    """1 to 8 random per-word rotations, word-order permutations and
+    relabelings, drawing from ``rng`` as ``apply_random_moves`` does."""
+    for _ in range(rng.randint(1, 8)):
         kind = rng.randrange(3)
         if kind == 0:
             i = rng.randrange(len(p.words))
@@ -162,9 +159,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 "pairing 0 on genus 0",
             )
             ok_join = True
-            for sym in sorted(p.alphabet):
-                k = 2 * p._index[sym]
-                if p._where[k][0] == p._where[k + 1][0]:
+            for sym, (plus, minus) in sorted(addresses(p).items()):
+                if plus[0] == minus[0]:
                     continue
                 joined = join(p, sym, fresh_symbol(p.alphabet, "z"))
                 bj = len(trace_circles(build_ribbon(joined)))

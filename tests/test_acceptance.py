@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bandwalk import boundary_count
+from conftest import addresses
 from sgauss.cli import main
 from sgauss.homology import pairing, profile, word_is_planar_homology
 from sgauss.model import (
@@ -138,9 +139,8 @@ def test_criterion_6_join_genus_preservation(paragraphs_le_3):
     joins = 0
     for p in paragraphs_le_3:
         s = summarize(p)
-        for sym in sorted(p.alphabet):
-            k = 2 * p._index[sym]
-            if p._where[k][0] == p._where[k + 1][0]:
+        for sym, (plus, minus) in sorted(addresses(p).items()):
+            if plus[0] == minus[0]:
                 continue
             joined = join(p, sym, fresh_symbol(p.alphabet, "z"))
             sj = summarize(joined)

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce_canon import bruteforce_canonicalize
-from conftest import LETTERS, TEXTS, naive_isomorphic, rotate, signed_paragraphs, signed_words
+from conftest import (
+    LETTERS,
+    TEXTS,
+    addresses,
+    naive_isomorphic,
+    rotate,
+    signed_paragraphs,
+    signed_words,
+)
 from sgauss import model
 from sgauss.model import (
     GaussError,
@@ -43,7 +51,7 @@ class TestParse:
         p = parse_paragraph("a -a")
         assert words_of(p) == ["a -a"]
         assert p.alphabet == {"a"}
-        assert p._where == [(0, 0), (0, 1)]
+        assert p._code == ((0, 1),)
 
     def test_length_four(self):
         p = parse_paragraph("a b -a -b")
@@ -375,7 +383,7 @@ class TestCanonicalize:
     def test_idempotent_and_move_invariant(self, p, rng):
         c = canonicalize(p)
         assert canonicalize(c) == c
-        moved = apply_random_moves(p, rng, moves=1)
+        moved = apply_random_moves(p, rng)
         assert canonicalize(moved) == c
 
 
@@ -600,7 +608,6 @@ class TestStoredCode:
         assert str(parsed) == str(built) == str(p)
         assert parsed.alphabet == built.alphabet
         assert (parsed._names, parsed._code) == (built._names, built._code)
-        assert parsed._where == built._where
 
     @given(signed_paragraphs(1, 6), st.integers(0, 2**16))
     def test_equality_ignores_the_numbering(self, p, seed):
@@ -620,6 +627,11 @@ class TestStoredCode:
         p = parse_paragraph("a -a")
         with pytest.raises(AttributeError):
             p._code = ((0, 1),)
+
+    def test_stores_names_code_and_words_only(self):
+        # Letter addresses are found in the code by the operations that
+        # need them, not stored.
+        assert SignedParagraph.__slots__ == ("_names", "_code", "_words")
 
 
 class TestRelabel:
@@ -651,12 +663,13 @@ class TestRelabel:
 
 
 class TestOccurrenceIndex:
-    """``_where``, the letter addresses the operations find a symbol by."""
+    """The letters of a symbol, which ``join`` finds in the code."""
 
     def test_resolution(self):
         p = parse_paragraph("a -b / -a b")
-        k = 2 * p._index["b"]
-        assert p._where[k : k + 2] == [(1, 1), (0, 1)]
+        assert addresses(p)["b"] == ((1, 1), (0, 1))
+        # From b's +1 letter in word 1, then from its -1 letter in word 0.
+        assert render(join(p, "b", "c")) == "b -a c -b a -c"
 
     def test_missing_symbol(self):
         with pytest.raises(OperationError, match="symbol 'z' not in paragraph"):

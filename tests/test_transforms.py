@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import addresses
 from sgauss.model import (
     OperationError,
     SignedParagraph,
@@ -43,6 +44,19 @@ class TestSplit:
         with pytest.raises(ValidationError) as exc:
             split(W("t b -b -t c -c"), "t")
         assert exc.value.kind == ValidationError.DISCONNECTED
+        assert exc.value.where == (1, 0)
+        assert str(exc.value) == "word 2 shares no symbols with the rest of the paragraph"
+
+    def test_parts_are_not_revalidated(self, monkeypatch):
+        # Only the connectivity of the parts is in doubt; the validation
+        # hook, which constructors run, is not called.
+        p, q = P("t b -b c -t -c"), P("t b -b -t c -c")
+        calls = []
+        monkeypatch.setattr(SignedParagraph, "__post_init__", lambda self: calls.append(self))
+        assert render(split(p, "t")) == "b -b c / -c"
+        with pytest.raises(ValidationError):
+            split(q, "t")
+        assert calls == []
 
     def test_both_occurrences_may_land_in_one_part(self):
         p = split(W("t b -b c -t -c"), "t")
@@ -162,9 +176,8 @@ class TestCorpusProperties:
     def test_join_preserves_genus(self, paragraphs_le_3):
         for p in paragraphs_le_3:
             s = summarize(p)
-            for sym in sorted(p.alphabet):
-                k = 2 * p._index[sym]
-                if p._where[k][0] == p._where[k + 1][0]:
+            for sym, (plus, minus) in sorted(addresses(p).items()):
+                if plus[0] == minus[0]:
                     continue
                 sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 assert sj.genus == s.genus
@@ -173,9 +186,8 @@ class TestCorpusProperties:
         shifts = set()
         for p in paragraphs_le_3:
             s = summarize(p)
-            for sym in sorted(p.alphabet):
-                k = 2 * p._index[sym]
-                if p._where[k][0] == p._where[k + 1][0]:
+            for sym, (plus, minus) in sorted(addresses(p).items()):
+                if plus[0] == minus[0]:
                     continue
                 sj = summarize(join(p, sym, fresh_symbol(p.alphabet, "z")))
                 shifts.add(sj.b - s.b)

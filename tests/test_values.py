@@ -255,12 +255,7 @@ def test_copied_paragraph_keeps_its_code_and_names():
     assert (str(moved), moved._names) == ("-y z -z x y -x", ("x", "y", "z"))
     for how in COPIES.values():
         c = how(moved)
-        assert (c._code, c._names, c._index, c._where) == (
-            moved._code,
-            moved._names,
-            moved._index,
-            moved._where,
-        )
+        assert (c._code, c._names) == (moved._code, moved._names)
         assert str(c) == str(moved)
 
 
@@ -273,6 +268,14 @@ def test_corpus_spec_rejects_bad_max_symbols(bound):
         CorpusSpec(bound)
     with pytest.raises(ValueError, match="max_symbols must be an int in 1..26"):
         CorpusSpec(max_symbols=bound, kind=PARAGRAPHS)
+
+
+@pytest.mark.parametrize("dedupe", ["no", "", 0, 1, None, 1.0])
+def test_corpus_spec_rejects_bad_dedupe(dedupe):
+    with pytest.raises(ValueError, match="^dedupe must be a bool, got "):
+        CorpusSpec(1, dedupe)
+    with pytest.raises(ValueError, match="^dedupe must be a bool, got "):
+        CorpusSpec(max_symbols=1, dedupe=dedupe, kind=PARAGRAPHS)
 
 
 def test_corpus_spec_rejects_unknown_kind():
