@@ -604,8 +604,10 @@ def _canonical_search(code: Code) -> Code:
     prefix, hence assigned the same number of first-appearance ids, so its
     next letter, keyed ``2 * ids.get(sym, next_id) + (exp == +1)``, compares
     directly with the others', and only the candidates with the least next
-    letter survive.  A candidate that finishes a word branches into every
-    unused word of the next length at every rotation.
+    letter survive.  One pass per letter prunes them: it keeps the least key
+    so far and the candidates, in order, that share it.  A candidate that
+    finishes a word branches into every unused word of the next length at
+    every rotation.
     """
     # Letters with the exponent bit flipped, so that -1 keys below +1; each
     # word doubled, so rotation r of a word of length L is doubled[r : r + L].
@@ -635,12 +637,16 @@ def _canonical_search(code: Code) -> Code:
                         next_id += 1
                     stream.append(2 * i + (x & 1) ^ 1)
                 break
-            keys = [
-                2 * ids.get((x := w[r + pos]) >> 1, next_id) + (x & 1)
-                for ids, _, w, r in live
-            ]
-            least = min(keys)
-            live = [c for c, key in zip(live, keys) if key == least]
+            least = 2 * next_id + 2
+            for cand in live:
+                ids, _, w, r = cand
+                key = 2 * ids.get((x := w[r + pos]) >> 1, next_id) + (x & 1)
+                if key < least:
+                    least = key
+                    keep = [cand]
+                elif key == least:
+                    keep.append(cand)
+            live = keep
             if pos == 0:
                 # Branches share their parent's map until they survive.
                 live = [(dict(ids), used, w, r) for ids, used, w, r in live]
@@ -664,8 +670,9 @@ def _canonical_word(w: tuple[int, ...]) -> tuple[int, ...]:
     partner lies ``back <= pos`` letters behind it has the id of the letter
     at step ``pos - back`` for all of them: a larger ``back`` is an earlier,
     hence smaller, id.  A letter with ``back > pos`` is a new symbol and
-    ranks after every old one, a -1 letter before a +1 letter.  The winner
-    is relabeled once at the end.
+    ranks after every old one, a -1 letter before a +1 letter.  One pass
+    per step keeps the best key so far and the starts that share it.  The
+    winner is relabeled once at the end.
     """
     size = len(w)
     # back[k]: how far back, cyclically, the partner of letter k lies.
@@ -687,11 +694,17 @@ def _canonical_word(w: tuple[int, ...]) -> tuple[int, ...]:
     live = [k for k, c in enumerate(w) if c & 1]
     pos = 1
     while len(live) > 1 and pos < size:
-        keys = [
-            b if (b := back[r + pos]) <= pos else (doubled[r + pos] & 1) - 1 for r in live
-        ]
-        best = max(keys)
-        live = [r for r, key in zip(live, keys) if key == best]
+        best = -2
+        for r in live:
+            b = back[r + pos]
+            if b > pos:
+                b = (doubled[r + pos] & 1) - 1
+            if b > best:
+                best = b
+                keep = [r]
+            elif b == best:
+                keep.append(r)
+        live = keep
         pos += 1
     r = live[0]
     out: list[int] = []

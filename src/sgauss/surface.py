@@ -33,8 +33,10 @@ letter of the same cyclic word, the symbol's rotation is
 (``_quads``, on the code).  The left-turn successor of a dart arriving at
 a crossing is the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every
 slot k of every quad, and the circles are the cycles of that table
-(``_faces``); the mirror surface is the same call on the reversed quads
-(``_mirror``).  Both take O(n) time and 4n ints.
+(``_faces``), which marks a visited dart by setting its entry to -1, so the
+walk needs no seen array and consumes the table; the mirror surface is the
+same call on the reversed quads (``_mirror``).  Both take O(n) time and 4n
+ints.
 
 ``RotationSystem`` holds this numbering and nothing else: the paragraph's
 symbol ``names`` and the ``codes`` of its 2n letters in order, ``heads``
@@ -151,7 +153,12 @@ def _mirror(quads):
 def _faces(quads) -> list[list[int]]:
     """Orbits of the left-turn successor table on the 4n darts of ``quads``
     (a collection of integer rotations), in order of least dart, each listed
-    from it."""
+    from it.
+
+    The walk marks a dart visited by setting its entry in the table to -1,
+    so it keeps no seen array; a start whose entry is -1 lies on an orbit
+    already listed.  The table is built per call and consumed by it.
+    """
     size = 4 * len(quads)
     succ = [0] * size
     for a, b, c, d in quads:
@@ -159,17 +166,15 @@ def _faces(quads) -> list[list[int]]:
         succ[b ^ 1] = a
         succ[c ^ 1] = b
         succ[d ^ 1] = c
-    seen = bytearray(size)
     faces = []
     for start in range(size):
-        if seen[start]:
+        if succ[start] < 0:
             continue
         orbit = []
         d = start
-        while not seen[d]:
-            seen[d] = 1
+        while succ[d] >= 0:
             orbit.append(d)
-            d = succ[d]
+            succ[d], d = -1, succ[d]
         faces.append(orbit)
     return faces
 

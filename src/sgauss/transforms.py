@@ -23,10 +23,10 @@ from .model import (
     OperationError,
     SignedParagraph,
     SignedWord,
+    ValidationError,
     _check_token,
     _from_code,
     _single_word,
-    _validate,
 )
 
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
@@ -55,10 +55,14 @@ def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
         raise OperationError(
             f"splitting at {sym!r} leaves an empty component (adjacent occurrences)"
         )
-    names = p._names[:s] + p._names[s + 1 :]
     # The parts are a valid code but for whether they share a symbol.
-    _validate(parts, names)
-    return _from_code(parts, names)
+    if {c >> 1 for c in parts[0]}.isdisjoint(c >> 1 for c in parts[1]):
+        raise ValidationError(
+            ValidationError.DISCONNECTED,
+            "word 2 shares no symbols with the rest of the paragraph",
+            where=(1, 0),
+        )
+    return _from_code(parts, p._names[:s] + p._names[s + 1 :])
 
 
 def join(p: SignedParagraph, shared: str, fresh: str) -> SignedParagraph:

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
 
-from sgauss.model import SignedLetter, SignedParagraph, SignedWord, ValidationError
+from sgauss.model import (
+    SignedLetter,
+    SignedParagraph,
+    SignedWord,
+    ValidationError,
+    parse_paragraph,
+)
 from sgauss.verify import KIND_PARAGRAPHS, KIND_WORDS, _codes_of_size, _paragraph
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -95,6 +102,33 @@ def naive_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
             if ok:
                 return True
     return False
+
+
+def symmetric_chain(k: int) -> SignedParagraph:
+    """x_i y_i -x_{i+1} -y_i, i = 0..k-1 (cyclically)."""
+    return parse_paragraph(
+        " / ".join(f"x{i} y{i} -x{(i + 1) % k} -y{i}" for i in range(k))
+    )
+
+
+def star(k: int) -> SignedParagraph:
+    """-x_i y_i (i < k) linked only through x_0 -y_0 ... x_{k-1} -y_{k-1}:
+    interchangeable symbol-disjoint short words, the pruned search's worst
+    case."""
+    short = " / ".join(f"-x{i} y{i}" for i in range(k))
+    return parse_paragraph(short + " / " + " ".join(f"x{i} -y{i}" for i in range(k)))
+
+
+def symmetric_word(n: int) -> tuple[int, ...]:
+    """The code of x1 .. xn -x1 .. -xn, whose n starts at a -1 letter tie
+    for n letters."""
+    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+
+
+def random_word(rng: random.Random, n: int) -> tuple[int, ...]:
+    letters = list(range(2 * n))
+    rng.shuffle(letters)
+    return tuple(letters)
 
 
 def double_factorial_count(n: int) -> int:

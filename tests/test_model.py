@@ -15,9 +15,13 @@ from conftest import (
     TEXTS,
     addresses,
     naive_isomorphic,
+    random_word,
     rotate,
     signed_paragraphs,
     signed_words,
+    star,
+    symmetric_chain,
+    symmetric_word,
 )
 from sgauss import model
 from sgauss.model import (
@@ -402,21 +406,6 @@ def random_cut(rng: random.Random, n: int, k: int) -> SignedParagraph:
             continue
 
 
-def symmetric_chain(k: int) -> SignedParagraph:
-    """x_i y_i -x_{i+1} -y_i, i = 0..k-1 (cyclically)."""
-    return parse_paragraph(
-        " / ".join(f"x{i} y{i} -x{(i + 1) % k} -y{i}" for i in range(k))
-    )
-
-
-def star(k: int) -> SignedParagraph:
-    """-x_i y_i (i < k) linked only through x_0 -y_0 ... x_{k-1} -y_{k-1}:
-    interchangeable symbol-disjoint short words, the pruned search's worst
-    case."""
-    short = " / ".join(f"-x{i} y{i}" for i in range(k))
-    return parse_paragraph(short + " / " + " ".join(f"x{i} -y{i}" for i in range(k)))
-
-
 class TestCanonicalizeAgainstBruteForce:
     """The pruned search returns the brute force's paragraph, not only an
     equivalent one."""
@@ -467,18 +456,6 @@ class TestCanonicalizeAgainstBruteForce:
         c = canonicalize(p)
         assert {"s26", "s27"} <= c.alphabet
         assert canonicalize(c) == c
-
-
-def symmetric_word(n: int) -> tuple[int, ...]:
-    """The code of x1 .. xn -x1 .. -xn, whose n starts at a -1 letter tie
-    for n letters."""
-    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-
-
-def random_word(rng: random.Random, n: int) -> tuple[int, ...]:
-    letters = list(range(2 * n))
-    rng.shuffle(letters)
-    return tuple(letters)
 
 
 class TestCanonicalWord:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import addresses
+from conftest import LETTERS, addresses
 from sgauss.model import (
     OperationError,
     SignedParagraph,
     ValidationError,
+    _from_code,
+    _validate,
     parse_paragraph,
     render,
 )
@@ -70,6 +72,41 @@ class TestSplit:
 
     def test_raises_component_count(self):
         assert len(split(W("a b -a -b"), "b").words) == 2
+
+
+class TestSplitAgainstValidate:
+    """``split`` tests only whether the parts share a symbol; full
+    validation of the parts must give the same paragraph or error."""
+
+    def test_every_word_up_to_5(self, word_codes_le_5):
+        splits = errors = 0
+        for w in word_codes_le_5:
+            names = tuple(LETTERS[: len(w) // 2])
+            p = _from_code((w,), names)
+            for s, sym in enumerate(names):
+                i, j = w.index(2 * s), w.index(2 * s + 1)
+                # The letters strictly between sym's two, each way round.
+                u = (w + w)[i + 1 : j if i < j else j + len(w)]
+                v = (w + w)[j + 1 : i if j < i else i + len(w)]
+                if not u or not v:
+                    continue
+                parts = tuple(tuple(c - 2 * (c > 2 * s + 1) for c in part) for part in (u, v))
+                rest = names[:s] + names[s + 1 :]
+                splits += 1
+                try:
+                    _validate(parts, rest)
+                except ValidationError as e:
+                    errors += 1
+                    try:
+                        split(p, sym)
+                    except ValidationError as got:
+                        assert vars(got) == vars(e), (w, sym)
+                    else:
+                        raise AssertionError(f"no error splitting {w} at {sym}")
+                else:
+                    q = split(p, sym)
+                    assert (q._code, q._names) == (parts, rest), (w, sym)
+        assert (splits, errors) == (122624, 6648)
 
 
 class TestJoin:

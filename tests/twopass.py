@@ -1,0 +1,115 @@
+"""The canonical and circle kernels in their two-pass form, kept as test
+oracles for the single-pass kernels in ``sgauss.model`` and
+``sgauss.surface``.
+
+``canonical_search`` and ``canonical_word`` prune the live candidates in two
+passes per step: a list of keys, its ``min``/``max``, then a filter of the
+candidates.  ``faces`` marks visited darts in a separate ``seen`` array and
+leaves the successor table intact.  Each must return exactly what its
+counterpart in the package returns, including the order of the orbits and
+of the darts in each.
+"""
+
+from __future__ import annotations
+
+
+def canonical_search(code):
+    """``model._canonical_search`` with a key list per step."""
+    doubled = [tuple(c ^ 1 for c in w) * 2 for w in code]
+    lengths = sorted(map(len, code))
+    words = []
+    next_id = 0
+    live = [({}, 0, (), 0)]
+    for length in lengths:
+        live = [
+            (ids, used | 1 << wi, w, r)
+            for ids, used, _, _ in live
+            for wi, w in enumerate(doubled)
+            if len(w) == 2 * length and not used >> wi & 1
+            for r in range(length)
+        ]
+        stream = []
+        for pos in range(length):
+            if len(live) == 1:
+                ids, _, w, r = live[0]
+                for x in w[r + pos : r + length]:
+                    i = ids.get(x >> 1)
+                    if i is None:
+                        i = ids[x >> 1] = next_id
+                        next_id += 1
+                    stream.append(2 * i + (x & 1) ^ 1)
+                break
+            keys = [
+                2 * ids.get((x := w[r + pos]) >> 1, next_id) + (x & 1)
+                for ids, _, w, r in live
+            ]
+            least = min(keys)
+            live = [c for c, key in zip(live, keys) if key == least]
+            if pos == 0:
+                live = [(dict(ids), used, w, r) for ids, used, w, r in live]
+            if least >> 1 == next_id:
+                for ids, _, w, r in live:
+                    ids[w[r + pos] >> 1] = next_id
+                next_id += 1
+            stream.append(least ^ 1)
+        words.append(tuple(stream))
+    return tuple(words)
+
+
+def canonical_word(w):
+    """``model._canonical_word`` with a key list per step."""
+    size = len(w)
+    first = [-1] * (size // 2)
+    back = [0] * size
+    for k, c in enumerate(w):
+        k0 = first[c >> 1]
+        if k0 < 0:
+            first[c >> 1] = k
+        else:
+            back[k] = k - k0
+            back[k0] = size - k + k0
+    back += back
+    doubled = w + w
+    live = [k for k, c in enumerate(w) if c & 1]
+    pos = 1
+    while len(live) > 1 and pos < size:
+        keys = [
+            b if (b := back[r + pos]) <= pos else (doubled[r + pos] & 1) - 1 for r in live
+        ]
+        best = max(keys)
+        live = [r for r, key in zip(live, keys) if key == best]
+        pos += 1
+    r = live[0]
+    out = []
+    next_id = 0
+    for pos, b, c in zip(range(size), back[r:], doubled[r:]):
+        if b <= pos:
+            out.append(out[pos - b] ^ 1)
+        else:
+            out.append(2 * next_id + (c & 1))
+            next_id += 1
+    return tuple(out)
+
+
+def faces(quads):
+    """``surface._faces`` with a ``seen`` array beside the successor table."""
+    size = 4 * len(quads)
+    succ = [0] * size
+    for a, b, c, d in quads:
+        succ[a ^ 1] = d
+        succ[b ^ 1] = a
+        succ[c ^ 1] = b
+        succ[d ^ 1] = c
+    seen = bytearray(size)
+    out = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        orbit = []
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            orbit.append(d)
+            d = succ[d]
+        out.append(orbit)
+    return out
