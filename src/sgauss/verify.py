@@ -139,7 +139,14 @@ def _text(code: Code) -> str:
 
 def apply_random_moves(p: SignedParagraph, rng: random.Random) -> SignedParagraph:
     """A random sequence of 1 to 8 isomorphism moves: per-word rotations,
-    word-order permutations and exponent-preserving relabelings."""
+    word-order permutations and exponent-preserving relabelings.
+
+    The moves draw only through ``rng.getrandbits``, by the rule that
+    ``random.Random.randrange`` and ``shuffle`` use, so a ``random.Random``
+    gives the same copies as those calls would.  A subclass that overrides
+    ``random()`` but not ``getrandbits`` gets other moves than its own
+    ``randrange`` would give: for such a class the stdlib draws through
+    ``_randbelow_without_getrandbits`` instead."""
     names = sorted(p._names)
     rank = {s: 2 * i for i, s in enumerate(names)}
     to_sorted = [rank[s] for s in p._names]
@@ -147,28 +154,56 @@ def apply_random_moves(p: SignedParagraph, rng: random.Random) -> SignedParagrap
     return _from_code(_moved(code, p.n, rng), names)
 
 
+def _shuffle(getrandbits, x: list) -> list:
+    """``x`` shuffled in place as ``random.Random.shuffle`` does it."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        while (j := getrandbits(k)) > i:
+            pass
+        x[i], x[j] = x[j], x[i]
+    return x
+
+
 def _moved(code: Code, n: int, rng: random.Random) -> Code:
     """``apply_random_moves`` on a code with ``n`` symbols numbered in
-    sorted-name order; it draws from ``rng`` exactly as that does."""
-    randrange, shuffle = rng.randrange, rng.shuffle
-    # randrange(1, 9) draws as rng.randint(1, 8) does.
-    for _ in range(randrange(1, 9)):
-        kind = randrange(3)
+    sorted-name order.  A number below m is ``getrandbits(m.bit_length())``,
+    drawn again while it is m or more, as ``random.Random`` draws one; so
+    ``rng`` ends in the state that ``randint(1, 8)``, ``randrange`` and
+    ``shuffle`` leave.  The moves are composed: a rotation per word slot, a
+    shuffled slot order and one symbol table, applied once at the end."""
+    getrandbits = rng.getrandbits
+    slots = [[w, 0] for w in code]
+    sym = None
+    while (moves := getrandbits(4)) >= 8:  # randint(1, 8) - 1
+        pass
+    for _ in range(moves + 1):
+        while (kind := getrandbits(2)) == 3:  # randrange(3)
+            pass
         if kind == 0:
-            i = randrange(len(code))
-            k = randrange(len(code[i]))
-            code = code[:i] + (code[i][k:] + code[i][:k],) + code[i + 1 :]
+            m = len(slots)
+            k = m.bit_length()
+            while (i := getrandbits(k)) >= m:
+                pass
+            slot = slots[i]
+            m = len(slot[0])
+            k = m.bit_length()
+            while (r := getrandbits(k)) >= m:
+                pass
+            slot[1] += r
         elif kind == 1:
-            order = list(range(len(code)))
-            shuffle(order)
-            code = tuple(map(code.__getitem__, order))
+            _shuffle(getrandbits, slots)
         else:
-            # Shuffling the sorted names draws as shuffling their indices.
-            perm = list(range(n))
-            shuffle(perm)
-            letter = [2 * i + e for i in perm for e in (0, 1)]
-            code = tuple(tuple(map(letter.__getitem__, w)) for w in code)
-    return code
+            # Symbol s goes to perm[s], after the relabelings before it.
+            perm = _shuffle(getrandbits, list(range(n)))
+            sym = perm if sym is None else [perm[s] for s in sym]
+    out = []
+    for w, k in slots:
+        k %= len(w)
+        out.append(w[k:] + w[:k])
+    if sym is not None:
+        letter = [2 * s + e for s in sym for e in (0, 1)]
+        out = [tuple(map(letter.__getitem__, w)) for w in out]
+    return tuple(out)
 
 
 class Counterexample(NamedTuple):

@@ -1,10 +1,12 @@
 """The single-pass kernels against their two-pass oracles (``twopass.py``):
 ``model._canonical_word``, ``model._canonical_search`` and
 ``surface._faces`` must return exactly what the oracles return, the face
-orbits in the same order and each from the same dart."""
+orbits in the same order and each from the same dart.  ``verify._moved``
+must return the code that ``twopass.moved`` returns, from the same draws."""
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -13,9 +15,12 @@ from hypothesis import strategies as st
 
 import twopass
 from conftest import random_word, star, symmetric_chain, symmetric_word
-from sgauss.model import _canonical_search, _canonical_word
+from sgauss.model import _canonical_search, _canonical_word, parse_paragraph
 from sgauss.surface import _faces, _mirror, _quads
-from sgauss.verify import KIND_PARAGRAPHS, _codes_of_size
+from sgauss.verify import KIND_PARAGRAPHS, _codes_of_size, _moved, apply_random_moves
+
+# The package re-exports the function ``verify``, which hides the module.
+verify_module = importlib.import_module("sgauss.verify")
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +99,54 @@ class TestHypothesis:
         # Also a table that is not a permutation: both walks stop at the
         # first dart already visited.
         assert _faces(quads) == twopass.faces(quads)
+
+
+def same_moves(code, seed):
+    n = sum(map(len, code)) // 2
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert _moved(code, n, rng) == twopass.moved(code, n, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+class TestMovesAgainstOracle:
+    """``verify._moved`` composes the moves and draws each number from
+    ``getrandbits``; ``twopass.moved`` makes each move on the code and draws
+    through ``randrange`` and ``shuffle``.  Both must give the same code and
+    leave the generator in the same state.
+
+    Only a comparison of the codes guards the composition: a relabeling
+    composed in the wrong order, or a rotation kept on the wrong slot, still
+    gives an isomorphic copy, and that passes every check of ``verify``.
+    These tests, and ``test_verify.py::TestMovesAgainstObjects`` on the
+    smaller corpora, are that comparison."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sweep_seeds(self, seed, word_codes_le_5, paragraph_codes_le_4):
+        # The seeds the sweep gives the object at each index of its corpus.
+        for idx, w in enumerate(word_codes_le_5):
+            same_moves((w,), (seed << 24) ^ idx)
+        for idx, code in enumerate(paragraph_codes_le_4):
+            same_moves(code, (seed << 24) ^ idx)
+
+    @pytest.mark.parametrize("code", [((0,), (1,)), ((1,), (0,)), ((0,), (2,), (1,), (3,))])
+    def test_one_letter_words(self, code):
+        # randrange(1) draws, and throws away, until getrandbits(1) gives 0.
+        for seed in range(200):
+            same_moves(code, seed)
+
+    @given(codes(max_words=4), st.integers(0, 2**32))
+    def test_codes(self, code, seed):
+        same_moves(code, seed)
+
+    def test_apply_random_moves_on_400_symbols(self, monkeypatch):
+        # Names x0 .. x399 in an order that is not the sorted one.
+        rng = random.Random(1800)
+        code = random_word(rng, 400)
+        p = parse_paragraph(" ".join(f"{'-' * (c & 1)}x{c >> 1}" for c in code))
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            q = apply_random_moves(p, rng)
+            with monkeypatch.context() as m:
+                m.setattr(verify_module, "_moved", twopass.moved)
+                assert q == apply_random_moves(p, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()

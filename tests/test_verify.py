@@ -115,6 +115,16 @@ def first_word_length_pairing(real):
     return lambda code: len(code[0])
 
 
+def swapped_exponents_moved(real):
+    # A random move that trades the two exponents of symbol 0: the copy is
+    # no longer isomorphic to the object, unless the object's symmetry
+    # happens to allow it.
+    def fault(code, n, rng):
+        return tuple(tuple(c ^ (c >> 1 == 0) for c in w) for w in real(code, n, rng))
+
+    return fault
+
+
 # Each mutant with the module that defines the kernel it breaks, and the
 # checks of the report that it must fail.
 MUTANTS = {
@@ -157,6 +167,12 @@ MUTANTS = {
         "_pairing",
         first_word_length_pairing,
         {"null-pairing"},
+    ),
+    "swapped_exponents_moved": (
+        verify_module,
+        "_moved",
+        swapped_exponents_moved,
+        {"isomorphism-invariance"},
     ),
 }
 
@@ -370,6 +386,23 @@ class TestMovesAgainstObjects:
         assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
 
 
+class TestDrawsThroughGetrandbits:
+    """The random moves draw only through ``getrandbits``; the slower
+    ``random.Random`` wrappers must not come back into the sweep."""
+
+    def test_sweep_and_moves_without_the_wrappers(self, monkeypatch):
+        p = _paragraph(((0, 2, 5), (1, 3, 4)))  # a b -c / -a -b c
+        expected = verify(CorpusSpec(3)).to_json(), apply_random_moves(p, random.Random(0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew through a random.Random wrapper")
+
+        for name in ("randrange", "randint", "shuffle"):
+            monkeypatch.setattr(random.Random, name, refuse)
+        moved = apply_random_moves(p, random.Random(0))
+        assert (verify(CorpusSpec(3)).to_json(), moved) == expected
+
+
 class TestPerObjectWork:
     """A passing sweep runs on integer codes: it builds no paragraph and
     calls each kernel a fixed number of times per object."""
@@ -576,6 +609,14 @@ class TestMutantsAreCaught:
         failed = {name for name, s in report.checks.items() if s.failed}
         assert failed == {"isomorphism-invariance"}
         assert verify(CorpusSpec(2, kind=KIND_PARAGRAPHS)).ok
+
+    def test_swapped_exponents_in_moved_copy(self, monkeypatch):
+        patch(monkeypatch, "swapped_exponents_moved")
+        for spec, failed in [(CorpusSpec(3), 113), (CorpusSpec(2, kind=KIND_PARAGRAPHS), 32)]:
+            report = verify(spec)
+            assert {name: s.failed for name, s in report.checks.items() if s.failed} == {
+                "isomorphism-invariance": failed
+            }
 
     @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
     def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
