@@ -10,9 +10,7 @@ from .model import (
     GaussError,
     OperationError,
     ParseError,
-    SignedLetter,
     SignedParagraph,
-    SignedWord,
     ValidationError,
     canonicalize,
     check_pairwise,
@@ -52,8 +50,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "OperationError",
-    "SignedLetter",
-    "SignedWord",
     "SignedParagraph",
     "parse_paragraph",
     "render",

@@ -39,10 +39,9 @@ vanishes and whether beta is antisymmetric; ``_verdicts`` gives both
 straight from the masks, over the n(n - 1)/2 pairs, without the names and
 the (name, name)-keyed dict that ``profile`` builds.  ``profile`` gives
 every entry at once: alpha of every symbol and beta of every ordered pair of
-distinct symbols.  It and ``word_is_planar_homology`` take a ``SignedWord``,
-which they validate as a one-word paragraph and reject unless it is a valid
-standalone word, or a one-word ``SignedParagraph``, whose code they read as
-it is.
+distinct symbols.  It and ``word_is_planar_homology`` take a one-word
+``SignedParagraph``, whose code they read as it is, and reject a paragraph
+of more words.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from .model import (
     Code,
     OperationError,
     SignedParagraph,
-    SignedWord,
-    ValidationError,
     _single_word,
     _Value,
 )
@@ -112,14 +109,11 @@ class IntersectionProfile(_Value):
         }
 
 
-def profile(w: SignedWord | SignedParagraph) -> IntersectionProfile:
+def profile(p: SignedParagraph) -> IntersectionProfile:
     """alpha for every symbol and beta for every ordered pair of distinct
-    symbols of ``w``, a valid standalone word or a one-word paragraph
-    (``model._single_word``); raises OperationError otherwise."""
-    try:
-        p = _single_word(w)
-    except ValidationError:
-        raise OperationError(f"{w!r} is not a valid standalone word") from None
+    symbols of the one-word paragraph ``p``; raises OperationError if it
+    has more words."""
+    _single_word(p)
     return _profile(p._code[0], p._names)
 
 
@@ -157,9 +151,9 @@ def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
     return zero, antisymmetric
 
 
-def word_is_planar_homology(w: SignedWord | SignedParagraph) -> bool:
+def word_is_planar_homology(p: SignedParagraph) -> bool:
     """Planarity by the vanishing of the whole intersection profile."""
-    return profile(w).is_zero
+    return profile(p).is_zero
 
 
 def pairing(p: SignedParagraph) -> int:

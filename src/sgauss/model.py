@@ -20,22 +20,20 @@ word on one side is an error.
 
 A paragraph is stored as its symbol names and its integer code, and
 nothing else: ``_names`` lists the symbols by number, and ``_code`` is a
-tuple of words, each a tuple of ints 2 * symbol + (exp == -1).  ``words``,
-the letter objects, is a view built from the code the first time it is
-read.  An operation that needs a symbol's letters finds them in the code.
-The canonical search, the ribbon graph, the joins, the pairing, the
-renderers and the exhaustive verifier run on codes; ``_from_code`` turns a
-code the package built, with its symbol names, back into a paragraph
-without validation.  The canonical form is the least (word lengths,
-first-appearance letter stream) over every word order and rotation
+tuple of words, each a tuple of ints 2 * symbol + (exp == -1).  There is no
+letter or word object: an operation that needs a symbol's letters finds
+them in the code.  The canonical search, the ribbon graph, the joins, the
+pairing, the renderers and the exhaustive verifier run on codes;
+``_from_code`` turns a code the package built, with its symbol names, back
+into a paragraph without validation.  The canonical form is the least (word
+lengths, first-appearance letter stream) over every word order and rotation
 (``_canonical``).
 
 ``parse_paragraph`` splits each line into tokens with ``str.split`` and
 numbers each letter's symbol by first appearance as it goes, so the text
 becomes the code in one pass; one match of ``_NAMES`` then checks every
 symbol name at once.  ``SignedParagraph.__post_init__`` is the one
-validator: the parser runs it on the parsed code, and the public
-constructor on the code it numbers from letter objects.  Only when parsing
+validator, which the parser runs on the parsed code.  Only when parsing
 fails does the text get scanned again, token by token with ``_SCAN``
 (``_tokens``), for the error's token, line and column.
 
@@ -46,15 +44,13 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "GaussError",
     "ParseError",
     "ValidationError",
     "OperationError",
-    "SignedLetter",
-    "SignedWord",
     "SignedParagraph",
     "parse_paragraph",
     "render",
@@ -197,53 +193,6 @@ class _Value(_Record):
         return type(self), self._values()
 
 
-class SignedLetter(_Value):
-    """A crossing symbol traversed with exponent +1 or -1."""
-
-    __slots__ = _fields = __match_args__ = ("sym", "exp")
-
-    def __post_init__(self):
-        if self.exp not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"exponent must be +1 or -1, got {self.exp!r}")
-
-    def inverse(self) -> SignedLetter:
-        return SignedLetter(self.sym, -self.exp)
-
-    def __str__(self) -> str:
-        return self.sym if self.exp == POSITIVE else f"-{self.sym}"
-
-    def __repr__(self) -> str:
-        return f"SignedLetter({str(self)!r})"
-
-
-class SignedWord(_Value):
-    """A cyclically-ordered sequence of signed letters.
-
-    The stored sequence is a fixed representative; cyclic rotations of it
-    describe the same closed curve and are identified by ``canonicalize``.
-    """
-
-    __slots__ = _fields = __match_args__ = ("letters",)
-
-    def __post_init__(self):
-        _set(self, "letters", tuple(self.letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[SignedLetter]:
-        return iter(self.letters)
-
-    def __getitem__(self, i: int) -> SignedLetter:
-        return self.letters[i]
-
-    def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters)
-
-    def __repr__(self) -> str:
-        return f"SignedWord({str(self)!r})"
-
-
 Code = tuple[tuple[int, ...], ...]
 
 
@@ -251,47 +200,29 @@ class SignedParagraph(_Value):
     """A validated signed Gauss paragraph.
 
     A paragraph is stored as its integer code: ``_names`` (symbol number ->
-    name, numbered by first appearance when validated) and ``_code`` (the
-    words as letter codes 2 * number + (exp == -1)).  ``words`` is a view,
-    built from the code the first time it is read and then kept.
-
-    Construction from words numbers their symbols, raises ``ValueError`` on
-    a name that is not a ``SYMBOL_RE`` token, and validates the three
-    structural invariants (every symbol exactly twice with opposite
-    exponents, no empty word, connected sharing graph) in ``__post_init__``,
-    raising :class:`ValidationError` otherwise.  ``parse_paragraph`` numbers
-    the symbols straight from the text and runs the same ``__post_init__``.
-    Two paragraphs are equal iff they have the same words.
+    name, numbered by first appearance when parsed) and ``_code`` (the
+    words as letter codes 2 * number + (exp == -1)).  It is made only by
+    ``parse_paragraph`` from text and by the package's operations from
+    codes they built (``_from_code``); calling the class raises
+    ``TypeError``.  ``__post_init__`` is the validator that the parser runs:
+    it checks the three structural invariants (every symbol exactly twice
+    with opposite exponents, no empty word, connected sharing graph) and
+    raises :class:`ValidationError` otherwise.  Two paragraphs are equal iff
+    they have the same words, that is the same text: a symbol name is one
+    token of the grammar.
     """
 
-    __slots__ = ("_names", "_code", "_words")
-    _fields = __match_args__ = ("words",)
+    __slots__ = ("_names", "_code")
 
-    def __init__(self, words: Iterable[SignedWord | Iterable[SignedLetter]]):
-        words = tuple(w if isinstance(w, SignedWord) else SignedWord(tuple(w)) for w in words)
-        index: dict[str, int] = {}
-        number = index.setdefault
-        code = tuple(
-            tuple(2 * number(l.sym, len(index)) + (l.exp == NEGATIVE) for l in w)
-            for w in words
-        )
-        for name in index:
-            if not (isinstance(name, str) and SYMBOL_RE.fullmatch(name)):
-                raise ValueError(f"symbol name {name!r} is not a valid symbol token")
-        _store(self, tuple(index), code, words)
-        self.__post_init__()
+    def __init__(self, *args, **kwargs):
+        raise TypeError("SignedParagraph() cannot be called; use parse_paragraph(text)")
 
     def __post_init__(self):
         """Validate the code."""
         _validate(self._code, self._names)
 
-    @property
-    def words(self) -> tuple[SignedWord, ...]:
-        if self._words is None:
-            table = [SignedLetter(s, e) for s in self._names for e in (POSITIVE, NEGATIVE)]
-            words = tuple(SignedWord(tuple(map(table.__getitem__, w))) for w in self._code)
-            _set(self, "_words", words)
-        return self._words
+    def _values(self) -> tuple:
+        return (str(self),)
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -313,29 +244,20 @@ class SignedParagraph(_Value):
         return f"SignedParagraph({str(self)!r})"
 
 
-def _store(p: SignedParagraph, names, code: Code, words=None):
-    _set(p, "_names", names)
+def _from_code(code: Code, names: Sequence[str]) -> SignedParagraph:
+    """The paragraph of ``code``, symbol i keeping number i and the name
+    ``names[i]``, one name per symbol; nothing is checked, so the code is
+    valid by construction or the caller validates it."""
+    p = object.__new__(SignedParagraph)
+    _set(p, "_names", tuple(names))
     _set(p, "_code", code)
-    _set(p, "_words", words)
     return p
 
 
-def _from_code(code: Code, names: Sequence[str]) -> SignedParagraph:
-    """The paragraph of a code that is valid by construction, symbol i
-    named ``names[i]`` (names past the code's symbols are ignored); symbol
-    i keeps number i, and nothing is checked."""
-    names = tuple(names[: sum(map(len, code)) // 2])
-    return _store(object.__new__(SignedParagraph), names, code)
-
-
-def _single_word(w: SignedWord | SignedParagraph) -> SignedParagraph:
-    """``w`` as a one-word paragraph: a paragraph as it is, once it is seen
-    to hold one word, and a word validated as a standalone one."""
-    if not isinstance(w, SignedParagraph):
-        return SignedParagraph((w,))
-    if len(w._code) != 1:
-        raise OperationError(f"expected a single-word paragraph, got {len(w._code)} words")
-    return w
+def _single_word(p: SignedParagraph) -> None:
+    """Raise ``OperationError`` unless ``p`` holds one word."""
+    if len(p._code) != 1:
+        raise OperationError(f"expected a single-word paragraph, got {len(p._code)} words")
 
 
 def _validate(code: Code, names: Sequence[str]) -> None:
@@ -474,7 +396,7 @@ def parse_paragraph(text: str, *, pairwise: bool = False) -> SignedParagraph:
         raise ValidationError(
             ValidationError.EMPTY_WORD, "empty paragraph", line=1, col=1
         )
-    p = _store(object.__new__(SignedParagraph), names, tuple(code))
+    p = _from_code(tuple(code), names)
     try:
         p.__post_init__()
         if pairwise:

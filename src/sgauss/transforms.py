@@ -12,7 +12,7 @@ crossing, removes one component and preserves the minimal-realization
 genus, so iterating it reduces any paragraph to a one-word paragraph of the
 same genus (``reduce_to_word``).  Each operation finds a symbol's letters
 in the code and returns a paragraph built from its code without validation;
-``split`` takes a word or a one-word paragraph, as the word functions of
+``split`` takes a one-word paragraph, as the word functions of
 :mod:`sgauss.homology` do.
 """
 
@@ -22,7 +22,6 @@ from .model import (
     Code,
     OperationError,
     SignedParagraph,
-    SignedWord,
     ValidationError,
     _check_token,
     _from_code,
@@ -32,15 +31,15 @@ from .model import (
 __all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
 
 
-def split(w: SignedWord | SignedParagraph, sym: str) -> SignedParagraph:
-    """Cut the valid standalone word ``w`` (a word, or a one-word paragraph)
-    at ``sym`` into the 2-component paragraph {u, v}.
+def split(p: SignedParagraph, sym: str) -> SignedParagraph:
+    """Cut the one-word paragraph ``p`` at ``sym`` into the 2-component
+    paragraph {u, v}.
 
-    Raises ``OperationError`` if either part is empty (the occurrences of
-    ``sym`` are adjacent) and ``ValidationError`` if ``w`` is not a valid
-    word or the parts share no symbol.
+    Raises ``OperationError`` if ``p`` has more words or either part is
+    empty (the occurrences of ``sym`` are adjacent), and ``ValidationError``
+    if the parts share no symbol.
     """
-    p = _single_word(w)
+    _single_word(p)
     if sym not in p._names:
         raise OperationError(f"symbol {sym!r} does not occur in {p}")
     s = p._names.index(sym)

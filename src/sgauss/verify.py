@@ -130,7 +130,7 @@ def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
 
 
 def _paragraph(code: Code) -> SignedParagraph:
-    return _from_code(code, LETTERS)
+    return _from_code(code, LETTERS[: sum(map(len, code)) // 2])
 
 
 def _text(code: Code) -> str:

@@ -19,6 +19,7 @@ rotation-system face tracing, which is the point.
 
 from __future__ import annotations
 
+from letters import words_of
 from sgauss.model import SignedParagraph
 
 
@@ -26,7 +27,7 @@ def boundary_count(p: SignedParagraph) -> int:
     start_at: dict[tuple[str, int], int] = {}
     end_at: dict[tuple[str, int], int] = {}
     arcs = 0
-    for w in p.words:
+    for w in words_of(p):
         length = len(w)
         for i in range(length):
             a, b = w[i], w[(i + 1) % length]

@@ -13,7 +13,8 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from conftest import rotate
-from sgauss.model import SignedParagraph, SignedWord, _canonical_name, relabel
+from letters import SignedWord, paragraph, words_of
+from sgauss.model import SignedParagraph, _canonical_name, relabel
 
 
 def _stream_key(words: list[SignedWord]) -> tuple:
@@ -34,8 +35,9 @@ def bruteforce_canonicalize(p: SignedParagraph) -> SignedParagraph:
     trying every word order and every rotation of every word."""
     best_key = None
     best: list[SignedWord] | None = None
-    for order in permutations(range(len(p.words))):
-        ws = [p.words[i] for i in order]
+    words = words_of(p)
+    for order in permutations(range(len(words))):
+        ws = [words[i] for i in order]
         lengths = tuple(len(w) for w in ws)
         if best_key is not None and (lengths,) > best_key[:1]:
             continue
@@ -50,4 +52,4 @@ def bruteforce_canonicalize(p: SignedParagraph) -> SignedParagraph:
         for l in w:
             ids.setdefault(l.sym, len(ids))
     mapping = {sym: _canonical_name(i) for sym, i in ids.items()}
-    return relabel(SignedParagraph(tuple(best)), mapping)
+    return relabel(paragraph(best), mapping)

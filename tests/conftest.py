@@ -8,13 +8,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from sgauss.model import (
-    SignedLetter,
-    SignedParagraph,
-    SignedWord,
-    ValidationError,
-    parse_paragraph,
-)
+from letters import SignedLetter, SignedWord, paragraph, words_of
+from sgauss.model import SignedParagraph, ValidationError, parse_paragraph
 from sgauss.verify import KIND_PARAGRAPHS, KIND_WORDS, _codes_of_size, _paragraph
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -46,13 +41,11 @@ def signed_paragraphs(draw, min_symbols=2, max_symbols=4) -> SignedParagraph:
     w = draw(signed_words(min_symbols, max_symbols))
     cut = draw(st.integers(0, len(w) - 1))
     if cut == 0:
-        return SignedParagraph((w,))
+        return paragraph((w,))
     try:
-        return SignedParagraph(
-            (SignedWord(w.letters[:cut]), SignedWord(w.letters[cut:]))
-        )
+        return paragraph((w.letters[:cut], w.letters[cut:]))
     except ValidationError:
-        return SignedParagraph((w,))  # disconnected cut; fall back to the word
+        return paragraph((w,))  # disconnected cut; fall back to the word
 
 
 def addresses(p: SignedParagraph) -> dict[str, tuple[tuple[int, int], tuple[int, int]]]:
@@ -69,13 +62,14 @@ def naive_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
     letter stream matches p under some consistent exponent-preserving symbol
     bijection.
     """
-    if sorted(map(len, p.words)) != sorted(map(len, q.words)):
+    p_words, q_words = words_of(p), words_of(q)
+    if sorted(map(len, p_words)) != sorted(map(len, q_words)):
         return False
-    target = [w.letters for w in p.words]
-    m = len(q.words)
+    target = [w.letters for w in p_words]
+    m = len(q_words)
     for order in permutations(range(m)):
-        ws = [q.words[i] for i in order]
-        if [len(w) for w in ws] != [len(w) for w in p.words]:
+        ws = [q_words[i] for i in order]
+        if [len(w) for w in ws] != [len(w) for w in p_words]:
             continue
         for rots in product(*(range(len(w)) for w in ws)):
             cand = [rotate(w, r).letters for w, r in zip(ws, rots)]

@@ -18,6 +18,7 @@ from collections import Counter
 from itertools import chain
 
 from conftest import addresses, rotate
+from letters import paragraph, words_of
 from sgauss.homology import pairing, profile
 from sgauss.model import SignedParagraph, canonicalize, relabel, render
 from sgauss.surface import SurfaceSummary, build_ribbon, summarize, trace_circles
@@ -48,15 +49,16 @@ def moves_by_objects(p: SignedParagraph, rng: random.Random) -> SignedParagraph:
     for _ in range(rng.randint(1, 8)):
         kind = rng.randrange(3)
         if kind == 0:
-            i = rng.randrange(len(p.words))
-            k = rng.randrange(len(p.words[i]))
-            words = list(p.words)
+            words = list(words_of(p))
+            i = rng.randrange(len(words))
+            k = rng.randrange(len(words[i]))
             words[i] = rotate(words[i], k)
-            p = SignedParagraph(tuple(words))
+            p = paragraph(words)
         elif kind == 1:
-            order = list(range(len(p.words)))
+            words = words_of(p)
+            order = list(range(len(words)))
             rng.shuffle(order)
-            p = SignedParagraph(tuple(p.words[i] for i in order))
+            p = paragraph(words[i] for i in order)
         else:
             names = sorted(p.alphabet)
             shuffled = names[:]
@@ -134,8 +136,8 @@ def verify_by_objects(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         c2 = canonicalize(c1)
         record(report, "canonical-idempotence", c2 == c1, p, render(c2), render(c1))
 
-        if len(p.words) == 1:
-            pr = profile(p.words[0])
+        if len(p._code) == 1:
+            pr = profile(p)
             record(
                 report,
                 "criterion-equivalence",

@@ -17,8 +17,9 @@ which is the point.
 
 from __future__ import annotations
 
+from letters import SignedLetter, SignedWord
 from sgauss.homology import IntersectionProfile
-from sgauss.model import NEGATIVE, POSITIVE, OperationError, SignedLetter, SignedWord
+from sgauss.model import NEGATIVE, POSITIVE, OperationError
 
 
 def _position(w: SignedWord, sym: str, exp: int) -> int:

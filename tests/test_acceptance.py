@@ -16,14 +16,10 @@ import pytest
 
 from bandwalk import boundary_count
 from conftest import addresses
+from letters import SignedLetter, paragraph, words_of
 from sgauss.cli import main
 from sgauss.homology import pairing, profile, word_is_planar_homology
-from sgauss.model import (
-    SignedParagraph,
-    canonicalize,
-    parse_paragraph,
-    render,
-)
+from sgauss.model import canonicalize, parse_paragraph, render
 from sgauss.surface import build_ribbon, is_geometric, summarize, trace_circles
 from sgauss.transforms import fresh_symbol, join
 from sgauss.verify import apply_random_moves
@@ -39,7 +35,7 @@ def test_criterion_1_equivalence_exhaustive(words_le_4):
     disagreements = [
         render(p)
         for p in words_le_4
-        if word_is_planar_homology(p.words[0]) != is_geometric(p)
+        if word_is_planar_homology(p) != is_geometric(p)
     ]
     elapsed = time.perf_counter() - t0
     ok = not disagreements and elapsed < 60.0
@@ -54,12 +50,10 @@ def test_criterion_1_equivalence_exhaustive(words_le_4):
 
 def test_criterion_2_spot_values():
     s = summarize(parse_paragraph("a -a"))
-    ok = (s.b, s.genus) == (3, 0) and word_is_planar_homology(
-        parse_paragraph("a -a").words[0]
-    )
+    ok = (s.b, s.genus) == (3, 0) and word_is_planar_homology(parse_paragraph("a -a"))
 
-    w = parse_paragraph("a b -a -b").words[0]
-    s2 = summarize(SignedParagraph((w,)))
+    w = parse_paragraph("a b -a -b")
+    s2 = summarize(w)
     pr = profile(w)
     ok = ok and (s2.b, s2.genus) == (2, 1)
     ok = ok and pr.alpha == {"a": 1, "b": -1}
@@ -67,7 +61,7 @@ def test_criterion_2_spot_values():
 
     s3 = summarize(parse_paragraph("a -a b -b"))
     ok = ok and (s3.b, s3.genus) == (4, 0)
-    ok = ok and profile(parse_paragraph("a -a b -b").words[0]).is_zero
+    ok = ok and profile(parse_paragraph("a -a b -b")).is_zero
 
     p4 = parse_paragraph("a -b / -a b")
     s4 = summarize(p4)
@@ -119,14 +113,10 @@ def test_criterion_5_isomorphism_invariance():
         n = rng.randint(1, 6)
         pool = [(letters[i], e) for i in range(n) for e in (1, -1)]
         rng.shuffle(pool)
-        from sgauss.model import SignedLetter, SignedWord
-
-        p = SignedParagraph((SignedWord(tuple(SignedLetter(s, e) for s, e in pool)),))
+        p = paragraph(([SignedLetter(s, e) for s, e in pool],))
         q = apply_random_moves(p, rng)
         same_summary = summarize(q) == summarize(p)
-        same_verdict = word_is_planar_homology(q.words[0]) == word_is_planar_homology(
-            p.words[0]
-        )
+        same_verdict = word_is_planar_homology(q) == word_is_planar_homology(p)
         same_canon = canonicalize(q) == canonicalize(p)
         if not (same_summary and same_verdict and same_canon):
             failures += 1
@@ -163,7 +153,7 @@ def test_criterion_6_join_genus_preservation(paragraphs_le_3):
 def test_criterion_7_pairing_antisymmetry(paragraphs_le_3):
     bad = 0
     for p in paragraphs_le_3:
-        swapped = SignedParagraph((p.words[1], p.words[0]))
+        swapped = paragraph(reversed(words_of(p)))
         if pairing(swapped) != -pairing(p):
             bad += 1
     report(
@@ -178,7 +168,7 @@ def test_criterion_8_beta_antisymmetry(words_le_4):
     holds = 0
     violations = []
     for p in words_le_4:
-        pr = profile(p.words[0])
+        pr = profile(p)
         if all(v == -pr.beta[j, i] for (i, j), v in pr.beta.items()):
             holds += 1
         else:

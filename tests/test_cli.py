@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import TEXTS
 from sgauss.cli import _build_parser, _parse, main
-from sgauss.model import SignedLetter, SignedParagraph
+from sgauss.model import SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -353,8 +353,9 @@ class TestOperations:
 
 
 class TestNoLetters:
-    """The commands run on the parsed code: they build no letter objects,
-    and validate each input file once (the parse) and nothing they build."""
+    """The commands run on the parsed code, the one form of a paragraph the
+    package has: they validate each input file once (the parse) and
+    nothing they build."""
 
     WORD = "a b c -a d -b -c e -d f -e g -f h -g -h\n"
     CHAIN = "x1 y1 -x2 -y1\nx2 y2 -x3 -y2 / x3 y3 -x1 -y3\n"
@@ -381,19 +382,18 @@ class TestNoLetters:
             f = tmp_path / f"input{i}"
             f.write_text(text)
             files.append(str(f))
-        counts = {SignedLetter: 0, SignedParagraph: 0}
-        for cls in counts:
+        validated = []
 
-            def counted(obj, cls=cls, original=cls.__post_init__):
-                counts[cls] += 1
-                original(obj)
+        def counted(p, original=SignedParagraph.__post_init__):
+            validated.append(p)
+            original(p)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(SignedParagraph, "__post_init__", counted)
         args = [argv[0], *files, *argv[1:]] + (["--json"] if json_flag else [])
         code, out, err = run(capsys, monkeypatch, args)
         assert (code, err) == (0, "")
         assert out
-        assert counts == {SignedLetter: 0, SignedParagraph: len(files)}
+        assert len(validated) == len(files)
 
 
 def private_imports(source: str) -> list[str]:

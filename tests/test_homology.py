@@ -17,23 +17,22 @@ from hypothesis import strategies as st
 
 import setprofile
 from conftest import rotate, signed_words
+from letters import SignedLetter, SignedWord, paragraph, words_of
 from setprofile import closed_letter_set, inverse_set, letter_set, segment_of
 from sgauss.homology import _profile, _verdicts, pairing, profile, word_is_planar_homology
-from sgauss.model import (
-    OperationError,
-    SignedLetter,
-    SignedParagraph,
-    SignedWord,
-    parse_paragraph,
-    relabel,
-)
+from sgauss.model import OperationError, SignedParagraph, ValidationError, parse_paragraph, relabel
 from sgauss.surface import is_geometric, summarize
 
 homology = importlib.import_module("sgauss.homology")
 
 
-def W(text: str):
-    return parse_paragraph(text).words[0]
+def W(text: str) -> SignedWord:
+    (w,) = words_of(parse_paragraph(text))
+    return w
+
+
+def P(w: SignedWord) -> SignedParagraph:
+    return paragraph((w,))
 
 
 class TestSegment:
@@ -93,11 +92,11 @@ class TestAlpha:
         ],
     )
     def test_spot_values(self, text, sym, value):
-        assert profile(W(text)).alpha[sym] == value
+        assert profile(parse_paragraph(text)).alpha[sym] == value
 
     @given(signed_words())
     def test_set_sum_equals_plain_sum(self, w):
-        alpha = profile(w).alpha
+        alpha = profile(P(w)).alpha
         for sym in sorted(alpha):
             assert alpha[sym] == sum(l.exp for l in segment_of(w, sym))
 
@@ -113,11 +112,11 @@ class TestBeta:
         ],
     )
     def test_spot_values(self, text, i, j, value):
-        assert profile(W(text)).beta[i, j] == value
+        assert profile(parse_paragraph(text)).beta[i, j] == value
 
     def test_diagonal_is_zero(self):
         # Zero by convention, so the profile leaves the diagonal out.
-        assert profile(W("a b -a -b")).beta.keys() == {("a", "b"), ("b", "a")}
+        assert profile(parse_paragraph("a b -a -b")).beta.keys() == {("a", "b"), ("b", "a")}
         assert setprofile.beta(W("a b -a -b"), "a", "a") == 0
 
     def test_diagonal_still_requires_presence(self):
@@ -125,7 +124,7 @@ class TestBeta:
             setprofile.beta(W("a -a"), "z", "z")
 
     def test_three_symbol_example(self):
-        beta = profile(W("a b -a c -b -c")).beta
+        beta = profile(parse_paragraph("a b -a c -b -c")).beta
         assert beta.get(("a", "b"), 0) == 1
         assert beta.get(("b", "a"), 0) == -1
         assert beta.get(("a", "c"), 0) == 1
@@ -135,36 +134,22 @@ class TestBeta:
 class TestProfile:
     def test_zero_profiles(self):
         for text in ("a -a", "a -a b -b"):
-            pr = profile(W(text))
+            pr = profile(parse_paragraph(text))
             assert pr.is_zero
-            assert word_is_planar_homology(W(text))
+            assert word_is_planar_homology(parse_paragraph(text))
 
     def test_torus_word_profile(self):
-        pr = profile(W("a b -a -b"))
+        pr = profile(parse_paragraph("a b -a -b"))
         assert pr.alpha == {"a": 1, "b": -1}
         assert pr.beta == {("a", "b"): 1, ("b", "a"): -1}
         assert not pr.is_zero
 
     def test_as_dict(self):
-        assert profile(W("a b -a -b")).as_dict() == {
+        assert profile(parse_paragraph("a b -a -b")).as_dict() == {
             "alpha": {"a": 1, "b": -1},
             "beta": [["a", "b", 1], ["b", "a", -1]],
             "planar": False,
         }
-
-    def test_rejects_invalid_word(self):
-        from sgauss.model import SignedWord
-
-        with pytest.raises(OperationError):
-            profile(SignedWord((SignedLetter("a", 1), SignedLetter("b", -1))))
-
-    def test_rejects_empty_word(self):
-        # A paragraph rejects the empty word, so the profile must not call
-        # it planar.
-        with pytest.raises(OperationError, match="not a valid standalone word"):
-            profile(SignedWord(()))
-        with pytest.raises(OperationError, match="not a valid standalone word"):
-            word_is_planar_homology(SignedWord(()))
 
     @staticmethod
     def sorted_rendering(pr):
@@ -176,24 +161,24 @@ class TestProfile:
 
     @given(signed_words(max_symbols=8))
     def test_as_dict_is_in_sorted_order(self, w):
-        pr = profile(w)
+        pr = profile(P(w))
         assert json.dumps(pr.as_dict()) == json.dumps(self.sorted_rendering(pr))
 
     def test_as_dict_is_in_sorted_order_at_n200(self):
         pool = [SignedLetter(f"s{i}", e) for i in range(200) for e in (1, -1)]
         random.Random(7).shuffle(pool)
-        pr = profile(SignedWord(tuple(pool)))
+        pr = profile(paragraph((pool,)))
         assert json.dumps(pr.as_dict()) == json.dumps(self.sorted_rendering(pr))
 
     @given(signed_words(max_symbols=4), st.integers(0, 10))
     def test_rotation_invariant(self, w, k):
-        assert profile(rotate(w, k)) == profile(w)
+        assert profile(P(rotate(w, k))) == profile(P(w))
 
     @given(signed_words(max_symbols=4))
     def test_relabeling_permutes_indices(self, w):
         mapping = {l.sym: l.sym + "_r" for l in w}
-        moved = relabel(SignedParagraph((w,)), mapping).words[0]
-        pr = profile(w)
+        moved = relabel(P(w), mapping)
+        pr = profile(P(w))
         prm = profile(moved)
         assert prm.alpha == {mapping[s]: v for s, v in pr.alpha.items()}
         assert prm.beta == {
@@ -222,17 +207,19 @@ class TestAgainstSetOracle:
     def test_exhaustive_small(self, words_le_4):
         assert len(words_le_4) == 1814
         for p in words_le_4:
-            w = p.words[0]
-            assert profile(w) == setprofile.profile(w), str(w)
+            (w,) = words_of(p)
+            assert profile(p) == setprofile.profile(w), str(w)
 
     @given(signed_words(max_symbols=12))
     def test_random_words(self, w):
-        assert profile(w) == setprofile.profile(w)
+        assert profile(P(w)) == setprofile.profile(w)
 
     @given(invalid_words())
     def test_invalid_words_rejected_by_both(self, w):
-        with pytest.raises(OperationError):
-            profile(w)
+        # The package rejects them when it validates the word, before any
+        # profile can be asked of it.
+        with pytest.raises(ValidationError):
+            P(w)
         with pytest.raises(OperationError):
             setprofile.profile(w)
 
@@ -254,7 +241,7 @@ class TestVerdicts:
     @settings(max_examples=50)
     @given(signed_words(max_symbols=12))
     def test_hypothesis_words(self, w):
-        (word,) = SignedParagraph((w,))._code
+        (word,) = P(w)._code
         assert _verdicts(word) == dict_verdicts(word)
 
     def test_not_antisymmetric(self, monkeypatch):
@@ -270,15 +257,16 @@ class TestVerdicts:
 
 class TestOneWordParagraph:
     """A one-word paragraph is a word: the word functions read its code as
-    it is, without validating it again."""
+    it is, without validating it again, and reject a paragraph of more
+    words."""
 
     TEXT = "a b c -a d -b -c e -d f -e g -f h -g -h"
 
     def test_same_values_as_the_word(self):
         p = parse_paragraph(self.TEXT)
-        w = p.words[0]
-        assert profile(p) == profile(w)
-        assert word_is_planar_homology(p) == word_is_planar_homology(w)
+        expected = setprofile.profile(W(self.TEXT))
+        assert profile(p) == expected
+        assert word_is_planar_homology(p) == expected.is_zero
 
     def test_not_validated_again(self, monkeypatch):
         p = parse_paragraph(self.TEXT)
@@ -316,9 +304,9 @@ class TestLargeWords:
         else:
             pool = [SignedLetter(f"s{i}", e) for i in range(200) for e in (1, -1)]
             rng.shuffle(pool)
-            w = SignedWord(tuple(pool))
-        pr = profile(w)
-        geometric = summarize(SignedParagraph((w,))).geometric
+            w = SignedWord(pool)
+        pr = profile(P(w))
+        geometric = summarize(P(w)).geometric
         assert pr.is_zero == geometric
         assert geometric == (kind == "kinks")
         syms = sorted(pr.alpha)
@@ -329,7 +317,7 @@ class TestLargeWords:
 class TestCriterionEquivalence:
     def test_exhaustive_small(self, words_le_3):
         for p in words_le_3:
-            assert word_is_planar_homology(p.words[0]) == is_geometric(p)
+            assert word_is_planar_homology(p) == is_geometric(p)
 
 
 class TestPairing:
@@ -353,7 +341,7 @@ class TestPairing:
 
     def test_antisymmetry_on_corpus(self, paragraphs_le_3):
         for p in paragraphs_le_3:
-            swapped = SignedParagraph((p.words[1], p.words[0]))
+            swapped = paragraph(reversed(words_of(p)))
             assert pairing(swapped) == -pairing(p)
 
     def test_null_pairing_on_geometric(self, paragraphs_le_3):

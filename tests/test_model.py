@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +24,12 @@ from conftest import (
     symmetric_chain,
     symmetric_word,
 )
-from sgauss import model
+from letters import SignedLetter, SignedWord, paragraph, words_of
 from sgauss.model import (
     GaussError,
     OperationError,
     ParseError,
-    SignedLetter,
     SignedParagraph,
-    SignedWord,
     ValidationError,
     canonicalize,
     check_pairwise,
@@ -46,37 +45,37 @@ from sgauss.verify import apply_random_moves
 from tokenparse import parse_by_tokens
 
 
-def words_of(p: SignedParagraph) -> list[str]:
-    return [str(w) for w in p.words]
+def word_texts(p: SignedParagraph) -> list[str]:
+    return [str(w) for w in words_of(p)]
 
 
 class TestParse:
     def test_smallest_word(self):
         p = parse_paragraph("a -a")
-        assert words_of(p) == ["a -a"]
+        assert word_texts(p) == ["a -a"]
         assert p.alphabet == {"a"}
         assert p._code == ((0, 1),)
 
     def test_length_four(self):
         p = parse_paragraph("a b -a -b")
-        assert len(p.words[0]) == 4
+        assert len(p._code[0]) == 4
         assert p.alphabet == {"a", "b"}
 
     def test_two_components(self):
         p = parse_paragraph("a -b / -a b")
-        assert words_of(p) == ["a -b", "-a b"]
+        assert word_texts(p) == ["a -b", "-a b"]
 
     def test_caret_alias_and_comments(self):
         p = parse_paragraph("a b a^-1 -b  # trailing comment\n")
-        assert words_of(p) == ["a b -a -b"]
+        assert word_texts(p) == ["a b -a -b"]
 
     def test_newline_separates_words(self):
         p = parse_paragraph("a -b\n-a b\n")
-        assert words_of(p) == ["a -b", "-a b"]
+        assert word_texts(p) == ["a -b", "-a b"]
 
     def test_blank_lines_ignored(self):
         p = parse_paragraph("\n\na -a\n\n")
-        assert words_of(p) == ["a -a"]
+        assert word_texts(p) == ["a -a"]
 
     def test_multichar_symbols(self):
         p = parse_paragraph("x1 cross_2 -x1 -cross_2")
@@ -180,7 +179,7 @@ def paragraph_texts(draw) -> str:
             draw(st.sampled_from([f"-{l.sym}", f"{l.sym}^-1"])) if l.exp < 0 else l.sym
             for l in w
         ]
-        for w in p.words
+        for w in words_of(p)
     ]
     edit = draw(
         st.sampled_from("none drop repeat invert rename bad slash line word".split())
@@ -262,6 +261,25 @@ class TestParseAgainstTokenParser:
             parse_by_tokens, text, pairwise
         )
 
+    def test_oracle_does_not_parse(self):
+        # The oracle, and the letters it builds its paragraphs from, must
+        # not go through the parser they check.
+        for oracle in ("letters.py", "tokenparse.py"):
+            assert "parse_paragraph" not in referenced_names(oracle), oracle
+
+
+def referenced_names(module: str) -> set[str]:
+    """Every name, attribute and imported name in the test module's source."""
+    names = set()
+    for node in ast.walk(ast.parse((Path(__file__).parent / module).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
 
 class TestValidation:
     def test_both_occurrences_in_one_word_is_legal(self):
@@ -270,7 +288,7 @@ class TestValidation:
 
     def test_connected_chain_of_three(self):
         p = parse_paragraph("a / -a b / -b")
-        assert len(p.words) == 3
+        assert len(p._code) == 3
 
     def test_pairwise_check(self):
         p = parse_paragraph("a / -a b / -b")
@@ -288,37 +306,23 @@ class TestValidation:
         check_pairwise(parse_paragraph("a -b / -a b"))
 
     def test_direct_construction_validates(self):
+        # The parser's validator, run on a code built from letters.
         with pytest.raises(ValidationError):
-            SignedParagraph((SignedWord((SignedLetter("a", 1),)),))
+            paragraph((SignedWord((SignedLetter("a", 1),)),))
 
     def test_no_words(self):
         with pytest.raises(ValidationError, match="^empty paragraph$") as exc:
-            SignedParagraph([])
+            paragraph([])
         assert exc.value.kind == ValidationError.EMPTY_WORD
 
-    def test_bad_exponent(self):
-        with pytest.raises(ValueError):
-            SignedLetter("a", 2)
-
-    @pytest.mark.parametrize("name", ["x y", "-a", "a^-1", "a/b", "", "9", "a\n", 1, None])
-    def test_symbol_names_must_be_tokens(self, name):
-        # Such a name would render as text that parses to another paragraph,
-        # or not at all.
-        with pytest.raises(ValueError, match="is not a valid symbol token"):
-            SignedParagraph(((SignedLetter(name, 1), SignedLetter(name, -1)),))
-
-    def test_each_distinct_name_checked_once(self, monkeypatch):
-        seen = []
-        fullmatch = model.SYMBOL_RE.fullmatch
-        counted = SimpleNamespace(fullmatch=lambda s: seen.append(s) or fullmatch(s))
-        monkeypatch.setattr(model, "SYMBOL_RE", counted)
-        p = SignedParagraph(parse_paragraph("a b -a c / -b -c").words)
-        assert seen == ["a", "b", "c"]
-        assert render(p) == "a b -a c / -b -c"
+    def test_class_cannot_be_called(self):
+        for args in [(), ("a -a",), ([[SignedLetter("a", 1), SignedLetter("a", -1)]],)]:
+            with pytest.raises(TypeError, match="use parse_paragraph"):
+                SignedParagraph(*args)
 
     @given(signed_paragraphs())
     def test_exponent_sum_is_zero(self, p):
-        assert sum(l.exp for w in p.words for l in w) == 0
+        assert sum(l.exp for w in words_of(p) for l in w) == 0
 
 
 class TestRenderRoundTrip:
@@ -352,7 +356,7 @@ class TestRenderRoundTrip:
 
 class TestRotate:
     def test_shift_by_one(self):
-        w = parse_paragraph("a b -a -b").words[0]
+        (w,) = words_of(parse_paragraph("a b -a -b"))
         assert str(rotate(w, 1)) == "b -a -b a"
 
     @given(signed_words(), st.integers(-20, 20))
@@ -399,9 +403,7 @@ def random_cut(rng: random.Random, n: int, k: int) -> SignedParagraph:
         cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
         bounds = list(zip([0] + cuts, cuts + [2 * n]))
         try:
-            return SignedParagraph(
-                tuple(SignedWord(tuple(letters[a:b])) for a, b in bounds)
-            )
+            return paragraph(letters[a:b] for a, b in bounds)
         except ValidationError:
             continue
 
@@ -470,7 +472,7 @@ class TestCanonicalWord:
     @settings(max_examples=50)
     @given(signed_words(max_symbols=7))
     def test_hypothesis_words(self, w):
-        p = SignedParagraph((w,))
+        p = paragraph((w,))
         (word,) = p._code
         assert (_canonical_word(word),) == _canonical_search(p._code)
         assert canonicalize(p) == bruteforce_canonicalize(p)
@@ -567,20 +569,19 @@ def letter_texts(draw):
             draw(st.sampled_from([f"-{l.sym}", f"{l.sym}^-1"])) if l.exp < 0 else l.sym
             for l in w
         )
-        for w in p.words
+        for w in words_of(p)
     )
     return p, text
 
 
 class TestStoredCode:
-    """A paragraph is its symbol names and its code; ``words`` is a view of
-    them, built on first use."""
+    """A paragraph is its symbol names and its code, and nothing else."""
 
     @given(letter_texts())
     def test_parsed_equals_built_from_letters(self, case):
         p, text = case
-        parsed, built = parse_paragraph(text), SignedParagraph(p.words)
-        assert parsed.words == built.words == p.words
+        parsed, built = parse_paragraph(text), paragraph(words_of(p))
+        assert words_of(parsed) == words_of(built) == words_of(p)
         assert parsed == built and hash(parsed) == hash(built)
         assert str(parsed) == str(built) == str(p)
         assert parsed.alphabet == built.alphabet
@@ -593,22 +594,17 @@ class TestStoredCode:
         moved = apply_random_moves(p, random.Random(seed))
         again = parse_paragraph(render(moved))
         assert again == moved and hash(again) == hash(moved)
-        assert again.words == moved.words
-
-    def test_words_are_built_once(self):
-        p = parse_paragraph("a b -a c / -b -c")
-        assert p._words is None
-        assert p.words is p.words
+        assert words_of(again) == words_of(moved)
 
     def test_immutable(self):
         p = parse_paragraph("a -a")
         with pytest.raises(AttributeError):
             p._code = ((0, 1),)
 
-    def test_stores_names_code_and_words_only(self):
+    def test_stores_names_and_code_only(self):
         # Letter addresses are found in the code by the operations that
-        # need them, not stored.
-        assert SignedParagraph.__slots__ == ("_names", "_code", "_words")
+        # need them, and letters are not stored.
+        assert SignedParagraph.__slots__ == ("_names", "_code")
 
 
 class TestRelabel:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bandwalk import boundary_count
 from conftest import signed_paragraphs, signed_words
+from letters import paragraph, words_of
 from darttrace import successor, trace_circles_by_objects
 from sgauss.model import SignedParagraph, parse_paragraph
 from sgauss.surface import build_ribbon, is_geometric, summarize, trace_circles
@@ -245,7 +246,7 @@ class TestInvariance:
     def test_kink_deletion(self, words_le_4):
         # Removing an adjacent +/- pair drops n and b by one, fixing genus.
         for p in words_le_4:
-            w = p.words[0]
+            (w,) = words_of(p)
             if len(w) <= 2:
                 continue
             length = len(w)
@@ -255,7 +256,7 @@ class TestInvariance:
                         w[j] for j in range(length) if j not in (i, (i + 1) % length)
                     ]
                     s0 = summarize(p)
-                    s1 = summarize(SignedParagraph((rest,)))
+                    s1 = summarize(paragraph((rest,)))
                     assert s1.n == s0.n - 1
                     assert s1.b == s0.b - 1
                     assert s1.genus == s0.genus

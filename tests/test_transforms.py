@@ -22,29 +22,25 @@ def P(text: str):
     return parse_paragraph(text)
 
 
-def W(text: str):
-    return parse_paragraph(text).words[0]
-
-
 class TestSplit:
     def test_torus_word(self):
-        assert render(split(W("a b -a -b"), "a")) == "b / -b"
+        assert render(split(P("a b -a -b"), "a")) == "b / -b"
 
     def test_other_orientation(self):
-        assert render(split(W("a -b -a b"), "a")) == "-b / b"
+        assert render(split(P("a -b -a b"), "a")) == "-b / b"
 
     def test_adjacent_occurrences_error(self):
         with pytest.raises(OperationError):
-            split(W("a -a b -b"), "a")
+            split(P("a -a b -b"), "a")
 
     def test_missing_symbol(self):
         with pytest.raises(OperationError):
-            split(W("a -a"), "z")
+            split(P("a -a"), "z")
 
     def test_disconnected_result_rejected(self):
         # Splitting here isolates the kinks: the parts share nothing.
         with pytest.raises(ValidationError) as exc:
-            split(W("t b -b -t c -c"), "t")
+            split(P("t b -b -t c -c"), "t")
         assert exc.value.kind == ValidationError.DISCONNECTED
         assert exc.value.where == (1, 0)
         assert str(exc.value) == "word 2 shares no symbols with the rest of the paragraph"
@@ -61,7 +57,7 @@ class TestSplit:
         assert calls == []
 
     def test_both_occurrences_may_land_in_one_part(self):
-        p = split(W("t b -b c -t -c"), "t")
+        p = split(P("t b -b c -t -c"), "t")
         assert render(p) == "b -b c / -c"
 
     def test_several_words_rejected(self):
@@ -71,7 +67,7 @@ class TestSplit:
             split(P("a -b / -a b"), "a")
 
     def test_raises_component_count(self):
-        assert len(split(W("a b -a -b"), "b").words) == 2
+        assert len(split(P("a b -a -b"), "b")._code) == 2
 
 
 class TestSplitAgainstValidate:
@@ -150,7 +146,7 @@ class TestJoin:
     def test_component_count_drops_by_one(self):
         p = P("a / -a b / -b")
         q = join(p, "a", "c")
-        assert len(q.words) == 2
+        assert len(q._code) == 2
 
     def test_alphabet_gains_fresh(self):
         q = join(P("a -b / -a b"), "a", "c")
@@ -176,8 +172,8 @@ class TestReduce:
     def test_three_components(self):
         p = P("a / -a b / -b")
         w = reduce_to_word(p)
-        assert len(p.words) == 3  # input untouched
-        assert len(w.words) == 1
+        assert len(p._code) == 3  # input untouched
+        assert len(w._code) == 1
         assert summarize(w).genus == summarize(p).genus
 
     def test_joins_onto_the_first_component(self):
@@ -235,17 +231,16 @@ class TestCorpusProperties:
         # not recover the genus of the original word: smoothing a crossing
         # can lower the minimal genus (see the counterexample below).
         for p in words_le_3:
-            w = p.words[0]
             for sym in sorted(p.alphabet):
                 try:
-                    parts = split(w, sym)
+                    parts = split(p, sym)
                 except (OperationError, ValidationError):
                     continue
                 assert summarize(reduce_to_word(parts)).genus == summarize(parts).genus
 
     def test_split_can_lower_genus(self):
-        w = W("b a -c -b -a c")
-        assert summarize(SignedParagraph((w,))).genus == 1
+        w = P("b a -c -b -a c")
+        assert summarize(w).genus == 1
         parts = split(w, "b")
         assert render(parts) == "a -c / -a c"
         assert summarize(parts).genus == 0

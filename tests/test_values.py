@@ -18,8 +18,6 @@ from sgauss.homology import IntersectionProfile, profile
 from sgauss.verify import CheckStat, Counterexample, CorpusSpec, VerificationReport
 
 REAL = SimpleNamespace(
-    SignedLetter=model.SignedLetter,
-    SignedWord=model.SignedWord,
     RotationSystem=surface.RotationSystem,
     CarterCircle=surface.CarterCircle,
     IntersectionProfile=IntersectionProfile,
@@ -33,17 +31,6 @@ PARAGRAPHS = "two-component-paragraphs"
 # package's classes or their twins): positional, keyword, with and without
 # the defaults.
 CALLS = {
-    "SignedLetter": [
-        lambda ns: ns.SignedLetter("a", 1),
-        lambda ns: ns.SignedLetter("x_1", -1),
-        lambda ns: ns.SignedLetter(exp=-1, sym="a"),
-        lambda ns: ns.SignedLetter("a", exp=1),
-    ],
-    "SignedWord": [
-        lambda ns: ns.SignedWord((ns.SignedLetter("a", 1), ns.SignedLetter("a", -1))),
-        lambda ns: ns.SignedWord([ns.SignedLetter("a", -1), ns.SignedLetter("a", 1)]),
-        lambda ns: ns.SignedWord(letters=(ns.SignedLetter("a", 1), ns.SignedLetter("a", -1))),
-    ],
     "RotationSystem": [
         lambda ns: ns.RotationSystem(("a",), (0, 1), (1, 0), {"a": (0, 3, 2, 1)}),
         lambda ns: ns.RotationSystem(("a",), (0, 1), (1, 0), quads={"a": (0, 1, 2, 3)}),
@@ -84,10 +71,10 @@ CALLS = {
 }
 # Calls that bind no arguments: too many, too few, repeated or unknown.
 BAD_CALLS = [
-    lambda ns: ns.SignedLetter("a"),
-    lambda ns: ns.SignedLetter("a", 1, 2),
-    lambda ns: ns.SignedLetter("a", 1, sym="b"),
-    lambda ns: ns.SignedLetter("a", 1, extra=0),
+    lambda ns: ns.IntersectionProfile({"a": 0}),
+    lambda ns: ns.IntersectionProfile({}, {}, {}),
+    lambda ns: ns.IntersectionProfile({}, {}, alpha={}),
+    lambda ns: ns.RotationSystem(("a",), (0, 1), (1, 0), quads={}, extra=0),
     lambda ns: ns.CarterCircle(),
     lambda ns: ns.CorpusSpec(),
     lambda ns: ns.CorpusSpec(dedupe=True),
@@ -201,8 +188,6 @@ def public_values():
     ribbon._edges  # fills its cached edge labels
     report = sgauss.verify(CorpusSpec(2, kind=PARAGRAPHS))
     return [
-        model.SignedLetter("a", -1),
-        word.words[0],
         p,
         word,
         moved_paragraph(),

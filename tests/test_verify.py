@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import addresses, double_factorial_count, naive_isomorphic, signed_paragraphs
+from letters import paragraph, words_of
 from objsweep import moves_by_objects, record, verify_by_objects
 from sgauss.model import SignedParagraph, _canonical, canonicalize, render
 from sgauss.transforms import join
@@ -199,9 +200,9 @@ class TestEnumerateWords:
 
     def test_all_valid_and_exact_size(self):
         for code in _codes_of_size(3, KIND_WORDS):
-            p = SignedParagraph(_paragraph(code).words)
+            p = paragraph(words_of(_paragraph(code)))
             assert p.n == 3
-            assert len(p.words) == 1
+            assert len(p._code) == 1
 
     def test_no_duplicates(self):
         block = list(_codes_of_size(3, KIND_WORDS))
@@ -226,8 +227,8 @@ class TestEnumerateParagraphs:
 
     def test_all_valid(self):
         for code in _codes_of_size(3, KIND_PARAGRAPHS):
-            p = SignedParagraph(_paragraph(code).words)
-            assert len(p.words) == 2
+            p = paragraph(words_of(_paragraph(code)))
+            assert len(p._code) == 2
             assert p.n == 3
 
 
@@ -335,11 +336,11 @@ class TestTrustedConstruction:
         index = {s: i for i, s in enumerate(p._names)}
         assert len(index) == p.n
         assert p._code == tuple(
-            tuple(2 * index[l.sym] + (l.exp == -1) for l in w) for w in p.words
+            tuple(2 * index[l.sym] + (l.exp == -1) for l in w) for w in words_of(p)
         )
 
     def check(self, q):
-        checked = SignedParagraph(q.words)
+        checked = paragraph(words_of(q))
         assert checked.alphabet == q.alphabet
         assert checked.n == q.n
         assert addresses(checked) == addresses(q)

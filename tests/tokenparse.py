@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import re
 
+from letters import SignedLetter, paragraph
 from sgauss.model import (
     NEGATIVE,
     POSITIVE,
     ParseError,
-    SignedLetter,
     SignedParagraph,
-    SignedWord,
     ValidationError,
     check_pairwise,
 )
@@ -78,7 +77,7 @@ def parse_by_tokens(text: str, *, pairwise: bool = False) -> SignedParagraph:
         )
 
     try:
-        p = SignedParagraph(tuple(SignedWord(tuple(w)) for w in words))
+        p = paragraph(words)
         if pairwise:
             check_pairwise(p)
     except ValidationError as e:
