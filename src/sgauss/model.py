@@ -351,7 +351,7 @@ _SCAN = re.compile(r"(/)|(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?(?![^\s/])|[^\s/]+")
 
 
 def _check_token(what: str, name: str) -> None:
-    if not SYMBOL_RE.fullmatch(name):
+    if not (isinstance(name, str) and SYMBOL_RE.fullmatch(name)):
         raise OperationError(f"{what} {name!r} is not a valid symbol token")
 
 

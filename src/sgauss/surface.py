@@ -32,11 +32,17 @@ letter of the same cyclic word, the symbol's rotation is
 
 (``_quads``, on the code).  The left-turn successor of a dart arriving at
 a crossing is the slot before its reverse, succ[q[k] ^ 1] = q[k-1] for every
-slot k of every quad, and the circles are the cycles of that table
-(``_faces``), which marks a visited dart by setting its entry to -1, so the
-walk needs no seen array and consumes the table; the mirror surface is the
-same call on the reversed quads (``_mirror``).  Both take O(n) time and 4n
-ints.
+slot k of every quad (``_table``), and the circles are the cycles of that
+table (``_faces``), which marks a visited dart by setting its entry to -1, so
+the walk needs no seen array and consumes the table; the mirror surface is
+the same two calls on the reversed quads (``_mirror``).  Both take O(n) time
+and 4n ints.
+
+The mirror's table is rho phi^-1 rho, with phi the table of the quads and
+rho(d) = d ^ 1: reversing quad q gives mirror[q[k] ^ 1] = q[k+1], so
+mirror[phi[d] ^ 1] = d ^ 1 for every dart d, and its cycles are those of phi
+read backwards on the reverse darts.  ``verify`` checks the mirror by this
+identity on the tables, without walking the mirror's circles.
 
 ``RotationSystem`` holds this numbering and nothing else: the paragraph's
 symbol ``names`` and the ``codes`` of its 2n letters in order, ``heads``
@@ -150,24 +156,29 @@ def _mirror(quads):
     return [q[::-1] for q in quads]
 
 
-def _faces(quads) -> list[list[int]]:
-    """Orbits of the left-turn successor table on the 4n darts of ``quads``
-    (a collection of integer rotations), in order of least dart, each listed
-    from it.
-
-    The walk marks a dart visited by setting its entry in the table to -1,
-    so it keeps no seen array; a start whose entry is -1 lies on an orbit
-    already listed.  The table is built per call and consumed by it.
-    """
-    size = 4 * len(quads)
-    succ = [0] * size
+def _table(quads) -> list[int]:
+    """The left-turn successor table on the 4n darts of ``quads`` (a
+    collection of integer rotations): succ[q[k] ^ 1] = q[k-1] for every
+    slot k of every quad."""
+    succ = [0] * (4 * len(quads))
     for a, b, c, d in quads:
         succ[a ^ 1] = d
         succ[b ^ 1] = a
         succ[c ^ 1] = b
         succ[d ^ 1] = c
+    return succ
+
+
+def _faces(succ: list[int]) -> list[list[int]]:
+    """Orbits of the successor table ``succ``, in order of least dart, each
+    listed from it.
+
+    The walk marks a dart visited by setting its entry in the table to -1,
+    so it keeps no seen array; a start whose entry is -1 lies on an orbit
+    already listed.  The walk consumes the table.
+    """
     faces = []
-    for start in range(size):
+    for start in range(len(succ)):
         if succ[start] < 0:
             continue
         orbit = []
@@ -196,7 +207,7 @@ def trace_circles(r: RotationSystem) -> list[CarterCircle]:
     Circles are returned sorted by their least dart, each listed starting
     from it, so the output is deterministic.
     """
-    return [CarterCircle(tuple(f)) for f in _faces(r.quads.values())]
+    return [CarterCircle(tuple(f)) for f in _faces(_table(r.quads.values()))]
 
 
 def _summary(n: int, b: int) -> SurfaceSummary:
@@ -210,7 +221,7 @@ def _summary(n: int, b: int) -> SurfaceSummary:
 
 def summarize(p: SignedParagraph) -> SurfaceSummary:
     """Crossing count, Carter circle count, Euler characteristic and genus."""
-    return _summary(p.n, len(_faces(_quads(p._code))))
+    return _summary(p.n, len(_faces(_table(_quads(p._code)))))
 
 
 def is_geometric(p: SignedParagraph) -> bool:

@@ -18,7 +18,14 @@ a code), the joins and the pairing are computed on them by the same kernels
 that the public functions wrap.  Of a word's intersection profile the sweep
 reads two verdicts, whether it vanishes and whether beta is antisymmetric,
 which ``homology._verdicts`` gives from the segment masks that ``profile``
-names.  A paragraph is built, and text rendered, only for a counterexample.
+names.  ``mirror-circles`` holds when the successor tables (``surface._table``)
+of the quads and of the mirror quads satisfy mirror[succ[d] ^ 1] = d ^ 1 for
+every dart d.  Proof that this is the comparison of the circles: the cycles
+of rho succ^-1 rho, rho(d) = d ^ 1, are those of succ read backwards on the
+reverse darts, and a permutation is determined by its cycles listed in
+order; a mirror table that is not a permutation fails the identity.  A
+paragraph is built, text rendered and the mirror walked only for a
+counterexample.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .model import (
     _Value,
     render,
 )
-from .surface import _faces, _mirror, _quads
+from .surface import _faces, _mirror, _quads, _table
 from .transforms import _join_code
 
 __all__ = [
@@ -294,19 +301,16 @@ class VerificationReport(_Record):
         return "\n".join(lines)
 
 
-def _backwards(faces: list[list[int]]) -> list[list[int]]:
-    """The circles read backwards on the reverse darts (d -> d ^ 1), listed
-    as ``_faces`` lists them: each from its least dart, in order of it."""
-    out = []
-    for f in faces:
-        r = [d ^ 1 for d in f]
-        if r:
-            # Backwards from the least reverse dart, round to the one after it.
-            i = r.index(min(r))
-            r = r[i::-1] + r[:i:-1]
-        out.append(r)
-    out.sort()
-    return out
+def _reverses(succ: list[int], mirror: list[int]) -> bool:
+    """Whether ``mirror`` is rho succ^-1 rho, rho(d) = d ^ 1: the table
+    whose circles are those of ``succ`` read backwards on the reverse darts
+    (see ``surface``), when ``succ`` is a permutation."""
+    if len(mirror) != len(succ):
+        return False
+    for d, s in enumerate(succ):
+        if mirror[s ^ 1] != d ^ 1:
+            return False
+    return True
 
 
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
@@ -343,8 +347,12 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 f"each of 0..{4 * n - 1} once",
             )
             continue
-        faces = _faces(quads)
-        b = len(faces)
+        succ = _table(quads)
+        mirror = _table(_mirror(quads))
+        # Decided before the walk consumes ``succ``; recorded after the
+        # genus checks, which skip it on failure.
+        mirrored = _reverses(succ, mirror)
+        b = len(_faces(succ))
         twice_genus = n + 2 - b
         parity = twice_genus % 2 == 0
         if not report.check("euler-parity", parity):
@@ -359,17 +367,16 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             )
         if not (parity and bounded):
             continue
-        mirror = _faces(_mirror(quads))
-        if not report.check("mirror-circles", mirror == _backwards(faces)):
+        if not report.check("mirror-circles", mirrored):
             report.fail(
                 _text(code),
                 "mirror-circles",
-                f"{len(mirror)} circles, not the reversed ones",
+                f"{len(_faces(mirror))} circles, not the reversed ones",
                 f"the {b} circles read backwards",
             )
         moved = _moved(code, n, rng)
         c1 = _canonical(code)
-        same = len(_faces(_quads(moved))) == b and _canonical(moved) == c1
+        same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
         if not report.check("isomorphism-invariance", same):
             report.fail(
                 _text(code),
@@ -413,7 +420,7 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 if plus[0] == minus[0]:
                     continue
                 # The join adds crossing n; its genus is (n + 3 - b) / 2.
-                bj = len(_faces(_quads(_join_code(code, plus, minus, n))))
+                bj = len(_faces(_table(_quads(_join_code(code, plus, minus, n)))))
                 ok_join = ok_join and n + 3 - bj == twice_genus
                 shift_counter[bj - b] += 1
             if not report.check("join-genus", ok_join):

@@ -5,7 +5,7 @@ It applies the left-turn rule to one dart at a time, reading the ribbon off
 ``RotationSystem`` the way the rule is stated: the crossing a dart arrives
 at (from ``names``, ``codes`` and ``heads``), the slot of the reverse dart in that
 crossing's rotation, and the slot before it.  It does not use the successor
-table that ``surface._faces`` builds.
+table that ``surface._table`` builds.
 """
 
 from __future__ import annotations

@@ -470,6 +470,7 @@ class TestVerifyCommand:
     # sha256 of the full stdout, recorded before the sweep moved onto
     # integer codes: the reports must stay byte-identical.
     REPORT_DIGESTS = {
+        ("--max-n", "5"): "335b8efcbe1cf038f8e630547d14e2225e594beec6ae6d598eaf4605580b1825",
         ("--max-n", "4"): "efe2758e8f10b7f26d7c842779801a7a11da5304f2c9c260859973155bcada3c",
         ("--max-n", "4", "--json"): "6d846469f8479331ac223593b1a857dd9aa513dbaf1b7f538ff2891d4a3bae72",
         ("--max-n", "3", "--dedupe"): "8fef721065d2220556934f69bd7fd2a5f151a205053d8a415d2ebd5f5fd55944",

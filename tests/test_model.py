@@ -629,6 +629,11 @@ class TestRelabel:
         with pytest.raises(OperationError):
             relabel(parse_paragraph("a b -a -b"), {"a": "b"})
 
+    def test_target_not_a_string(self):
+        # A GaussError, not the TypeError of matching a non-string.
+        with pytest.raises(OperationError, match="^target 1 is not a valid symbol token$"):
+            relabel(parse_paragraph("a b -a -b"), {"a": 1})
+
     def test_swap_renders_and_parses_back(self):
         q = relabel(parse_paragraph("a -b / -a b"), {"a": "b", "b": "a_2"})
         assert render(q) == "b -a_2 / -b a_2"

@@ -158,7 +158,7 @@ class TestSummarize:
         # An impossible circle count must be reported as a bug, not as data.
         import sgauss.surface as surface
 
-        monkeypatch.setattr(surface, "_faces", lambda quads: [])
+        monkeypatch.setattr(surface, "_faces", lambda succ: [])
         with pytest.raises(RuntimeError, match="internal consistency"):
             surface.summarize(P("a -a"))
 

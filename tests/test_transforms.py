@@ -128,6 +128,11 @@ class TestJoin:
         with pytest.raises(OperationError):
             join(P("a -b / -a b"), "a", "9bad")
 
+    def test_fresh_not_a_string(self):
+        match = "^fresh symbol None is not a valid symbol token$"
+        with pytest.raises(OperationError, match=match):
+            join(P("a b / -a -b"), "a", None)
+
     def test_not_shared(self):
         p = P("a b -b / -a")
         with pytest.raises(OperationError, match="occurs twice in one component"):
@@ -203,6 +208,10 @@ class TestFreshSymbol:
     def test_prefix_validated(self):
         with pytest.raises(OperationError):
             fresh_symbol(frozenset(), "8x")
+
+    def test_prefix_not_a_string(self):
+        with pytest.raises(OperationError, match="^prefix 7 is not a valid symbol token$"):
+            fresh_symbol(frozenset(), 7)
 
 
 class TestCorpusProperties:

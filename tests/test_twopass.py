@@ -1,8 +1,11 @@
 """The single-pass kernels against their two-pass oracles (``twopass.py``):
 ``model._canonical_word``, ``model._canonical_search`` and
 ``surface._faces`` must return exactly what the oracles return, the face
-orbits in the same order and each from the same dart.  ``verify._moved``
-must return the code that ``twopass.moved`` returns, from the same draws."""
+orbits in the same order and each from the same dart.  ``verify._reverses``
+must give the verdict of walking the mirror's circles and comparing them
+with the object's read backwards (``twopass._backwards``), on the mirror
+and on broken ones.  ``verify._moved`` must return the code that
+``twopass.moved`` returns, from the same draws."""
 
 from __future__ import annotations
 
@@ -16,8 +19,14 @@ from hypothesis import strategies as st
 import twopass
 from conftest import random_word, star, symmetric_chain, symmetric_word
 from sgauss.model import _canonical_search, _canonical_word, parse_paragraph
-from sgauss.surface import _faces, _mirror, _quads
-from sgauss.verify import KIND_PARAGRAPHS, _codes_of_size, _moved, apply_random_moves
+from sgauss.surface import _faces, _mirror, _quads, _table
+from sgauss.verify import (
+    KIND_PARAGRAPHS,
+    _codes_of_size,
+    _moved,
+    _reverses,
+    apply_random_moves,
+)
 
 # The package re-exports the function ``verify``, which hides the module.
 verify_module = importlib.import_module("sgauss.verify")
@@ -32,7 +41,23 @@ def paragraph_codes_le_4():
 def same_faces(code):
     quads = _quads(code)
     for q in (quads, _mirror(quads)):
-        assert _faces(q) == twopass.faces(q)
+        assert _faces(_table(q)) == twopass.faces(q)
+    same_mirror_verdicts(quads)
+
+
+def same_mirror_verdicts(quads):
+    """The table identity against the walk on the mirror quads and on three
+    broken ones (unreversed, one quad rotated by a slot, two slots of one
+    quad swapped), all permutations: the same verdict on each.  A repeated
+    dart, which is not a permutation, fails the identity."""
+    succ = _table(quads)
+    backwards = twopass._backwards(_faces(_table(quads)))
+    mirror = _mirror(quads)
+    (a, b, c, d), rest = mirror[0], mirror[1:]
+    assert _faces(_table(mirror)) == backwards
+    for m in [mirror, quads, [(b, c, d, a), *rest], [(b, a, c, d), *rest]]:
+        assert _reverses(succ, _table(m)) == (_faces(_table(m)) == backwards)
+    assert not _reverses(succ, _table([(a, a, c, d), *rest]))
 
 
 def same_everything(code):
@@ -98,7 +123,21 @@ class TestHypothesis:
     def test_faces_on_any_table(self, quads):
         # Also a table that is not a permutation: both walks stop at the
         # first dart already visited.
-        assert _faces(quads) == twopass.faces(quads)
+        assert _faces(_table(quads)) == twopass.faces(quads)
+
+    @given(codes())
+    def test_mirror_table_not_a_permutation(self, code):
+        # The mirror table with any one entry changed, or with a quad more,
+        # which the walk on the mirror would also reject.
+        quads = _quads(code)
+        succ, mirror = _table(quads), _table(_mirror(quads))
+        size = len(mirror)
+        for k in range(size):
+            broken = mirror.copy()
+            broken[k] = (broken[k] + 1) % size
+            assert not _reverses(succ, broken)
+        extra = (size, size + 1, size + 2, size + 3)
+        assert not _reverses(succ, _table([*_mirror(quads), extra]))
 
 
 def same_moves(code, seed):

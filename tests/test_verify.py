@@ -42,11 +42,11 @@ homology_module = importlib.import_module("sgauss.homology")
 
 
 def extra_circle(real):
-    return lambda quads: real(quads) + [[]]
+    return lambda succ: real(succ) + [[]]
 
 
 def two_extra_circles(real):
-    return lambda quads: real(quads) + [[], []]
+    return lambda succ: real(succ) + [[], []]
 
 
 def repeated_dart(real):
@@ -408,7 +408,16 @@ class TestPerObjectWork:
     """A passing sweep runs on integer codes: it builds no paragraph and
     calls each kernel a fixed number of times per object."""
 
-    KERNELS = ("_quads", "_faces", "_canonical", "_moved", "_join_code", "_pairing", "_verdicts")
+    KERNELS = (
+        "_quads",
+        "_table",
+        "_faces",
+        "_canonical",
+        "_moved",
+        "_join_code",
+        "_pairing",
+        "_verdicts",
+    )
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -449,7 +458,8 @@ class TestPerObjectWork:
         assert (size, forms) == (134, 27)
         assert calls == {
             "_quads": 2 * size,  # the object and its moved copy
-            "_faces": 3 * size,  # ... and the mirror
+            "_faces": 2 * size,  # the same two
+            "_table": 3 * size,  # ... and the mirror
             # The object and the moved copy, and each distinct form once.
             "_canonical": 2 * size + forms,
             "_moved": size,
@@ -473,7 +483,8 @@ class TestPerObjectWork:
         assert (size, forms) == (len(corpus), 7) == (34, 7)
         assert calls == {
             "_quads": 2 * size + joins,
-            "_faces": 3 * size + joins,
+            "_faces": 2 * size + joins,
+            "_table": 3 * size + joins,
             "_canonical": 2 * size + forms,
             "_moved": size,
             "_join_code": joins,

@@ -7,9 +7,12 @@ passes per step: a list of keys, its ``min``/``max``, then a filter of the
 candidates.  ``faces`` marks visited darts in a separate ``seen`` array and
 leaves the successor table intact.  Each must return exactly what its
 counterpart in the package returns, including the order of the orbits and
-of the darts in each.  ``moved`` makes each random move on the code as it
-is drawn, and draws through ``randrange`` and ``shuffle``; it must return
-the code ``_moved`` returns and leave the generator in the same state.
+of the darts in each.  ``_backwards`` reads circles backwards on the
+reverse darts; with it, the mirror's walked circles are the oracle of the
+table identity that ``verify._reverses`` checks in their place.  ``moved``
+makes each random move on the code as it is drawn, and draws through
+``randrange`` and ``shuffle``; it must return the code ``_moved`` returns
+and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -114,6 +117,21 @@ def faces(quads):
             orbit.append(d)
             d = succ[d]
         out.append(orbit)
+    return out
+
+
+def _backwards(faces: list[list[int]]) -> list[list[int]]:
+    """The circles read backwards on the reverse darts (d -> d ^ 1), listed
+    as ``_faces`` lists them: each from its least dart, in order of it."""
+    out = []
+    for f in faces:
+        r = [d ^ 1 for d in f]
+        if r:
+            # Backwards from the least reverse dart, round to the one after it.
+            i = r.index(min(r))
+            r = r[i::-1] + r[:i:-1]
+        out.append(r)
+    out.sort()
     return out
 
 
