@@ -44,6 +44,7 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -261,32 +262,35 @@ def _single_word(p: SignedParagraph) -> None:
 
 
 def _validate(code: Code, names: Sequence[str]) -> None:
-    """One pass over ``code``, whose letters are all below 2 * len(names),
-    that raises its first structural failure."""
-    if not code:
-        raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
-    where: list = [None] * (2 * len(names))
-    for wi, w in enumerate(code):
-        if not w:
-            raise ValidationError(
-                ValidationError.EMPTY_WORD, f"word {wi + 1} is empty", where=(wi, 0)
-            )
-        for i, c in enumerate(w):
-            if where[c] is not None:
-                sym = names[c >> 1]
-                if where[c ^ 1] is not None:
+    """Raise the first structural failure of ``code``, whose letters are all
+    below 2 * len(names).  A code whose letters each occur once passes one set
+    comparison; only one that fails it is scanned for its first failure."""
+    size = 2 * len(names)
+    letters = list(chain.from_iterable(code))
+    if not (size and all(code) and len(letters) == size == len(set(letters))):
+        if not code:
+            raise ValidationError(ValidationError.EMPTY_WORD, "empty paragraph")
+        where: list = [None] * size
+        for wi, w in enumerate(code):
+            if not w:
+                raise ValidationError(
+                    ValidationError.EMPTY_WORD, f"word {wi + 1} is empty", where=(wi, 0)
+                )
+            for i, c in enumerate(w):
+                if where[c] is not None:
+                    sym = names[c >> 1]
+                    if where[c ^ 1] is not None:
+                        raise ValidationError(
+                            ValidationError.SYMBOL_COUNT,
+                            f"symbol {sym!r} occurs more than twice",
+                            where=(wi, i),
+                        )
                     raise ValidationError(
-                        ValidationError.SYMBOL_COUNT,
-                        f"symbol {sym!r} occurs more than twice",
+                        ValidationError.EQUAL_EXPONENTS,
+                        f"symbol {sym!r} occurs twice with exponent {1 - 2 * (c & 1):+d}",
                         where=(wi, i),
                     )
-                raise ValidationError(
-                    ValidationError.EQUAL_EXPONENTS,
-                    f"symbol {sym!r} occurs twice with exponent {1 - 2 * (c & 1):+d}",
-                    where=(wi, i),
-                )
-            where[c] = (wi, i)
-    if None in where:
+                where[c] = (wi, i)
         s = where.index(None) >> 1
         raise ValidationError(
             ValidationError.SYMBOL_COUNT,
@@ -295,8 +299,11 @@ def _validate(code: Code, names: Sequence[str]) -> None:
         )
     if len(code) == 1:
         return
-    # Union-find over word indices; a symbol whose letters sit in two
-    # different words links them.
+    word = [0] * size
+    for wi, w in enumerate(code):
+        for c in w:
+            word[c] = wi
+    # Union-find over word indices, linking each distinct pair of words that holds a symbol.
     parent = list(range(len(code)))
 
     def find(x):
@@ -305,11 +312,10 @@ def _validate(code: Code, names: Sequence[str]) -> None:
             x = parent[x]
         return x
 
-    for (plus, _), (minus, _) in zip(where[0::2], where[1::2]):
-        parent[find(plus)] = find(minus)
-    root = find(0)
+    for a, b in set(zip(word[0::2], word[1::2])):
+        parent[find(a)] = find(b)
     for wi in range(len(code)):
-        if find(wi) != root:
+        if find(wi) != find(0):
             raise ValidationError(
                 ValidationError.DISCONNECTED,
                 f"word {wi + 1} shares no symbols with the rest of the paragraph",

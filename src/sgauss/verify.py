@@ -13,7 +13,7 @@ rather than asserted.
 The sweep runs on integer codes, the form a ``SignedParagraph`` stores: a
 tuple of words, each a tuple of ints 2 * symbol + (exp == -1), symbol k
 being the k-th letter of the alphabet.  It enumerates codes straight from
-the matchings, and the circles, the random moves, the canonical form (itself
+the matchings, and the circles, the moved copy, the canonical form (itself
 a code), the joins and the pairing are computed on them by the same kernels
 that the public functions wrap.  Of a word's intersection profile the sweep
 reads two verdicts, whether it vanishes and whether beta is antisymmetric,
@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain
+from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 from .homology import _pairing, _verdicts
@@ -109,8 +110,6 @@ def _codes_of_size(n: int, kind: str) -> Iterator[Code]:
     each matching is symbol k, and bit k of the mask makes its first letter
     the -1 one.  Paragraphs end their first word after ``cut`` letters,
     skipping the matchings with no chord across the cut (disconnected)."""
-    if n > MAX_SYMBOLS:
-        raise ValueError(f"enumeration supports at most {MAX_SYMBOLS} symbols")
     for cut in [2 * n] if kind == KIND_WORDS else range(1, 2 * n):
         for base in _matchings(tuple(range(2 * n)), [0] * (2 * n)):
             if cut < 2 * n and 2 * len({c >> 1 for c in base[:cut]}) == cut:
@@ -145,72 +144,45 @@ def _text(code: Code) -> str:
 
 
 def apply_random_moves(p: SignedParagraph, rng: random.Random) -> SignedParagraph:
-    """A random sequence of 1 to 8 isomorphism moves: per-word rotations,
-    word-order permutations and exponent-preserving relabelings.
-
-    The moves draw only through ``rng.getrandbits``, by the rule that
-    ``random.Random.randrange`` and ``shuffle`` use, so a ``random.Random``
-    gives the same copies as those calls would.  A subclass that overrides
-    ``random()`` but not ``getrandbits`` gets other moves than its own
-    ``randrange`` would give: for such a class the stdlib draws through
-    ``_randbelow_without_getrandbits`` instead."""
+    """One uniform random isomorph of ``p`` (``_moved``, ``_draw``), its
+    symbols numbered in sorted-name order: the copy depends only on the text
+    of ``p`` and the state of ``rng``."""
     names = sorted(p._names)
     rank = {s: 2 * i for i, s in enumerate(names)}
     to_sorted = [rank[s] for s in p._names]
     code = tuple(tuple(to_sorted[c >> 1] | c & 1 for c in w) for w in p._code)
-    return _from_code(_moved(code, p.n, rng), names)
+    return _from_code(_moved(code, p.n, _draw(rng.getrandbits, code, p.n)), names)
 
 
-def _shuffle(getrandbits, x: list) -> list:
-    """``x`` shuffled in place as ``random.Random.shuffle`` does it."""
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        while (j := getrandbits(k)) > i:
-            pass
-        x[i], x[j] = x[j], x[i]
+def _draw(getrandbits, code: Code, n: int) -> int:
+    """A uniform number below |G| = prod len(w) * M! * n!, the isomorphisms
+    of a code of M words and ``n`` symbols, drawn as ``randrange(|G|)`` draws
+    it: ``getrandbits(|G|.bit_length())``, again while it is |G| or more."""
+    size = prod(map(len, code)) * factorial(len(code)) * factorial(n)
+    k = size.bit_length()
+    while (x := getrandbits(k)) >= size:
+        pass
     return x
 
 
-def _moved(code: Code, n: int, rng: random.Random) -> Code:
-    """``apply_random_moves`` on a code with ``n`` symbols numbered in
-    sorted-name order.  A number below m is ``getrandbits(m.bit_length())``,
-    drawn again while it is m or more, as ``random.Random`` draws one; so
-    ``rng`` ends in the state that ``randint(1, 8)``, ``randrange`` and
-    ``shuffle`` leave.  The moves are composed: a rotation per word slot, a
-    shuffled slot order and one symbol table, applied once at the end."""
-    getrandbits = rng.getrandbits
-    slots = [[w, 0] for w in code]
-    sym = None
-    while (moves := getrandbits(4)) >= 8:  # randint(1, 8) - 1
-        pass
-    for _ in range(moves + 1):
-        while (kind := getrandbits(2)) == 3:  # randrange(3)
-            pass
-        if kind == 0:
-            m = len(slots)
-            k = m.bit_length()
-            while (i := getrandbits(k)) >= m:
-                pass
-            slot = slots[i]
-            m = len(slot[0])
-            k = m.bit_length()
-            while (r := getrandbits(k)) >= m:
-                pass
-            slot[1] += r
-        elif kind == 1:
-            _shuffle(getrandbits, slots)
-        else:
-            # Symbol s goes to perm[s], after the relabelings before it.
-            perm = _shuffle(getrandbits, list(range(n)))
-            sym = perm if sym is None else [perm[s] for s in sym]
-    out = []
-    for w, k in slots:
-        k %= len(w)
-        out.append(w[k:] + w[:k])
-    if sym is not None:
-        letter = [2 * s + e for s in sym for e in (0, 1)]
-        out = [tuple(map(letter.__getitem__, w)) for w in out]
-    return tuple(out)
+def _moved(code: Code, n: int, x: int) -> Code:
+    """The copy of ``code``, with ``n`` symbols, moved by isomorphism ``x``
+    below |G| (``_draw``).  The mixed-radix digits of x, lowest first, give
+    each word's left rotation (x mod its length), then the swaps of a
+    Fisher-Yates shuffle (slot i with slot x mod (i + 1), i from the last
+    down to 1) of the words and of the symbol numbers 0..n-1.  Distinct x
+    give distinct (rotations, order, permutation) triples."""
+    slots = []
+    for w in code:
+        x, r = divmod(x, len(w))
+        slots.append(w[r:] + w[:r])
+    perm = list(range(n))
+    for items in (slots, perm):
+        for i in range(len(items) - 1, 0, -1):
+            x, j = divmod(x, i + 1)
+            items[i], items[j] = items[j], items[i]
+    letter = [2 * s + e for s in perm for e in (0, 1)]
+    return tuple(tuple(map(letter.__getitem__, w)) for w in slots)
 
 
 class Counterexample(NamedTuple):
@@ -321,6 +293,9 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     object is still checked, against its form itself when the set holds it.
     The set holds one form per isomorphism class, as ``dedupe`` does: 3,273
     for the words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
+    Each object first draws its moved copy's number (``_draw``) from
+    ``random.Random((seed << 24) ^ idx)``, made at each idx divisible by
+    1,024: a copy depends only on the seed and its block's objects before it.
     """
     report = VerificationReport(spec)
     idempotent: set[Code] = set()
@@ -328,14 +303,13 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     beta_checked = 0
     beta_holds = 0
     beta_violations: list[str] = []
-    # Re-seeded per object, which gives it the state of a new generator.
-    rng = random.Random()
-
     # A counterexample's texts are made only when its check fails.
     for idx, code in enumerate(_corpus_codes(spec)):
         report.size += 1
-        rng.seed((seed << 24) ^ idx)
+        if idx % 1024 == 0:
+            getrandbits = random.Random((seed << 24) ^ idx).getrandbits
         n = sum(map(len, code)) // 2
+        x = _draw(getrandbits, code, n)
         quads = _quads(code)
         # The circles partition the darts only if the table is a permutation.
         slots = sorted(chain.from_iterable(quads))
@@ -374,7 +348,7 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
                 f"{len(_faces(mirror))} circles, not the reversed ones",
                 f"the {b} circles read backwards",
             )
-        moved = _moved(code, n, rng)
+        moved = _moved(code, n, x)
         c1 = _canonical(code)
         same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
         if not report.check("isomorphism-invariance", same):

@@ -315,6 +315,17 @@ class TestValidation:
             paragraph([])
         assert exc.value.kind == ValidationError.EMPTY_WORD
 
+    def test_empty_word_beside_a_valid_one(self):
+        # Every letter occurs once, and still the code is invalid.
+        a, not_a = SignedLetter("a", 1), SignedLetter("a", -1)
+        with pytest.raises(ValidationError, match="^word 2 is empty$") as exc:
+            paragraph([[a, not_a], []])
+        assert (exc.value.kind, exc.value.where) == (ValidationError.EMPTY_WORD, (1, 0))
+        # No symbols at all.
+        with pytest.raises(ValidationError, match="^word 1 is empty$") as exc:
+            paragraph([[]])
+        assert exc.value.kind == ValidationError.EMPTY_WORD
+
     def test_class_cannot_be_called(self):
         for args in [(), ("a -a",), ([[SignedLetter("a", 1), SignedLetter("a", -1)]],)]:
             with pytest.raises(TypeError, match="use parse_paragraph"):

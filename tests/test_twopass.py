@@ -4,12 +4,10 @@
 orbits in the same order and each from the same dart.  ``verify._reverses``
 must give the verdict of walking the mirror's circles and comparing them
 with the object's read backwards (``twopass._backwards``), on the mirror
-and on broken ones.  ``verify._moved`` must return the code that
-``twopass.moved`` returns, from the same draws."""
+and on broken ones."""
 
 from __future__ import annotations
 
-import importlib
 import random
 
 import pytest
@@ -18,18 +16,9 @@ from hypothesis import strategies as st
 
 import twopass
 from conftest import random_word, star, symmetric_chain, symmetric_word
-from sgauss.model import _canonical_search, _canonical_word, parse_paragraph
+from sgauss.model import _canonical_search, _canonical_word
 from sgauss.surface import _faces, _mirror, _quads, _table
-from sgauss.verify import (
-    KIND_PARAGRAPHS,
-    _codes_of_size,
-    _moved,
-    _reverses,
-    apply_random_moves,
-)
-
-# The package re-exports the function ``verify``, which hides the module.
-verify_module = importlib.import_module("sgauss.verify")
+from sgauss.verify import KIND_PARAGRAPHS, _codes_of_size, _reverses
 
 
 @pytest.fixture(scope="module")
@@ -138,54 +127,3 @@ class TestHypothesis:
             assert not _reverses(succ, broken)
         extra = (size, size + 1, size + 2, size + 3)
         assert not _reverses(succ, _table([*_mirror(quads), extra]))
-
-
-def same_moves(code, seed):
-    n = sum(map(len, code)) // 2
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    assert _moved(code, n, rng) == twopass.moved(code, n, oracle_rng)
-    assert rng.getstate() == oracle_rng.getstate()
-
-
-class TestMovesAgainstOracle:
-    """``verify._moved`` composes the moves and draws each number from
-    ``getrandbits``; ``twopass.moved`` makes each move on the code and draws
-    through ``randrange`` and ``shuffle``.  Both must give the same code and
-    leave the generator in the same state.
-
-    Only a comparison of the codes guards the composition: a relabeling
-    composed in the wrong order, or a rotation kept on the wrong slot, still
-    gives an isomorphic copy, and that passes every check of ``verify``.
-    These tests, and ``test_verify.py::TestMovesAgainstObjects`` on the
-    smaller corpora, are that comparison."""
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_sweep_seeds(self, seed, word_codes_le_5, paragraph_codes_le_4):
-        # The seeds the sweep gives the object at each index of its corpus.
-        for idx, w in enumerate(word_codes_le_5):
-            same_moves((w,), (seed << 24) ^ idx)
-        for idx, code in enumerate(paragraph_codes_le_4):
-            same_moves(code, (seed << 24) ^ idx)
-
-    @pytest.mark.parametrize("code", [((0,), (1,)), ((1,), (0,)), ((0,), (2,), (1,), (3,))])
-    def test_one_letter_words(self, code):
-        # randrange(1) draws, and throws away, until getrandbits(1) gives 0.
-        for seed in range(200):
-            same_moves(code, seed)
-
-    @given(codes(max_words=4), st.integers(0, 2**32))
-    def test_codes(self, code, seed):
-        same_moves(code, seed)
-
-    def test_apply_random_moves_on_400_symbols(self, monkeypatch):
-        # Names x0 .. x399 in an order that is not the sorted one.
-        rng = random.Random(1800)
-        code = random_word(rng, 400)
-        p = parse_paragraph(" ".join(f"{'-' * (c & 1)}x{c >> 1}" for c in code))
-        for seed in range(20):
-            rng, oracle_rng = random.Random(seed), random.Random(seed)
-            q = apply_random_moves(p, rng)
-            with monkeypatch.context() as m:
-                m.setattr(verify_module, "_moved", twopass.moved)
-                assert q == apply_random_moves(p, oracle_rng)
-            assert rng.getstate() == oracle_rng.getstate()

@@ -237,7 +237,7 @@ def test_round_trip_covers_every_public_value_type():
 
 def test_copied_paragraph_keeps_its_code_and_names():
     moved = moved_paragraph()
-    assert (str(moved), moved._names) == ("-y z -z x y -x", ("x", "y", "z"))
+    assert (str(moved), moved._names) == ("-y -x z -z y x", ("x", "y", "z"))
     for how in COPIES.values():
         c = how(moved)
         assert (c._code, c._names) == (moved._code, moved._names)

@@ -5,15 +5,35 @@ from __future__ import annotations
 import importlib
 import json
 import random
+from collections import Counter
+from itertools import permutations, product
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import addresses, double_factorial_count, naive_isomorphic, signed_paragraphs
+from conftest import (
+    addresses,
+    double_factorial_count,
+    naive_isomorphic,
+    random_word,
+    signed_paragraphs,
+    star,
+    symmetric_chain,
+)
 from letters import paragraph, words_of
-from objsweep import moves_by_objects, record, verify_by_objects
-from sgauss.model import SignedParagraph, _canonical, canonicalize, render
+from objsweep import isomorphisms, moves_by_objects, record, verify_by_objects
+from sgauss.model import (
+    LETTERS,
+    SignedParagraph,
+    ValidationError,
+    _canonical,
+    _validate,
+    canonicalize,
+    parse_paragraph,
+    render,
+)
 from sgauss.transforms import join
 from sgauss.verify import (
     KIND_PARAGRAPHS,
@@ -23,6 +43,7 @@ from sgauss.verify import (
     VerificationReport,
     apply_random_moves,
     _codes_of_size,
+    _moved,
     _paragraph,
     _text,
     enumerate_corpus,
@@ -117,11 +138,11 @@ def first_word_length_pairing(real):
 
 
 def swapped_exponents_moved(real):
-    # A random move that trades the two exponents of symbol 0: the copy is
-    # no longer isomorphic to the object, unless the object's symmetry
+    # A moved copy with the two exponents of symbol 0 traded: it is no
+    # longer isomorphic to the object, unless the object's symmetry
     # happens to allow it.
-    def fault(code, n, rng):
-        return tuple(tuple(c ^ (c >> 1 == 0) for c in w) for w in real(code, n, rng))
+    def fault(code, n, x):
+        return tuple(tuple(c ^ (c >> 1 == 0) for c in w) for w in real(code, n, x))
 
     return fault
 
@@ -368,23 +389,199 @@ class TestTrustedConstruction:
         self.check_all(q for p in paragraphs_le_3 for q in self.joins(p))
 
 
+@st.composite
+def connected_codes(draw, max_symbols=6, max_words=4):
+    """Codes of valid paragraphs: the 2n letters in a random order, cut into
+    1..k words that share symbols."""
+    n = draw(st.integers(1, max_symbols))
+    letters = draw(st.permutations(range(2 * n)))
+    k = draw(st.integers(1, min(max_words, 2 * n)))
+    cuts = sorted(draw(st.sets(st.integers(1, 2 * n - 1), min_size=k - 1, max_size=k - 1)))
+    code = tuple(tuple(letters[a:b]) for a, b in zip([0, *cuts], [*cuts, 2 * n]))
+    try:
+        _validate(code, LETTERS[:n])
+    except ValidationError:
+        assume(False)
+    return code
+
+
+def same_copy(p: SignedParagraph, x: int) -> None:
+    """``_moved`` gives ``p``, whose symbols are numbered in sorted-name
+    order, the copy that the letter-object decoder gives it."""
+    assert _paragraph(_moved(p._code, p.n, x)) == moves_by_objects(p, x)
+
+
 class TestMovesAgainstObjects:
-    """``apply_random_moves`` (on codes) draws from the generator as the
-    object moves do and gives the same paragraph."""
+    """``_moved`` decodes the number of an isomorphism into the copy that
+    ``objsweep.moves_by_objects`` makes on letter objects, and
+    ``apply_random_moves`` draws that number as ``randrange`` does."""
+
+    def test_every_number(self, words_le_3):
+        # The enumerated objects name their symbols in sorted order.
+        small = [*words_le_3, *map(_paragraph, _codes_of_size(2, KIND_PARAGRAPHS))]
+        for p in small:
+            for x in range(isomorphisms(p)):
+                same_copy(p, x)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_three_and_four_words(self, k):
+        rng = random.Random(k)
+        for p in (_paragraph(symmetric_chain(k)._code), _paragraph(star(k)._code)):
+            size = isomorphisms(p)
+            for x in {0, size - 1, *(rng.randrange(size) for _ in range(200))}:
+                same_copy(p, x)
 
     def test_same_moved_copies(self, words_le_4, paragraphs_le_3):
         for seed in (0, 7):
             for idx, p in enumerate(words_le_4 + paragraphs_le_3):
                 rng, oracle_rng = random.Random(seed ^ idx), random.Random(seed ^ idx)
-                assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
+                q = moves_by_objects(p, oracle_rng.randrange(isomorphisms(p)))
+                assert apply_random_moves(p, rng) == q
                 assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("code", [((0,), (1,)), ((1,), (0,)), ((0,), (2, 1), (3,))])
+    def test_one_letter_words(self, code):
+        # A one-letter word has one rotation, and radix 1 takes no digit.
+        p = _paragraph(code)
+        for x in range(isomorphisms(p)):
+            same_copy(p, x)
+
+    @given(connected_codes(), st.integers(0, 2**64))
+    def test_codes(self, code, x):
+        p = _paragraph(code)
+        same_copy(p, x % isomorphisms(p))
+
+    def test_apply_random_moves_on_400_symbols(self):
+        # Names x0 .. x399 in an order that is not the sorted one, and a
+        # group of order 800 * 400!, a number of 2,896 bits.
+        code = random_word(random.Random(1800), 400)
+        p = parse_paragraph(" ".join(f"{'-' * (c & 1)}x{c >> 1}" for c in code))
+        assert isomorphisms(p).bit_length() == 2896
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            q = moves_by_objects(p, oracle_rng.randrange(isomorphisms(p)))
+            assert apply_random_moves(p, rng) == q
+            assert rng.getstate() == oracle_rng.getstate()
 
     @given(signed_paragraphs(), st.integers(0, 2**16))
     def test_names_out_of_sorted_order(self, p, seed):
         # The enumerators name symbols in sorted order; parsed paragraphs
-        # need not, and the relabeling move shuffles the sorted names.
+        # need not, and the relabeling permutes the sorted names.
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert apply_random_moves(p, rng) == moves_by_objects(p, oracle_rng)
+        q = moves_by_objects(p, oracle_rng.randrange(isomorphisms(p)))
+        assert apply_random_moves(p, rng) == q
+
+
+class TestUniformIsomorphism:
+    """The moved copy is one uniform element of the isomorphism group."""
+
+    @staticmethod
+    def drawn(monkeypatch, spec, seed=0):
+        """The sweep's report and (object, number, moved copy) triples."""
+        calls = []
+        real = verify_module._moved
+
+        def keep(code, n, x):
+            calls.append((code, x, real(code, n, x)))
+            return calls[-1][2]
+
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "_moved", keep)
+            return verify(spec, seed=seed), calls
+
+    @pytest.mark.parametrize(
+        "spec, size",
+        [(CorpusSpec(4), 1814), (CorpusSpec(3, kind=KIND_PARAGRAPHS), 586)],
+        ids=["words", "paragraphs"],
+    )
+    def test_every_copy_is_isomorphic(self, monkeypatch, spec, size):
+        report, calls = self.drawn(monkeypatch, spec)
+        assert report.ok and report.size == len(calls) == size
+        for code, _, moved in calls:
+            assert naive_isomorphic(_paragraph(code), _paragraph(moved))
+
+    def test_draw_comes_before_any_check(self, monkeypatch):
+        # The objects with 2 symbols fail euler-parity and make no moved
+        # copy, but draw all the same: the others keep their numbers.
+        _, calls = self.drawn(monkeypatch, CorpusSpec(3))
+        real = surface_module._faces
+        monkeypatch.setattr(verify_module, "_faces", lambda s: real(s) + [[]] * (len(s) == 8))
+        report, skipped = self.drawn(monkeypatch, CorpusSpec(3))
+        assert report.checks["euler-parity"].failed == 12
+        assert skipped == [c for c in calls if len(c[0][0]) != 4]
+
+    @pytest.mark.parametrize("text", ["a b -a -b", "a b / -a -b"])
+    def test_each_number_one_triple(self, text):
+        # The group acts on every code of the same word lengths, valid or
+        # not; it is faithful there, so the copies of all of them name the
+        # (rotations, order, permutation) triple.
+        p = parse_paragraph(text)
+        code, n, lengths = p._code, p.n, [len(w) for w in p._code]
+        cuts = [sum(lengths[:i]) for i in range(len(lengths) + 1)]
+        shaped = [
+            tuple(letters[a:b] for a, b in zip(cuts, cuts[1:]))
+            for letters in permutations(range(2 * n))
+        ]
+        assert code in shaped
+
+        def applied(rotations, order, perm):
+            out = []
+            for c in shaped:
+                rotated = [w[r:] + w[:r] for w, r in zip(c, rotations)]
+                out.append(
+                    tuple(tuple(2 * perm[l >> 1] | l & 1 for l in rotated[k]) for k in order)
+                )
+            return tuple(out)
+
+        triples = {
+            applied(rotations, order, perm)
+            for rotations in product(*map(range, lengths))
+            for order in permutations(range(len(code)))
+            for perm in permutations(range(n))
+        }
+        size = isomorphisms(p)
+        assert size == len(triples) == {"a b -a -b": 8, "a b / -a -b": 16}[text]
+        decoded = [tuple(_moved(c, n, x) for c in shaped) for x in range(size)]
+        assert len(set(decoded)) == size
+        assert set(decoded) == triples
+
+    @pytest.mark.parametrize("text", ["a b -a -b", "a b / -a -b"])
+    def test_frequencies_at_n_2(self, monkeypatch, text):
+        drawn = Counter()
+        real = verify_module._moved
+
+        def count(code, n, x):
+            drawn[x] += 1
+            return real(code, n, x)
+
+        monkeypatch.setattr(verify_module, "_moved", count)
+        p = parse_paragraph(text)
+        size = isomorphisms(p)
+        rng = random.Random(2026)
+        copies = Counter(apply_random_moves(p, rng) for _ in range(400 * size))
+        # 400 expected per element, standard deviation under 20.
+        assert sorted(drawn) == list(range(size))
+        assert 300 < min(drawn.values()) and max(drawn.values()) < 500
+        # a b -a -b has no symmetry, so each of its 8 elements gives its own
+        # copy; a b / -a -b is fixed by rotating both words and swapping a
+        # and b, so its 16 give 8.
+        assert len(copies) == 8
+        assert all(naive_isomorphic(p, q) for q in copies)
+
+    def test_block_draws_replay(self, monkeypatch, word_codes_le_5):
+        # Each object's number is drawn first, from a generator seeded at
+        # its block's start, so replaying the draws from there on gives it.
+        seed = 3
+        report, calls = self.drawn(monkeypatch, CorpusSpec(5), seed)
+        assert report.size == len(calls) == 32054
+        sampled = {0, 1, 1023, 1024, 1025, 2047, 2048, 31744, 32053}
+        sampled |= set(random.Random(21).sample(range(32054), 20))
+        for idx in sorted(sampled):
+            start = idx - idx % 1024
+            rng = random.Random((seed << 24) ^ start)
+            for w in word_codes_le_5[start : idx + 1]:
+                x = rng.randrange(len(w) * factorial(len(w) // 2))
+            assert (calls[idx][0], x) == ((w,), calls[idx][1]), idx
 
 
 class TestDrawsThroughGetrandbits:
@@ -441,6 +638,8 @@ class TestPerObjectWork:
         count(SignedParagraph, "__post_init__", "SignedParagraph.__post_init__")
         # The sweep's own binding of the trusted constructor.
         count(verify_module, "_from_code", "model._from_code")
+        # A new generator is seeded once per block of 1,024 objects.
+        count(random.Random, "seed", "random.Random.seed")
         return counts
 
     @staticmethod
@@ -469,7 +668,12 @@ class TestPerObjectWork:
             "_profile": 0,
             "SignedParagraph.__post_init__": 0,
             "model._from_code": 0,
+            "random.Random.seed": 1,
         }
+
+    def test_seeds_per_block(self, calls):
+        assert verify(CorpusSpec(4)).size == 1814
+        assert calls["random.Random.seed"] == -(-1814 // 1024) == 2
 
     def test_paragraphs(self, calls):
         corpus = list(enumerate_corpus(CorpusSpec(2, kind=KIND_PARAGRAPHS)))
@@ -493,6 +697,7 @@ class TestPerObjectWork:
             "_profile": 0,
             "SignedParagraph.__post_init__": 0,
             "model._from_code": 0,
+            "random.Random.seed": 1,
         }
 
 
@@ -624,7 +829,7 @@ class TestMutantsAreCaught:
 
     def test_swapped_exponents_in_moved_copy(self, monkeypatch):
         patch(monkeypatch, "swapped_exponents_moved")
-        for spec, failed in [(CorpusSpec(3), 113), (CorpusSpec(2, kind=KIND_PARAGRAPHS), 32)]:
+        for spec, failed in [(CorpusSpec(3), 114), (CorpusSpec(2, kind=KIND_PARAGRAPHS), 32)]:
             report = verify(spec)
             assert {name: s.failed for name, s in report.checks.items() if s.failed} == {
                 "isomorphism-invariance": failed

@@ -1,6 +1,6 @@
-"""The canonical and circle kernels in their two-pass form, and the random
-moves made one by one, kept as test oracles for the single-pass kernels in
-``sgauss.model`` and ``sgauss.surface`` and for ``sgauss.verify._moved``.
+"""The canonical and circle kernels in their two-pass form, kept as test
+oracles for the single-pass kernels in ``sgauss.model`` and
+``sgauss.surface``.
 
 ``canonical_search`` and ``canonical_word`` prune the live candidates in two
 passes per step: a list of keys, its ``min``/``max``, then a filter of the
@@ -9,10 +9,7 @@ leaves the successor table intact.  Each must return exactly what its
 counterpart in the package returns, including the order of the orbits and
 of the darts in each.  ``_backwards`` reads circles backwards on the
 reverse darts; with it, the mirror's walked circles are the oracle of the
-table identity that ``verify._reverses`` checks in their place.  ``moved``
-makes each random move on the code as it is drawn, and draws through
-``randrange`` and ``shuffle``; it must return the code ``_moved`` returns
-and leave the generator in the same state.
+table identity that ``verify._reverses`` checks in their place.
 """
 
 from __future__ import annotations
@@ -133,27 +130,3 @@ def _backwards(faces: list[list[int]]) -> list[list[int]]:
         out.append(r)
     out.sort()
     return out
-
-
-def moved(code, n, rng):
-    """``verify._moved`` with a new code per move, drawing through the
-    ``random.Random`` wrappers."""
-    randrange, shuffle = rng.randrange, rng.shuffle
-    # randrange(1, 9) draws as rng.randint(1, 8) does.
-    for _ in range(randrange(1, 9)):
-        kind = randrange(3)
-        if kind == 0:
-            i = randrange(len(code))
-            k = randrange(len(code[i]))
-            code = code[:i] + (code[i][k:] + code[i][:k],) + code[i + 1 :]
-        elif kind == 1:
-            order = list(range(len(code)))
-            shuffle(order)
-            code = tuple(map(code.__getitem__, order))
-        else:
-            # Shuffling the sorted names draws as shuffling their indices.
-            perm = list(range(n))
-            shuffle(perm)
-            letter = [2 * i + e for i in perm for e in (0, 1)]
-            code = tuple(tuple(map(letter.__getitem__, w)) for w in code)
-    return code
