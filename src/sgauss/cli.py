@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Every subcommand reads one paragraph from a positional file path or stdin
-("-" or omitted) and writes text, or JSON with --json.  A call that names
-its command first makes one argparse pass, in that command's subparser, and
-reads its input once, as bytes, decoded strictly as UTF-8.  Exit status: 0 on
-success, 1 on a domain error (invalid input, failed precondition, failed
-verification) or an internal error (reported on one line, no traceback), 2
-on usage errors.  If the reader of stdout closes it early, the command ends
-with status 1 and prints nothing more.  Set GAUSS_COLOR=0 to disable ANSI
-styling of diagnostics.
+("-" or omitted) and writes text, or JSON with --json.  A plain call is read
+straight from the command table, any other (help, usage errors) by argparse
+built from it; a call reads its input once, as bytes, decoded strictly as
+UTF-8.  Exit status: 0 on success, 1 on a domain error (invalid input,
+failed precondition, failed verification) or an internal error (reported on
+one line, no traceback), 2 on usage errors.  If the reader of stdout closes
+it early, the command ends with status 1 and prints nothing more.  Set
+GAUSS_COLOR=0 to disable ANSI styling of diagnostics.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .homology import pairing, profile
 from .model import (
@@ -216,78 +216,118 @@ def _cmd_verify(args) -> int:
 
 def _corpus_bound(text: str) -> int:
     try:
-        k = int(text)
+        if 1 <= (k := int(text)) <= MAX_SYMBOLS:
+            return k
+        message = f"must be in 1..{MAX_SYMBOLS}, got {k}"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= k <= MAX_SYMBOLS:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_SYMBOLS}, got {k}")
-    return k
+        message = f"invalid int value: {text!r}"
+    import argparse  # for the error only: a plain argv never loads argparse
+    raise argparse.ArgumentTypeError(message)
 
 
-@functools.cache  # built on the first call to main, then reused
+# Every subcommand, declared once: its handler and help, its positionals as
+# (name, default, help), and its options in help order, as (option, help) for
+# a flag or (option, help, default, metavar, type) for a valued option.  A
+# positional or valued option whose default is None is required.
+_FILE = ("file", "-", "paragraph file, or - for stdin (default)")
+_JSON = ("--json", "JSON output")
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate a paragraph", [_FILE], [_JSON, (
+        "--pairwise", "additionally require every pair of words to share a symbol")]),
+    "canon": (_cmd_canon, "canonical representative of the isomorphism class",
+              [_FILE], [_JSON]),
+    "iso": (_cmd_iso, "decide whether two paragraphs are isomorphic",
+            [_FILE, ("other", None, "second paragraph file, or - for stdin")], [_JSON]),
+    "summary": (_cmd_summary, "crossing count, Carter circles, genus", [_FILE], [_JSON]),
+    "circles": (_cmd_circles, "list the Carter circles", [_FILE], [_JSON]),
+    "profile": (_cmd_profile, "alpha/beta intersection profile of a word", [_FILE], [_JSON]),
+    "pairing": (_cmd_pairing, "intersection pairing of a 2-component paragraph",
+                [_FILE], [_JSON]),
+    "split": (_cmd_split, "split a word at a crossing", [_FILE],
+              [_JSON, ("--at", "crossing to split at", None, "SYM", str)]),
+    "join": (_cmd_join, "join the two components sharing a crossing", [_FILE], [_JSON,
+             ("--shared", None, None, "SYM", str), ("--fresh", None, None, "SYM", str)]),
+    "reduce": (_cmd_reduce, "join components until a single word remains", [_FILE],
+               [_JSON, ("--prefix", "fresh-symbol prefix (default: j)", "j", None, str)]),
+    "verify": (_cmd_verify, "exhaustive consistency checks", [], [_JSON, ("--max-n",
+        "word corpus bound (paragraphs use K-1; default 4)", 4, "K", _corpus_bound),
+        ("--dedupe", "one word per isomorphism class")]),
+}
+
+
+@functools.cache  # built on the first call that needs it, then reused
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and its subparsers by command name."""
+    """The top-level parser and its subparsers by name, built from ``_COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sgauss",
         description="Realizability of signed Gauss words and paragraphs: "
         "Carter circles, minimal genus, planarity, split/join transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help, *, reads_file=True):
+    for name, (func, help, positionals, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help)
-        if reads_file:
-            sp.add_argument(
-                "file",
-                nargs="?",
-                default="-",
-                help="paragraph file, or - for stdin (default)",
-            )
-        sp.add_argument("--json", action="store_true", help="JSON output")
+        for dest, default, help in positionals:
+            sp.add_argument(dest, nargs="?" if default else None, default=default, help=help)
+        for option, help, *valued in options:
+            if valued:
+                default, metavar, type = valued
+                sp.add_argument(option, required=default is None, default=default,
+                                metavar=metavar, help=help, type=type)
+            else:
+                sp.add_argument(option, action="store_true", help=help)
         sp.set_defaults(command=name, func=func)
-        return sp
-
-    sp = add("validate", _cmd_validate, "parse and validate a paragraph")
-    sp.add_argument(
-        "--pairwise",
-        action="store_true",
-        help="additionally require every pair of words to share a symbol",
-    )
-    add("canon", _cmd_canon, "canonical representative of the isomorphism class")
-    sp = add("iso", _cmd_iso, "decide whether two paragraphs are isomorphic")
-    sp.add_argument("other", help="second paragraph file, or - for stdin")
-    add("summary", _cmd_summary, "crossing count, Carter circles, genus")
-    add("circles", _cmd_circles, "list the Carter circles")
-    add("profile", _cmd_profile, "alpha/beta intersection profile of a word")
-    add("pairing", _cmd_pairing, "intersection pairing of a 2-component paragraph")
-    sp = add("split", _cmd_split, "split a word at a crossing")
-    sp.add_argument("--at", required=True, metavar="SYM", help="crossing to split at")
-    sp = add("join", _cmd_join, "join the two components sharing a crossing")
-    sp.add_argument("--shared", required=True, metavar="SYM")
-    sp.add_argument("--fresh", required=True, metavar="SYM")
-    sp = add("reduce", _cmd_reduce, "join components until a single word remains")
-    sp.add_argument("--prefix", default="j", help="fresh-symbol prefix (default: j)")
-    sp = add("verify", _cmd_verify, "exhaustive consistency checks", reads_file=False)
-    sp.add_argument(
-        "--max-n",
-        type=_corpus_bound,
-        default=4,
-        metavar="K",
-        help="word corpus bound (paragraphs use K-1; default 4)",
-    )
-    sp.add_argument("--dedupe", action="store_true", help="one word per isomorphism class")
     return parser, sub.choices
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """The arguments of one call (``sys.argv[1:]`` if ``argv`` is None), from
-    one argparse pass: a known command's own subparser reads the rest of
-    ``argv``, and leftovers are reported as the top-level ``parse_args``
-    reports them.  Anything else (no arguments, an option or an unknown name
-    first) goes through the top-level parser, which picks the subparser."""
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain ``argv``, read from ``_COMMANDS``;
+    else None.  Plain: a command first, each option spelled out, at most once
+    and its value (not starting with "-", accepted by its type) next, and the
+    positionals one contiguous run, none missing and none extra."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _, positionals, options = spec
+    unseen = {o[0]: o for o in options}
+    args = {o[0][2:].replace("-", "_"): o[2] if o[2:] else False for o in options}
+    files, closed = [], False  # closed: an option has followed the positionals
+    rest = iter(argv[1:])
+    for a in rest:
+        if a[:1] != "-" or a == "-":
+            if closed:
+                return None
+            files.append(a)
+            continue
+        if (option := unseen.pop(a, None)) is None:
+            return None
+        closed, dest = bool(files), a[2:].replace("-", "_")
+        if not option[2:]:
+            args[dest] = True
+        elif (value := next(rest, "-"))[:1] == "-":
+            return None
+        else:
+            try:
+                args[dest] = option[4](value)
+            except Exception:  # refused: argparse runs the type again and reports it
+                return None
+    files += [p[1] for p in positionals[len(files):]]  # the defaults of the rest
+    args.update(zip([p[0] for p in positionals], files))
+    if len(files) > len(positionals) or None in args.values():
+        return None  # a surplus positional, or a required argument missing
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace | SimpleNamespace:
+    """The arguments of one call (``sys.argv[1:]`` if ``argv`` is None): a
+    plain argv from ``_plain``, with no argparse; any other from one argparse
+    pass, in a known command's own subparser (leftovers reported as the
+    top-level ``parse_args`` reports them), or else in the top-level parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _plain(argv)) is not None:
+        return args
     parser, commands = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEXTS
-from sgauss.cli import _build_parser, _parse, main
+from sgauss.cli import _build_parser, _parse, _plain, main
 from sgauss.model import SignedParagraph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -740,8 +740,9 @@ def run_dispatch(argv, *, oracle=False):
 
 
 class TestDispatch:
-    """A known command's subparser reads its arguments directly, with the
-    same exit code, stdout and stderr as the top-level ``parse_args``."""
+    """A plain argv is read from the command table, and any other with a
+    known command by that command's subparser, with the same exit code,
+    stdout and stderr as the top-level ``parse_args``."""
 
     @pytest.mark.parametrize("argv", dispatch_table(), ids=lambda a: " ".join(a) or "(none)")
     def test_same_as_top_level(self, argv):
@@ -774,15 +775,19 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command", sorted(DISPATCH))
     def test_one_argparse_pass(self, monkeypatch, command):
+        # A plain argv makes no argparse pass; with --json abbreviated it
+        # makes one, in the command's subparser; the oracle always makes two.
         passes = self.passes(monkeypatch)
         files, options = DISPATCH[command]
         argv = [command, *files, *chain.from_iterable(options)]
-        code, out, err = run_dispatch(argv)
-        assert (code, err) == (0, "") and out
-        assert passes == [f"sgauss {command}"]
-        passes.clear()
-        assert run_dispatch(argv, oracle=True) == (code, out, err)
-        assert passes == ["sgauss", f"sgauss {command}"]
+        for tail, expected in ([], []), (["--js"], [f"sgauss {command}"]):
+            passes.clear()
+            code, out, err = run_dispatch(argv + tail)
+            assert (code, err) == (0, "") and out
+            assert passes == expected
+            passes.clear()
+            assert run_dispatch(argv + tail, oracle=True) == (code, out, err)
+            assert passes == ["sgauss", f"sgauss {command}"]
 
     def test_argv_from_sys_argv(self, monkeypatch):
         # The console script calls main() with no argv.
@@ -791,6 +796,111 @@ class TestDispatch:
         passes = self.passes(monkeypatch)
         assert run_plain(None, PAIR_TEXT) == (0, "a -b z -a b -z\n", "")
         assert passes == ["sgauss join"]
+
+
+# Options that a command cannot run without.
+REQUIRED = {"--at", "--shared", "--fresh"}
+
+
+@st.composite
+def plain_argvs(draw) -> list[str]:
+    """A subcommand's options spelled out, each at most once, in any order,
+    with any value that does not start with "-" (a valid bound for
+    --max-n), and its files in one run at any place among them; a file or
+    an option that the command can do without is left out at times."""
+    command = draw(st.sampled_from(sorted(DISPATCH)))
+    files, options = DISPATCH[command]
+    name = st.text("ab1_=- /", max_size=4).filter(lambda t: not t.startswith("-"))
+    value = st.sampled_from(["1", "2", "3"]) if command == "verify" else name
+    units = [
+        [u[0], *(draw(value) for _ in u[1:])]
+        for u in options + [["--json"]]
+        if u[0] in REQUIRED or draw(st.booleans())
+    ]
+    units = draw(st.permutations(units))
+    least = len(files) if command == "iso" else 0
+    run = [draw(st.just("-") | name) for _ in range(draw(st.integers(least, len(files))))]
+    units.insert(draw(st.integers(0, len(units))), run)
+    return [command, *chain.from_iterable(units)]
+
+
+class TestTableParser:
+    """Wherever the table path accepts an argv, its namespace is the one
+    that argparse gives; it accepts every plain argv and declines the rest."""
+
+    @staticmethod
+    def agrees(argv: list[str]) -> bool:
+        """Whether the table path accepted ``argv``; if it did, the command's
+        own subparser must give the same namespace and leave nothing over."""
+        args = _plain(argv)
+        if args is not None:
+            expected, extras = _build_parser()[1][argv[0]].parse_known_args(argv[1:])
+            assert (vars(args), extras) == (vars(expected), [])
+        return args is not None
+
+    @pytest.mark.parametrize("argv", dispatch_table(), ids=lambda a: " ".join(a) or "(none)")
+    def test_table(self, argv):
+        self.agrees(argv)
+
+    @settings(deadline=timedelta(seconds=2))
+    @given(dispatch_argvs())
+    def test_dispatch_argvs(self, argv):
+        self.agrees(argv)
+
+    @settings(deadline=timedelta(seconds=2))
+    @given(plain_argvs())
+    def test_plain_argvs(self, argv):
+        assert self.agrees(argv)
+
+    @pytest.mark.parametrize("command", sorted(DISPATCH))
+    def test_accepts_spelled_out(self, command):
+        files, options = DISPATCH[command]
+        flat = list(chain.from_iterable(options))
+        assert self.agrees([command, *files, *flat, "--json"])
+        assert self.agrees([command, "--json", *flat, *files])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["summary", "-h"],
+            ["summary", "-", "--js"],
+            ["join", "-", "--shared=a", "--fresh", "z"],
+            ["summary", "--", "-"],
+            ["summary", "--json", "--json"],
+            ["summary", "--bogus"],
+            ["summary", "-", "WORD"],
+            ["join", "-", "--shared", "a"],
+            ["verify", "--max-n", "0"],
+            ["iso", "WORD", "--json", "-"],
+            ["split", "-", "--at"],
+            ["split", "-", "--at", "--json"],
+        ],
+        ids=" ".join,
+    )
+    def test_declines(self, argv):
+        assert _plain(argv) is None
+
+
+class TestUsageText:
+    """Help and usage errors read as they did before the command table: the
+    goldens were recorded from the argparse parser that declared every
+    option by hand, at 80 columns."""
+
+    HELP = GOLDEN / "help"
+
+    @pytest.mark.parametrize("command", ["sgauss", *DISPATCH])
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "sgauss" else [command, "--help"]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (self.HELP / f"{command}.txt").read_bytes()
+
+    def test_missing_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, monkeypatch, ["split", "-"])
+        assert (code, out) == (2, "")
+        assert err.encode() == (self.HELP / "split_no_at.stderr.txt").read_bytes()
 
 
 class TestReadBytes:

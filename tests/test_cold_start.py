@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# dataclasses pulls in inspect; json serves JSON output only.
-LAZY = ("dataclasses", "inspect", "json", "string")
+# dataclasses pulls in inspect; json serves JSON output only; argparse (and
+# the gettext it loads) serves help, abbreviations and usage errors only.
+LAZY = ("argparse", "dataclasses", "gettext", "inspect", "json", "string")
 
 
 def python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -43,6 +44,23 @@ def test_import_loads_no_lazy_module():
     loaded = r.stdout.split()
     assert "sgauss.cli" in loaded
     assert [name for name in LAZY if name in loaded] == []
+
+
+def test_plain_call_loads_no_argparse():
+    # A plain argv is read from the command table; help needs argparse.
+    probe = (
+        "import sys\n"
+        "from sgauss.cli import main\n"
+        "code = main(['summary', '-'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+        "main(['--help'])\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    r = python("-c", probe, stdin="a b -a -b")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[:2] == ["n=2 b=2 genus=1 geometric=false", "0 False"]
+    assert lines[2].startswith("usage: sgauss") and lines[-1] == "True"
 
 
 def sgauss(*argv: str, stdin: str = "") -> str:
