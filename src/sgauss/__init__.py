@@ -35,13 +35,7 @@ from .homology import (
     word_is_planar_homology,
 )
 from .transforms import fresh_symbol, join, reduce_to_word, split
-from .verify import (
-    CorpusSpec,
-    VerificationReport,
-    apply_random_moves,
-    enumerate_corpus,
-    verify,
-)
+from .verify import CorpusSpec, VerificationReport, verify
 
 __version__ = "0.1.0"
 
@@ -74,7 +68,5 @@ __all__ = [
     "fresh_symbol",
     "CorpusSpec",
     "VerificationReport",
-    "enumerate_corpus",
-    "apply_random_moves",
     "verify",
 ]

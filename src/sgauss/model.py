@@ -483,10 +483,10 @@ def paragraph_dict(p: SignedParagraph) -> dict:
 def relabel(p: SignedParagraph, mapping: dict[str, str]) -> SignedParagraph:
     """Exponent-preserving change of alphabet; ``mapping`` must be injective,
     map onto symbol tokens and give no two symbols of ``p`` one name."""
-    if len(set(mapping.values())) != len(mapping):
-        raise OperationError("relabeling is not injective")
     for name in mapping.values():
         _check_token("target", name)
+    if len(set(mapping.values())) != len(mapping):
+        raise OperationError("relabeling is not injective")
     names = tuple(mapping.get(s, s) for s in p._names)
     if len(set(names)) != len(names):
         raise OperationError("relabeling gives two symbols one name")

@@ -1,29 +1,22 @@
 """Exhaustive enumeration of small codes and cross-module consistency checks.
 
-The enumeration (``_codes_of_size``) generates every valid signed Gauss
-word (or two-component paragraph) with exactly n symbols: lexicographic
-perfect matchings of the 2n cyclic positions, symbols named by first
-appearance, times all 2^n choices of which occurrence of each symbol is
-positive.  ``verify`` sweeps a corpus
-and checks every inter-module property this package promises; failures are
-collected as counterexamples, not raised, and two empirical quantities (beta
-antisymmetry, the Carter-circle shift under join) are tallied and reported
-rather than asserted.
+``verify`` sweeps a corpus, every object of one kind with 1..n symbols, and
+checks every inter-module property this package promises; failures are
+collected as counterexamples, not raised.  A kind is one entry of
+``_KINDS``: where its first word may end, its checks in report order, the
+checks of one object that follow the six every kind shares, and the tally
+of one empirical quantity, reported rather than asserted.  The enumeration
+(``_codes_of_size``) takes the lexicographic perfect matchings of the 2n
+positions, symbols named by first appearance, times all 2^n choices of
+which occurrence of each symbol is positive, cut where the kind says.
 
 The sweep runs on integer codes, the form a ``SignedParagraph`` stores: a
 tuple of words, each a tuple of ints 2 * symbol + (exp == -1), symbol k
-being the k-th letter of the alphabet.  It enumerates codes straight from
-the matchings, and the circles, the moved copy, the canonical form (itself
-a code), the joins and the pairing are computed on them by the same kernels
-that the public functions wrap.  Of a word's intersection profile the sweep
-reads two verdicts, whether it vanishes and whether beta is antisymmetric,
-which ``homology._verdicts`` gives from the segment masks that ``profile``
-names.  ``mirror-circles`` holds when the successor tables (``surface._table``)
-of the quads and of the mirror quads satisfy mirror[succ[d] ^ 1] = d ^ 1 for
-every dart d.  Proof that this is the comparison of the circles: the cycles
-of rho succ^-1 rho, rho(d) = d ^ 1, are those of succ read backwards on the
-reverse darts, and a permutation is determined by its cycles listed in
-order; a mirror table that is not a permutation fails the identity.  A
+being the k-th letter of the alphabet.  The circles, the moved copy, the
+canonical form (itself a code), the joins, the pairing and the two verdicts
+read from a word's intersection profile (``homology._verdicts``) are
+computed on them by the same kernels that the public functions wrap, and
+``mirror-circles`` compares two successor tables (``_reverses``).  A
 paragraph is built, text rendered and the mirror walked only for a
 counterexample.
 """
@@ -34,7 +27,7 @@ import random
 from collections import Counter
 from itertools import chain
 from math import factorial, prod
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .homology import _pairing, _verdicts
 from .model import (
@@ -48,7 +41,7 @@ from .model import (
     render,
 )
 from .surface import _faces, _mirror, _quads, _table
-from .transforms import _join_code
+from .transforms import _find, _join_code
 
 __all__ = [
     "KIND_WORDS",
@@ -67,13 +60,9 @@ KIND_WORDS = "words"
 KIND_PARAGRAPHS = "two-component-paragraphs"
 # The enumerators name symbols a..z.
 MAX_SYMBOLS = len(LETTERS)
-# The checks of each corpus kind, in the order the report lists them.
-_COMMON_CHECKS = """carter-partition euler-parity genus-bounds mirror-circles
-    isomorphism-invariance canonical-idempotence"""
-_CHECKS = {
-    KIND_WORDS: f"{_COMMON_CHECKS} criterion-equivalence".split(),
-    KIND_PARAGRAPHS: f"{_COMMON_CHECKS} null-pairing join-genus".split(),
-}
+# The checks of every kind, in the order the report lists them.
+_COMMON_CHECKS = ("carter-partition", "euler-parity", "genus-bounds", "mirror-circles",
+                  "isomorphism-invariance", "canonical-idempotence")
 
 
 class CorpusSpec(_Value):
@@ -88,7 +77,7 @@ class CorpusSpec(_Value):
             raise ValueError(f"max_symbols must be an int in 1..{MAX_SYMBOLS}, got {m!r}")
         if not isinstance(self.dedupe, bool):
             raise ValueError(f"dedupe must be a bool, got {self.dedupe!r}")
-        if self.kind not in _CHECKS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
 
 
@@ -108,9 +97,9 @@ def _matchings(free: tuple[int, ...], base: list[int]) -> Iterator[tuple[int, ..
 def _codes_of_size(n: int, kind: str) -> Iterator[Code]:
     """The codes of the objects of ``kind`` with ``n`` symbols: chord k of
     each matching is symbol k, and bit k of the mask makes its first letter
-    the -1 one.  Paragraphs end their first word after ``cut`` letters,
-    skipping the matchings with no chord across the cut (disconnected)."""
-    for cut in [2 * n] if kind == KIND_WORDS else range(1, 2 * n):
+    the -1 one.  The first word ends after each of the kind's cuts, a cut
+    short of 2n skipping the matchings with no chord across it (disconnected)."""
+    for cut in _KINDS[kind].cuts(n):
         for base in _matchings(tuple(range(2 * n)), [0] * (2 * n)):
             if cut < 2 * n and 2 * len({c >> 1 for c in base[:cut]}) == cut:
                 continue
@@ -212,7 +201,7 @@ class VerificationReport(_Record):
     def __init__(self, spec: CorpusSpec, size: int = 0, counterexamples=None, empirical=None):
         self.spec = spec
         self.size = size
-        self.checks = {name: CheckStat() for name in _CHECKS[spec.kind]}
+        self.checks = {name: CheckStat() for name in _KINDS[spec.kind].checks}
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.empirical = {} if empirical is None else empirical
 
@@ -274,15 +263,92 @@ class VerificationReport(_Record):
 
 
 def _reverses(succ: list[int], mirror: list[int]) -> bool:
-    """Whether ``mirror`` is rho succ^-1 rho, rho(d) = d ^ 1: the table
-    whose circles are those of ``succ`` read backwards on the reverse darts
-    (see ``surface``), when ``succ`` is a permutation."""
+    """Whether ``mirror`` is rho succ^-1 rho, rho(d) = d ^ 1, that is
+    mirror[succ[d] ^ 1] = d ^ 1 for every dart d, ``surface._table`` of the
+    quads and of the mirror quads.  The cycles of rho succ^-1 rho are those
+    of ``succ`` read backwards on the reverse darts, and a permutation is
+    determined by its cycles listed in order, so this compares the circles
+    of the two tables; a mirror table that is not a permutation fails."""
     if len(mirror) != len(succ):
         return False
     for d, s in enumerate(succ):
         if mirror[s ^ 1] != d ^ 1:
             return False
     return True
+
+
+class _Kind(NamedTuple):
+    """A corpus kind.  ``cuts(n)``: where the first word may end (2n: one
+    word); ``checks``: the report's, the common ones first; ``check(report,
+    tally, code, n, b)``: an object's checks after the common ones, which
+    count into the sweep's ``Counter``; ``empirical(report, tally)``."""
+
+    cuts: Callable[[int], Iterable[int]]
+    checks: tuple[str, ...]
+    check: Callable[..., None]
+    empirical: Callable[..., dict]
+
+
+def _word_checks(report, tally: Counter, code: Code, n: int, b: int) -> None:
+    """The profile vanishes just when the word is geometric; the tally
+    holds the text of each word whose beta is not antisymmetric, once."""
+    zero, holds = _verdicts(code[0])
+    geometric = b == n + 2
+    if not report.check("criterion-equivalence", zero == geometric):
+        observed = f"profile zero={zero}"
+        report.fail(_text(code), "criterion-equivalence", observed, f"geometric={geometric}")
+    if not holds:
+        tally[_text(code)] += 1
+
+
+def _beta_antisymmetry(report, tally: Counter) -> dict:
+    checked = report.checks["criterion-equivalence"].checked
+    holds = checked - len(tally)
+    pct = 100.0 * holds / checked if checked else 100.0
+    beta = {"checked": checked, "holds": holds, "percent": round(pct, 2)}
+    beta["violations"] = list(tally)[:20]
+    return {"beta-antisymmetry": beta}
+
+
+def _paragraph_checks(report, tally: Counter, code: Code, n: int, b: int) -> None:
+    """The pairing is 0 on genus 0 and every join keeps the genus; the
+    tally counts the joins by the number of circles they add."""
+    pair = _pairing(code)
+    if not report.check("null-pairing", b < n + 2 or pair == 0):
+        observed = f"genus={(n + 2 - b) // 2} pairing={pair}"
+        report.fail(_text(code), "null-pairing", observed, "pairing 0 on genus 0")
+    ok_join = True
+    for sym in range(n):
+        plus, minus = _find(code, 2 * sym), _find(code, 2 * sym + 1)
+        if plus[0] == minus[0]:
+            continue
+        # The join adds crossing n, so it keeps the genus if it adds a circle.
+        bj = len(_faces(_table(_quads(_join_code(code, plus, minus, n)))))
+        ok_join = ok_join and bj == b + 1
+        tally[bj - b] += 1
+    if not report.check("join-genus", ok_join):
+        report.fail(_text(code), "join-genus", "genus changed under some join", "preserved")
+
+
+def _join_circle_shift(report, tally: Counter) -> dict:
+    counts = {f"{k:+d}": v for k, v in sorted(tally.items())}
+    return {"join-circle-shift": {"counts": counts, "constant": len(tally) <= 1}}
+
+
+_KINDS = {
+    KIND_WORDS: _Kind(
+        cuts=lambda n: [2 * n],
+        checks=(*_COMMON_CHECKS, "criterion-equivalence"),
+        check=_word_checks,
+        empirical=_beta_antisymmetry,
+    ),
+    KIND_PARAGRAPHS: _Kind(
+        cuts=lambda n: range(1, 2 * n),
+        checks=(*_COMMON_CHECKS, "null-pairing", "join-genus"),
+        check=_paragraph_checks,
+        empirical=_join_circle_shift,
+    ),
+}
 
 
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
@@ -298,12 +364,9 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     1,024: a copy depends only on the seed and its block's objects before it.
     """
     report = VerificationReport(spec)
+    kind = _KINDS[spec.kind]
+    tally: Counter = Counter()
     idempotent: set[Code] = set()
-    shift_counter: Counter[int] = Counter()
-    beta_checked = 0
-    beta_holds = 0
-    beta_violations: list[str] = []
-    # A counterexample's texts are made only when its check fails.
     for idx, code in enumerate(_corpus_codes(spec)):
         report.size += 1
         if idx % 1024 == 0:
@@ -314,12 +377,8 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         # The circles partition the darts only if the table is a permutation.
         slots = sorted(chain.from_iterable(quads))
         if not report.check("carter-partition", slots == list(range(4 * n))):
-            report.fail(
-                _text(code),
-                "carter-partition",
-                f"{len(set(slots))} distinct darts in {len(slots)} slots",
-                f"each of 0..{4 * n - 1} once",
-            )
+            observed = f"{len(set(slots))} distinct darts in {len(slots)} slots"
+            report.fail(_text(code), "carter-partition", observed, f"each of 0..{4 * n - 1} once")
             continue
         succ = _table(quads)
         mirror = _table(_mirror(quads))
@@ -333,85 +392,25 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
             report.fail(_text(code), "euler-parity", f"b={b} n={n}", "b = n mod 2")
         bounded = 1 <= b <= n + 2 and 0 <= twice_genus <= 2 * ((n + 1) // 2)
         if not report.check("genus-bounds", bounded):
-            report.fail(
-                _text(code),
-                "genus-bounds",
-                f"b={b} genus={twice_genus / 2:g}",
-                "1 <= b <= n+2, 0 <= g <= (n+1)/2",
-            )
+            observed = f"b={b} genus={twice_genus / 2:g}"
+            report.fail(_text(code), "genus-bounds", observed, "1 <= b <= n+2, 0 <= g <= (n+1)/2")
         if not (parity and bounded):
             continue
         if not report.check("mirror-circles", mirrored):
-            report.fail(
-                _text(code),
-                "mirror-circles",
-                f"{len(_faces(mirror))} circles, not the reversed ones",
-                f"the {b} circles read backwards",
-            )
+            observed = f"{len(_faces(mirror))} circles, not the reversed ones"
+            report.fail(_text(code), "mirror-circles", observed, f"the {b} circles read backwards")
         moved = _moved(code, n, x)
         c1 = _canonical(code)
         same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
         if not report.check("isomorphism-invariance", same):
-            report.fail(
-                _text(code),
-                "isomorphism-invariance",
-                f"moved to {_text(moved)!r}",
-                "equal summary and canonical form",
-            )
+            observed = f"moved to {_text(moved)!r}"
+            expected = "equal summary and canonical form"
+            report.fail(_text(code), "isomorphism-invariance", observed, expected)
         c2 = c1 if c1 in idempotent else _canonical(c1)
         if report.check("canonical-idempotence", c2 == c1):
             idempotent.add(c1)
         else:
             report.fail(_text(code), "canonical-idempotence", _text(c2), _text(c1))
-
-        if len(code) == 1:
-            zero, holds = _verdicts(code[0])
-            geometric = twice_genus == 0
-            if not report.check("criterion-equivalence", zero == geometric):
-                report.fail(
-                    _text(code),
-                    "criterion-equivalence",
-                    f"profile zero={zero}",
-                    f"geometric={geometric}",
-                )
-            beta_checked += 1
-            beta_holds += holds
-            if not holds:
-                beta_violations.append(_text(code))
-        else:
-            pair = _pairing(code)
-            if not report.check("null-pairing", twice_genus > 0 or pair == 0):
-                report.fail(
-                    _text(code),
-                    "null-pairing",
-                    f"genus={twice_genus // 2} pairing={pair}",
-                    "pairing 0 on genus 0",
-                )
-            where = {c: (wi, k) for wi, w in enumerate(code) for k, c in enumerate(w)}
-            ok_join = True
-            for sym in range(n):
-                plus, minus = where[2 * sym], where[2 * sym + 1]
-                if plus[0] == minus[0]:
-                    continue
-                # The join adds crossing n; its genus is (n + 3 - b) / 2.
-                bj = len(_faces(_table(_quads(_join_code(code, plus, minus, n)))))
-                ok_join = ok_join and n + 3 - bj == twice_genus
-                shift_counter[bj - b] += 1
-            if not report.check("join-genus", ok_join):
-                observed = "genus changed under some join"
-                report.fail(_text(code), "join-genus", observed, "preserved")
-
-    if spec.kind == KIND_WORDS:
-        pct = 100.0 * beta_holds / beta_checked if beta_checked else 100.0
-        report.empirical["beta-antisymmetry"] = {
-            "checked": beta_checked,
-            "holds": beta_holds,
-            "percent": round(pct, 2),
-            "violations": beta_violations[:20],
-        }
-    else:
-        report.empirical["join-circle-shift"] = {
-            "counts": {f"{k:+d}": v for k, v in sorted(shift_counter.items())},
-            "constant": len(shift_counter) <= 1,
-        }
+        kind.check(report, tally, code, n, b)
+    report.empirical = kind.empirical(report, tally)
     return report

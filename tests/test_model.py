@@ -645,6 +645,11 @@ class TestRelabel:
         with pytest.raises(OperationError, match="^target 1 is not a valid symbol token$"):
             relabel(parse_paragraph("a b -a -b"), {"a": 1})
 
+    def test_unhashable_target(self):
+        # Checked as a token before the injectivity set hashes it.
+        with pytest.raises(OperationError, match=r"^target \['x'\] is not a valid symbol token$"):
+            relabel(parse_paragraph("a b -a -b"), {"a": ["x"]})
+
     def test_swap_renders_and_parses_back(self):
         q = relabel(parse_paragraph("a -b / -a b"), {"a": "b", "b": "a_2"})
         assert render(q) == "b -a_2 / -b a_2"

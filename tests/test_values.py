@@ -15,7 +15,13 @@ import sgauss
 import twins
 from sgauss import model, surface
 from sgauss.homology import IntersectionProfile, profile
-from sgauss.verify import CheckStat, Counterexample, CorpusSpec, VerificationReport
+from sgauss.verify import (
+    CheckStat,
+    Counterexample,
+    CorpusSpec,
+    VerificationReport,
+    apply_random_moves,
+)
 
 REAL = SimpleNamespace(
     RotationSystem=surface.RotationSystem,
@@ -178,7 +184,7 @@ def moved_paragraph():
     """A paragraph whose symbols are numbered in sorted-name order, not by
     first appearance."""
     p = model.parse_paragraph("z y -z -y x -x")
-    return sgauss.apply_random_moves(p, random.Random(1))
+    return apply_random_moves(p, random.Random(1))
 
 
 def public_values():

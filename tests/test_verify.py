@@ -283,6 +283,9 @@ class TestCorpusSpec:
             CorpusSpec(27)
         with pytest.raises(ValueError):
             CorpusSpec(2, kind="threes")
+        # An unhashable kind is not a kind either, not a TypeError.
+        with pytest.raises(ValueError, match=r"^unknown corpus kind \[\]$"):
+            CorpusSpec(2, kind=[])
 
 
 class TestVerify:
@@ -835,11 +838,12 @@ class TestMutantsAreCaught:
                 "isomorphism-invariance": failed
             }
 
-    @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
+    @pytest.mark.parametrize("kind", list(verify_module._KINDS))
     def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
         # The gate: a check that no mutant fails could not catch a fault.
-        # Each check must fail under a mutant of the table that names it.
-        checks = verify_module._CHECKS[kind]
+        # Each check of every kind must fail under a mutant of the table
+        # that names it.
+        checks = verify_module._KINDS[kind].checks
         caught = set()
         for mutant, (*_, targets) in MUTANTS.items():
             if targets.isdisjoint(checks):

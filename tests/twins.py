@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from sgauss.verify import _CHECKS, KIND_WORDS
+from sgauss.verify import _KINDS, KIND_WORDS
 
 
 @dataclass(frozen=True)
@@ -57,4 +57,4 @@ class VerificationReport:
     empirical: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.checks = {name: CheckStat() for name in _CHECKS[self.spec.kind]}
+        self.checks = {name: CheckStat() for name in _KINDS[self.spec.kind].checks}
