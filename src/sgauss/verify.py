@@ -19,13 +19,21 @@ computed on them by the same kernels that the public functions wrap, and
 ``mirror-circles`` compares two successor tables (``_reverses``).  A
 paragraph is built, text rendered and the mirror walked only for a
 counterexample.
+
+The sweep of one index range (``_sweep``) depends only on the range and
+the seed, and the reports of two adjacent ranges merge into the report of
+both (``VerificationReport._merge``), so ``verify`` runs the ranges in
+forked children (``_fork``), one per usable core, and its report is the
+same for any number of them.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -108,14 +116,28 @@ def _codes_of_size(n: int, kind: str) -> Iterator[Code]:
                 yield (letters[:cut], letters[cut:]) if cut < 2 * n else (letters,)
 
 
-def _corpus_codes(spec: CorpusSpec) -> Iterator[Code]:
-    """The codes of ``enumerate_corpus(spec)``; with ``dedupe`` the codes of
-    the distinct canonical forms, whose symbols are a, b, ... by index too."""
+def _pairings(k: int) -> int:
+    """The number of perfect matchings of ``k`` positions."""
+    return prod(range(k - 1, 0, -2)) if k % 2 == 0 else 0
+
+
+def _size_of(n: int, kind: str) -> int:
+    """The number of codes of ``_codes_of_size(n, kind)``: 2^n masks for
+    each matching but those, at a cut short of 2n, with no chord across."""
+    m = 2 * n
+    cuts = _KINDS[kind].cuts(n)
+    return 2**n * sum(_pairings(m) - (c < m) * _pairings(c) * _pairings(m - c) for c in cuts)
+
+
+def _corpus_codes(spec: CorpusSpec) -> Iterable[Code]:
+    """The codes of ``enumerate_corpus(spec)``; with ``dedupe`` a dict
+    whose keys are the distinct canonical forms, whose symbols are a, b, ...
+    by index too."""
     sizes = range(1, spec.max_symbols + 1)
     codes = chain.from_iterable(_codes_of_size(n, spec.kind) for n in sizes)
     if not spec.dedupe:
         return codes
-    return iter(dict.fromkeys(map(_canonical, codes)))
+    return dict.fromkeys(map(_canonical, codes))
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
@@ -204,6 +226,8 @@ class VerificationReport(_Record):
         self.checks = {name: CheckStat() for name in _KINDS[spec.kind].checks}
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.empirical = {} if empirical is None else empirical
+        # What ``empirical`` is made from, kept for ``_merge``.
+        self._tally: Counter = Counter()
 
     @property
     def ok(self) -> bool:
@@ -219,6 +243,17 @@ class VerificationReport(_Record):
     def fail(self, paragraph: str, name: str, observed: str, expected: str) -> None:
         """Add a counterexample to check ``name``."""
         self.counterexamples.append(Counterexample(paragraph, name, observed, expected))
+
+    def _merge(self, other: VerificationReport) -> None:
+        """Add the report of the index range that follows this report's in
+        the same sweep, so that this one is the report of both."""
+        self.size += other.size
+        for stat, more in zip(self.checks.values(), other.checks.values()):
+            stat.checked += more.checked
+            stat.failed += more.failed
+        self.counterexamples += other.counterexamples
+        self._tally.update(other._tally)
+        self.empirical = _KINDS[self.spec.kind].empirical(self, self._tally)
 
     def as_dict(self) -> dict:
         return {
@@ -279,17 +314,21 @@ def _reverses(succ: list[int], mirror: list[int]) -> bool:
 
 class _Kind(NamedTuple):
     """A corpus kind.  ``cuts(n)``: where the first word may end (2n: one
-    word); ``checks``: the report's, the common ones first; ``check(report,
-    tally, code, n, b)``: an object's checks after the common ones, which
-    count into the sweep's ``Counter``; ``empirical(report, tally)``."""
+    word); ``own``: the object's checks after the common ones, each a name
+    and a function ``(report, tally, code, n, b)`` that counts into the
+    sweep's ``Counter``; ``empirical(report, tally)``."""
 
     cuts: Callable[[int], Iterable[int]]
-    checks: tuple[str, ...]
-    check: Callable[..., None]
+    own: tuple[tuple[str, Callable[..., None]], ...]
     empirical: Callable[..., dict]
 
+    @property
+    def checks(self) -> tuple[str, ...]:
+        """The report's checks, in order: the common ones, then ``own``."""
+        return (*_COMMON_CHECKS, *(name for name, _ in self.own))
 
-def _word_checks(report, tally: Counter, code: Code, n: int, b: int) -> None:
+
+def _criterion_equivalence(report, tally: Counter, code: Code, n: int, b: int) -> None:
     """The profile vanishes just when the word is geometric; the tally
     holds the text of each word whose beta is not antisymmetric, once."""
     zero, holds = _verdicts(code[0])
@@ -310,13 +349,17 @@ def _beta_antisymmetry(report, tally: Counter) -> dict:
     return {"beta-antisymmetry": beta}
 
 
-def _paragraph_checks(report, tally: Counter, code: Code, n: int, b: int) -> None:
-    """The pairing is 0 on genus 0 and every join keeps the genus; the
-    tally counts the joins by the number of circles they add."""
+def _null_pairing(report, tally: Counter, code: Code, n: int, b: int) -> None:
+    """The pairing is 0 on genus 0."""
     pair = _pairing(code)
     if not report.check("null-pairing", b < n + 2 or pair == 0):
         observed = f"genus={(n + 2 - b) // 2} pairing={pair}"
         report.fail(_text(code), "null-pairing", observed, "pairing 0 on genus 0")
+
+
+def _join_genus(report, tally: Counter, code: Code, n: int, b: int) -> None:
+    """Every join keeps the genus; the tally counts the joins by the number
+    of circles they add."""
     ok_join = True
     for sym in range(n):
         plus, minus = _find(code, 2 * sym), _find(code, 2 * sym + 1)
@@ -338,14 +381,12 @@ def _join_circle_shift(report, tally: Counter) -> dict:
 _KINDS = {
     KIND_WORDS: _Kind(
         cuts=lambda n: [2 * n],
-        checks=(*_COMMON_CHECKS, "criterion-equivalence"),
-        check=_word_checks,
+        own=(("criterion-equivalence", _criterion_equivalence),),
         empirical=_beta_antisymmetry,
     ),
     KIND_PARAGRAPHS: _Kind(
         cuts=lambda n: range(1, 2 * n),
-        checks=(*_COMMON_CHECKS, "null-pairing", "join-genus"),
-        check=_paragraph_checks,
+        own=(("null-pairing", _null_pairing), ("join-genus", _join_genus)),
         empirical=_join_circle_shift,
     ),
 }
@@ -354,63 +395,137 @@ _KINDS = {
 def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     """Run every applicable consistency property over the corpus.
 
-    Canonical-idempotence is computed once per canonical form: a set kept
-    for the length of the call holds the forms found idempotent, and every
-    object is still checked, against its form itself when the set holds it.
-    The set holds one form per isomorphism class, as ``dedupe`` does: 3,273
-    for the words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
+    The corpus is cut into contiguous index ranges, one per process: this
+    one and a child forked for each other range, one per core that
+    ``os.sched_getaffinity`` allows (at most ``os.cpu_count()``), so
+    ``taskset`` limits it.  The reports of the ranges are merged in
+    enumeration order, so the report is the same for any number of
+    processes.  The sweep stays in this process when one core is usable,
+    when another thread is running, where ``os.fork`` is missing, and when
+    the corpus holds fewer than ``2 * _MIN_OBJECTS`` objects.  A child that
+    raises or dies makes ``verify`` raise ``RuntimeError``; every child is
+    reaped before ``verify`` returns or raises.
+
     Each object first draws its moved copy's number (``_draw``) from
     ``random.Random((seed << 24) ^ idx)``, made at each idx divisible by
-    1,024: a copy depends only on the seed and its block's objects before it.
+    1,024: a copy depends only on the seed and its block's objects before
+    it, and a range that starts inside a block replays the block's draws
+    before it.  A kernel that raises is a counterexample of the check that
+    called it, and the object's later checks are skipped.
+
+    Canonical-idempotence is computed once per canonical form: a set kept
+    by each process holds the forms found idempotent, and every object is
+    still checked, against its form itself when the set holds it.  The set
+    holds one form per isomorphism class, as ``dedupe`` does: 3,273 for the
+    words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
     """
+    codes = _corpus_codes(spec)
+    if spec.dedupe:
+        size = len(codes)
+    else:
+        size = sum(_size_of(n, spec.kind) for n in range(1, spec.max_symbols + 1))
+    workers = _workers(size)
+    if workers == 1:
+        return _sweep(spec, seed, codes)
+    from ._fork import sweep  # compiled only when a sweep forks
+
+    return sweep(spec, seed, codes, [size * k // workers for k in range(workers + 1)])
+
+
+# A fork, pipe and reap round trip takes about 2 ms, and the checks of one
+# object 80-130 us, so each process gets at least this many objects, 20 to
+# 30 ms of work.
+_MIN_OBJECTS = 256
+
+
+def _workers(size: int) -> int:
+    """How many processes sweep a corpus of ``size`` objects: one per
+    usable core, each with ``_MIN_OBJECTS`` objects at least; 1 without
+    ``os.fork`` or while another thread runs, since a fork copies only the
+    calling thread and a lock another one holds stays held in the child."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1
+    cores = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = min(cores, len(os.sched_getaffinity(0)))
+    return max(1, min(cores, size // _MIN_OBJECTS))
+
+
+def _sweep(
+    spec: CorpusSpec, seed: int, codes: Iterable[Code], start: int = 0, stop: int | None = None
+) -> VerificationReport:
+    """The report of objects ``start`` to ``stop - 1`` of ``codes``, the
+    corpus of ``spec``, with the draws of the objects from the start of
+    ``start``'s block of 1,024 replayed first."""
     report = VerificationReport(spec)
     kind = _KINDS[spec.kind]
-    tally: Counter = Counter()
+    tally = report._tally
     idempotent: set[Code] = set()
-    for idx, code in enumerate(_corpus_codes(spec)):
-        report.size += 1
+    first = start - start % 1024
+    for idx, code in enumerate(islice(codes, first, stop), first):
         if idx % 1024 == 0:
             getrandbits = random.Random((seed << 24) ^ idx).getrandbits
         n = sum(map(len, code)) // 2
         x = _draw(getrandbits, code, n)
-        quads = _quads(code)
-        # The circles partition the darts only if the table is a permutation.
-        slots = sorted(chain.from_iterable(quads))
-        if not report.check("carter-partition", slots == list(range(4 * n))):
-            observed = f"{len(set(slots))} distinct darts in {len(slots)} slots"
-            report.fail(_text(code), "carter-partition", observed, f"each of 0..{4 * n - 1} once")
+        if idx < start:
             continue
-        succ = _table(quads)
-        mirror = _table(_mirror(quads))
-        # Decided before the walk consumes ``succ``; recorded after the
-        # genus checks, which skip it on failure.
-        mirrored = _reverses(succ, mirror)
-        b = len(_faces(succ))
-        twice_genus = n + 2 - b
-        parity = twice_genus % 2 == 0
-        if not report.check("euler-parity", parity):
-            report.fail(_text(code), "euler-parity", f"b={b} n={n}", "b = n mod 2")
-        bounded = 1 <= b <= n + 2 and 0 <= twice_genus <= 2 * ((n + 1) // 2)
-        if not report.check("genus-bounds", bounded):
-            observed = f"b={b} genus={twice_genus / 2:g}"
-            report.fail(_text(code), "genus-bounds", observed, "1 <= b <= n+2, 0 <= g <= (n+1)/2")
-        if not (parity and bounded):
-            continue
-        if not report.check("mirror-circles", mirrored):
-            observed = f"{len(_faces(mirror))} circles, not the reversed ones"
-            report.fail(_text(code), "mirror-circles", observed, f"the {b} circles read backwards")
-        moved = _moved(code, n, x)
-        c1 = _canonical(code)
-        same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
-        if not report.check("isomorphism-invariance", same):
-            observed = f"moved to {_text(moved)!r}"
-            expected = "equal summary and canonical form"
-            report.fail(_text(code), "isomorphism-invariance", observed, expected)
-        c2 = c1 if c1 in idempotent else _canonical(c1)
-        if report.check("canonical-idempotence", c2 == c1):
-            idempotent.add(c1)
-        else:
-            report.fail(_text(code), "canonical-idempotence", _text(c2), _text(c1))
-        kind.check(report, tally, code, n, b)
+        report.size += 1
+        # The check whose kernels run: a raise fails it.
+        check = "carter-partition"
+        try:
+            quads = _quads(code)
+            # The circles partition the darts only if the table is a permutation.
+            slots = sorted(chain.from_iterable(quads))
+            if not report.check(check, slots == list(range(4 * n))):
+                observed = f"{len(set(slots))} distinct darts in {len(slots)} slots"
+                report.fail(_text(code), check, observed, f"each of 0..{4 * n - 1} once")
+                continue
+            check = "mirror-circles"
+            mirror = _table(_mirror(quads))
+            check = "euler-parity"
+            succ = _table(quads)
+            # Decided before the walk consumes ``succ``; recorded after the
+            # genus checks, which skip it on failure.
+            mirrored = _reverses(succ, mirror)
+            b = len(_faces(succ))
+            twice_genus = n + 2 - b
+            parity = twice_genus % 2 == 0
+            if not report.check(check, parity):
+                report.fail(_text(code), check, f"b={b} n={n}", "b = n mod 2")
+            bounded = 1 <= b <= n + 2 and 0 <= twice_genus <= 2 * ((n + 1) // 2)
+            if not report.check("genus-bounds", bounded):
+                observed = f"b={b} genus={twice_genus / 2:g}"
+                expected = "1 <= b <= n+2, 0 <= g <= (n+1)/2"
+                report.fail(_text(code), "genus-bounds", observed, expected)
+            if not (parity and bounded):
+                continue
+            # The next three are counted after their counterexample, whose
+            # text reads kernel output: a raise there is the one failure.
+            check = "mirror-circles"
+            if not mirrored:
+                observed = f"{len(_faces(mirror))} circles, not the reversed ones"
+                report.fail(_text(code), check, observed, f"the {b} circles read backwards")
+            report.check(check, mirrored)
+            check = "isomorphism-invariance"
+            moved = _moved(code, n, x)
+            c1 = _canonical(code)
+            same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
+            if not same:
+                observed = f"moved to {_text(moved)!r}"
+                report.fail(_text(code), check, observed, "equal summary and canonical form")
+            report.check(check, same)
+            check = "canonical-idempotence"
+            c2 = c1 if c1 in idempotent else _canonical(c1)
+            if c2 == c1:
+                idempotent.add(c1)
+            else:
+                report.fail(_text(code), check, _text(c2), _text(c1))
+            report.check(check, c2 == c1)
+            for check, own in kind.own:
+                own(report, tally, code, n, b)
+        except Exception as e:
+            report.check(check, False)
+            report.fail(_text(code), check, f"raised {type(e).__name__}: {e}", "a verdict")
     report.empirical = kind.empirical(report, tally)
     return report

@@ -6,6 +6,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEXTS
+import sgauss.cli
 from sgauss.cli import _build_parser, _parse, _plain, main
 from sgauss.model import SignedParagraph
 
@@ -482,6 +484,34 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, monkeypatch, ["verify", *flags])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_DIGESTS[flags]
+
+    # Recorded at the commit before the sweep was split over processes.
+    JSON_DIGEST_MAX_N_5 = "9c68d7abf2d8d95a69491a22e5a84c5d47e4a1eae649c7677d422f883d83e7e5"
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_same_reports_in_any_number_of_processes(self, capsys, monkeypatch, count):
+        # Both renderings come from the same two reports, swept once.
+        verify_module = importlib.import_module("sgauss.verify")
+        monkeypatch.setattr(verify_module, "_workers", lambda size: count)
+        reports = {}
+        sweep = sgauss.cli.verify
+
+        def once(spec):
+            if spec not in reports:
+                reports[spec] = sweep(spec)
+            return reports[spec]
+
+        monkeypatch.setattr(sgauss.cli, "verify", once)
+        digests = {}
+        for flags in [("--max-n", "5"), ("--max-n", "5", "--json")]:
+            code, out, _ = run(capsys, monkeypatch, ["verify", *flags])
+            assert code == 0
+            digests[flags] = hashlib.sha256(out.encode()).hexdigest()
+        assert len(reports) == 2
+        assert digests == {
+            ("--max-n", "5"): self.REPORT_DIGESTS[("--max-n", "5")],
+            ("--max-n", "5", "--json"): self.JSON_DIGEST_MAX_N_5,
+        }
 
 
 class TestStyling:

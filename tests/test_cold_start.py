@@ -14,8 +14,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # dataclasses pulls in inspect; json serves JSON output only; argparse (and
-# the gettext it loads) serves help, abbreviations and usage errors only.
-LAZY = ("argparse", "dataclasses", "gettext", "inspect", "json", "string")
+# the gettext it loads) serves help, abbreviations and usage errors only;
+# sgauss._fork serves a sweep that forks, whose children send their reports
+# as marshal data, not pickles.
+LAZY = (
+    "argparse", "dataclasses", "gettext", "inspect", "json", "pickle", "sgauss._fork", "string"
+)
 
 
 def python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -61,6 +65,20 @@ def test_plain_call_loads_no_argparse():
     lines = r.stdout.splitlines()
     assert lines[:2] == ["n=2 b=2 genus=1 geometric=false", "0 False"]
     assert lines[2].startswith("usage: sgauss") and lines[-1] == "True"
+
+
+def test_sweep_in_two_processes_loads_only_its_module():
+    probe = (
+        "import sys\n"
+        "import sgauss\n"
+        "v = sys.modules['sgauss.verify']\n"
+        "v._workers = lambda size: 2\n"
+        "before = set(sys.modules)\n"
+        "size = v.verify(v.CorpusSpec(3)).size\n"
+        "print(size, sorted(set(sys.modules) - before))\n"
+    )
+    r = python("-c", probe)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "134 ['sgauss._fork']\n", "")
 
 
 def sgauss(*argv: str, stdin: str = "") -> str:

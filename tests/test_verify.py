@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -147,6 +153,12 @@ def swapped_exponents_moved(real):
     return fault
 
 
+def cleared_exponents_canonical(real):
+    # Every letter of the form made +1: not a code, so the second
+    # ``_canonical`` of canonical-idempotence raises on it.
+    return lambda code: tuple(tuple(c & ~1 for c in w) for w in real(code))
+
+
 # Each mutant with the module that defines the kernel it breaks, and the
 # checks of the report that it must fail.
 MUTANTS = {
@@ -165,6 +177,12 @@ MUTANTS = {
         "_canonical",
         rotated_canonical,
         {"isomorphism-invariance", "canonical-idempotence"},
+    ),
+    "cleared_exponents_canonical": (
+        model_module,
+        "_canonical",
+        cleared_exponents_canonical,
+        {"canonical-idempotence"},
     ),
     "plus_start_canonical_word": (
         model_module,
@@ -197,6 +215,11 @@ MUTANTS = {
         {"isomorphism-invariance"},
     ),
 }
+
+
+def workers(monkeypatch, count: int) -> None:
+    """Sweep in ``count`` processes whatever the corpus and the cores."""
+    monkeypatch.setattr(verify_module, "_workers", lambda size: count)
 
 
 def patch(monkeypatch, mutant: str) -> None:
@@ -480,7 +503,8 @@ class TestUniformIsomorphism:
 
     @staticmethod
     def drawn(monkeypatch, spec, seed=0):
-        """The sweep's report and (object, number, moved copy) triples."""
+        """The sweep's report and (object, number, moved copy) triples, in
+        one process, which keeps them."""
         calls = []
         real = verify_module._moved
 
@@ -490,6 +514,7 @@ class TestUniformIsomorphism:
 
         with monkeypatch.context() as m:
             m.setattr(verify_module, "_moved", keep)
+            workers(m, 1)
             return verify(spec, seed=seed), calls
 
     @pytest.mark.parametrize(
@@ -606,7 +631,8 @@ class TestDrawsThroughGetrandbits:
 
 class TestPerObjectWork:
     """A passing sweep runs on integer codes: it builds no paragraph and
-    calls each kernel a fixed number of times per object."""
+    calls each kernel a fixed number of times per object.  The counts are
+    taken in one process: a child's calls are not seen."""
 
     KERNELS = (
         "_quads",
@@ -643,6 +669,7 @@ class TestPerObjectWork:
         count(verify_module, "_from_code", "model._from_code")
         # A new generator is seeded once per block of 1,024 objects.
         count(random.Random, "seed", "random.Random.seed")
+        workers(monkeypatch, 1)
         return counts
 
     @staticmethod
@@ -838,11 +865,25 @@ class TestMutantsAreCaught:
                 "isomorphism-invariance": failed
             }
 
-    @pytest.mark.parametrize("kind", list(verify_module._KINDS))
-    def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
-        # The gate: a check that no mutant fails could not catch a fault.
-        # Each check of every kind must fail under a mutant of the table
-        # that names it.
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_raising_kernel_is_a_counterexample(self, monkeypatch, count):
+        # The same in a child as in this process: the object fails the
+        # check whose kernel raised, and its later checks are skipped.
+        patch(monkeypatch, "cleared_exponents_canonical")
+        workers(monkeypatch, count)
+        report = verify(CorpusSpec(3))
+        failed = {name: (s.checked, s.failed) for name, s in report.checks.items() if s.failed}
+        assert failed == {"canonical-idempotence": (134, 134)}
+        assert report.checks["criterion-equivalence"].checked == 0
+        observed = "raised IndexError: list index out of range"
+        assert report.counterexamples[0] == Counterexample(
+            "a -a", "canonical-idempotence", observed, "a verdict"
+        )
+
+    @staticmethod
+    def uncaught(monkeypatch, kind: str) -> list[str]:
+        """The checks of ``kind`` that no mutant of the table naming them
+        fails."""
         checks = verify_module._KINDS[kind].checks
         caught = set()
         for mutant, (*_, targets) in MUTANTS.items():
@@ -853,7 +894,184 @@ class TestMutantsAreCaught:
                 report = verify(CorpusSpec(3, kind=kind))
             if not report.ok:
                 caught |= {c for c in targets & set(checks) if report.checks[c].failed}
-        assert [c for c in checks if c not in caught] == []
+        return [c for c in checks if c not in caught]
+
+    @pytest.mark.parametrize("kind", list(verify_module._KINDS))
+    def test_every_check_fails_under_its_mutant(self, monkeypatch, kind):
+        # The gate: a check that no mutant fails could not catch a fault.
+        # Each check of every kind must fail under a mutant of the table
+        # that names it.
+        assert self.uncaught(monkeypatch, kind) == []
+
+    @pytest.mark.parametrize("kind", list(verify_module._KINDS))
+    def test_every_check_fails_in_two_processes(self, monkeypatch, kind):
+        workers(monkeypatch, 2)
+        assert self.uncaught(monkeypatch, kind) == []
+
+
+class TestProcesses:
+    """``verify`` sweeps contiguous index ranges in forked children and
+    merges their reports into the serial sweep's."""
+
+    @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
+    def test_sizes(self, kind):
+        for n in range(1, 5):
+            assert verify_module._size_of(n, kind) == sum(1 for _ in _codes_of_size(n, kind))
+
+    @staticmethod
+    def split_at(spec, cuts, seed=5):
+        """The whole sweep's report and, for each cut, the merged reports
+        of the ranges before and from it, each as text and JSON."""
+        sweep = lambda *r: verify_module._sweep(spec, seed, verify_module._corpus_codes(spec), *r)
+        render = lambda report: (report.to_text(), report.to_json())
+        merged = {}
+        for cut in cuts:
+            head = sweep(0, cut)
+            head._merge(sweep(cut))
+            merged[cut] = render(head)
+        return render(sweep()), merged
+
+    @pytest.mark.parametrize(
+        "spec, fault",
+        [
+            (CorpusSpec(3), "swapped_in_slots"),
+            (CorpusSpec(3), "beta"),
+            (CorpusSpec(2, kind=KIND_PARAGRAPHS), None),
+            (CorpusSpec(2, kind=KIND_PARAGRAPHS), "fresh_exponents_swapped"),
+        ],
+        ids=["words-counterexamples", "words-tally", "paragraphs", "paragraphs-tally"],
+    )
+    def test_merge_at_every_cut(self, monkeypatch, spec, fault):
+        if fault == "beta":
+            # beta antisymmetry "fails" on the words that start with a +1
+            # letter, so that the tally of texts is not empty.
+            real = verify_module._verdicts
+            monkeypatch.setattr(verify_module, "_verdicts", lambda w: (real(w)[0], w[0] & 1))
+        elif fault:
+            patch(monkeypatch, fault)
+        size = verify(spec).size
+        whole, merged = self.split_at(spec, range(size + 1))
+        assert merged == dict.fromkeys(range(size + 1), whole)
+        assert "result: FAIL" in whole[0] or fault in (None, "beta")
+
+    @pytest.mark.parametrize(
+        "spec, cuts",
+        [
+            # Every cut of these takes about 40 s; cuts at both ends, in the
+            # middle and at random.
+            (CorpusSpec(3, kind=KIND_PARAGRAPHS), [0, 1, 2, 292, 293, 584, 585, 586]),
+            # Across the block edge at 1,024, where the draws restart.
+            (CorpusSpec(4), [1, 1023, 1024, 1025, 1813]),
+        ],
+        ids=["paragraphs", "words"],
+    )
+    def test_merge_at_sampled_cuts(self, monkeypatch, spec, cuts):
+        patch(monkeypatch, "swapped_exponents_moved")
+        cuts = [*cuts, *random.Random(24).sample(range(verify(spec).size), 4)]
+        whole, merged = self.split_at(spec, cuts)
+        assert "counterexample [isomorphism-invariance]" in whole[0]
+        assert merged == dict.fromkeys(cuts, whole)
+
+    def test_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        pick = verify_module._workers
+        sizes = (0, 511, 512, 586, 767, 768, 1814, 10**6)
+        assert [pick(k) for k in sizes] == [1, 1, 2, 2, 2, 3, 4, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pick(10**6) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert pick(10**6) == 1
+
+    def test_serial_while_a_thread_runs_or_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert verify_module._workers(1814) == 2
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert verify_module._workers(1814) == 1
+        finally:
+            release.set()
+            waiter.join()
+        assert verify_module._workers(1814) == 2
+        monkeypatch.delattr(os, "fork")
+        assert verify_module._workers(1814) == 1
+
+    @staticmethod
+    def no_child_left() -> bool:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
+    def test_no_child_left_after_a_report(self, monkeypatch):
+        workers(monkeypatch, 3)
+        assert verify(CorpusSpec(3)).ok
+        assert self.no_child_left()
+
+    def in_children(self, monkeypatch, act):
+        """Make ``_draw`` call ``act()`` in every child before it draws."""
+        parent, real = os.getpid(), verify_module._draw
+
+        def draw(*args):
+            if os.getpid() != parent:
+                act()
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, "_draw", draw)
+        workers(monkeypatch, 3)
+
+    def test_a_raising_child_is_one_error(self, monkeypatch):
+        def fail():
+            raise LookupError("no such thing")
+
+        self.in_children(monkeypatch, fail)
+        why = "raised LookupError: no such thing"
+        with pytest.raises(RuntimeError, match=rf"^sweep of objects 44\.\.88 {why}$"):
+            verify(CorpusSpec(3))
+        assert self.no_child_left()
+
+    def test_a_killed_child_is_one_error(self, monkeypatch):
+        self.in_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        why = "was killed by signal 9"
+        with pytest.raises(RuntimeError, match=rf"^sweep of objects 44\.\.88 {why}$"):
+            verify(CorpusSpec(3))
+        assert self.no_child_left()
+
+    def test_children_are_reaped_when_this_process_raises(self, monkeypatch):
+        parent, real = os.getpid(), verify_module._draw
+
+        def draw(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, "_draw", draw)
+        workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            verify(CorpusSpec(4))
+        assert self.no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_usable_cpu_forks_nothing(self):
+        probe = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "def fork():\n"
+            "    raise AssertionError('forked')\n"
+            "os.fork = fork\n"
+            "from sgauss.verify import KIND_PARAGRAPHS, CorpusSpec, verify\n"
+            "print(verify(CorpusSpec(4)).size, verify(CorpusSpec(3, kind=KIND_PARAGRAPHS)).size)\n"
+        )
+        src = str(Path(verify_module.__file__).resolve().parents[1])
+        r = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (0, "1814 586\n", "")
 
 
 class TestCorruptDartTable:
