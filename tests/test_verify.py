@@ -972,6 +972,20 @@ class TestProcesses:
         assert "counterexample [isomorphism-invariance]" in whole[0]
         assert merged == dict.fromkeys(cuts, whole)
 
+    @pytest.mark.parametrize(
+        "spec", [CorpusSpec(3), CorpusSpec(3, kind=KIND_PARAGRAPHS)], ids=["words", "paragraphs"]
+    )
+    def test_every_object_as_its_own_range(self, monkeypatch, spec):
+        # Each one-object range replays its block's draws from a different
+        # start; the moved copies the mutant breaks show every draw.
+        patch(monkeypatch, "swapped_exponents_moved")
+        sweep = lambda *r: verify_module._sweep(spec, 5, verify_module._corpus_codes(spec), *r)
+        whole, merged = sweep(), sweep(0, 1)
+        for k in range(1, whole.size):
+            merged._merge(sweep(k, k + 1))
+        assert whole.checks["isomorphism-invariance"].failed > 0
+        assert (merged.to_text(), merged.to_json()) == (whole.to_text(), whole.to_json())
+
     def test_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
