@@ -129,6 +129,10 @@ def _cmd_circles(args) -> int:
     circles = trace_circles(r)
     edges = r._edges
     if args.json:
+        # Dart d as its signed arc id, k or -k for arc k = d // 2 + 1.
+        ids = [0] * (4 * p.n)
+        ids[0::2] = range(1, 2 * p.n + 1)
+        ids[1::2] = range(-1, -2 * p.n - 1, -1)
         _emit(
             {
                 "n": p.n,
@@ -136,7 +140,7 @@ def _cmd_circles(args) -> int:
                 "b": len(circles),
                 "circles": [
                     {
-                        "darts": list(c.signed_ids()),
+                        "darts": list(map(ids.__getitem__, c.darts)),
                         "edges": list(map(edges.__getitem__, c.darts)),
                     }
                     for c in circles
@@ -144,8 +148,12 @@ def _cmd_circles(args) -> int:
             }
         )
     else:
-        # Dart d as its signed arc id, "+k" or "-k" for arc k = d // 2 + 1.
-        ids = [f"{sign}{k}" for k in range(1, 2 * p.n + 1) for sign in "+-"]
+        # The same ids as text, "+k" or "-k", made in whole-list passes as
+        # ``RotationSystem._edges`` makes its labels.
+        numbers = list(map(str, range(1, 2 * p.n + 1)))
+        parts = ["", "\n-", "", "\n+"] * len(numbers)
+        parts[0::4] = parts[2::4] = numbers
+        ids = ("+" + "".join(parts)[:-2]).split("\n")
         print(f"n={p.n} b={len(circles)}")
         for i, c in enumerate(circles, start=1):
             darts = c.darts

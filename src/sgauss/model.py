@@ -497,11 +497,12 @@ def canonicalize(p: SignedParagraph) -> SignedParagraph:
     """The least representative of the isomorphism class of ``p``
     (``_canonical``), its symbols named a, b, ..., z, s26, s27, ... in order
     of appearance.  Idempotent, and equal for any two isomorphic paragraphs."""
-    return _from_code(_canonical(p._code), list(map(_canonical_name, range(p.n))))
+    return _from_code(_canonical(p._code), _canonical_names(p.n))
 
 
-def _canonical_name(i: int) -> str:
-    return LETTERS[i] if i < 26 else f"s{i}"
+def _canonical_names(n: int) -> tuple[str, ...]:
+    """The names a, b, ..., z, s26, s27, ... of ``n`` canonical symbols."""
+    return (*LETTERS[:n], *map("s{}".format, range(26, n)))
 
 
 def _canonical(code: Code) -> Code:

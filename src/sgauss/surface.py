@@ -91,11 +91,25 @@ class RotationSystem(_Value):
     @cached_property
     def _edges(self) -> list[str]:
         """Every dart rendered once: the 2n arc labels ``[a,b^-1]``, each
-        behind "+" (dart 2k) and "-" (dart 2k + 1)."""
-        tokens = [t for s in self.names for t in (s, s + "^-1")]
+        behind "+" (dart 2k) and "-" (dart 2k + 1).
+
+        The labels are made in whole-list passes, not one format per arc:
+        each arc's tail and head letters are slice-assigned twice into one
+        list of pieces, between the fixed pieces "," and "]\\n-[" or
+        "]\\n+[", and the joined text is split at its newlines.  So no
+        symbol name may hold "\\n"; the grammar of names and
+        ``model._check_token`` guarantee it.
+        """
+        names = self.names
+        tokens = [""] * (2 * len(names))
+        tokens[0::2] = names
+        tokens[1::2] = [s + "^-1" for s in names]
         letters = [tokens[c] for c in self.codes]
-        arcs = map("[{},{}]".format, letters, map(letters.__getitem__, self.heads))
-        return [e for arc in arcs for e in ("+" + arc, "-" + arc)]
+        heads = [letters[h] for h in self.heads]
+        parts = ["", ",", "", "]\n-[", "", ",", "", "]\n+["] * len(letters)
+        parts[0::8] = parts[4::8] = letters
+        parts[2::8] = parts[6::8] = heads
+        return ("+[" + "".join(parts)[:-3]).split("\n")
 
 
 class CarterCircle(_Value):

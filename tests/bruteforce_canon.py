@@ -14,7 +14,12 @@ from itertools import permutations, product
 
 from conftest import rotate
 from letters import SignedWord, paragraph, words_of
-from sgauss.model import SignedParagraph, _canonical_name, relabel
+from sgauss.model import LETTERS, SignedParagraph, relabel
+
+
+def canonical_name(i: int) -> str:
+    """The name of canonical symbol ``i``: a, b, ..., z, then s26, s27, ..."""
+    return LETTERS[i] if i < 26 else f"s{i}"
 
 
 def _stream_key(words: list[SignedWord]) -> tuple:
@@ -51,5 +56,5 @@ def bruteforce_canonicalize(p: SignedParagraph) -> SignedParagraph:
     for w in best:
         for l in w:
             ids.setdefault(l.sym, len(ids))
-    mapping = {sym: _canonical_name(i) for sym, i in ids.items()}
+    mapping = {sym: canonical_name(i) for sym, i in ids.items()}
     return relabel(paragraph(best), mapping)

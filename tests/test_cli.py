@@ -23,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEXTS
+import twopass
+from conftest import TEXTS, signed_paragraphs
 import sgauss.cli
 from sgauss.cli import _build_parser, _parse, _plain, main
-from sgauss.model import SignedParagraph
+from sgauss.model import SignedParagraph, parse_paragraph, render
+from sgauss.surface import build_ribbon
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -628,6 +630,51 @@ class TestLargeCircles:
         code, out, _ = run(capsys, monkeypatch, argv, stdin=LARGE_INPUTS[name])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, as_json]
+
+
+def circles_by_main(text: str, as_json: bool) -> str:
+    """The stdout of ``sgauss circles`` on ``text``, with ``--json`` if
+    ``as_json``; usable where function-scoped fixtures are not."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", stdin_of(text)), contextlib.redirect_stdout(out):
+        assert main(["circles", *["--json"] * as_json]) == 0
+    return out.getvalue()
+
+
+def same_circles(p: SignedParagraph) -> None:
+    """``RotationSystem._edges`` and both ``circles`` outputs on ``p`` are
+    what the per-dart rendering of ``twopass`` gives."""
+    r = build_ribbon(p)
+    assert r._edges == twopass.edges(r)
+    text = render(p)
+    for as_json in (False, True):
+        assert circles_by_main(text, as_json) == twopass.circles_stdout(p, as_json)
+
+
+class TestCirclesAgainstOracle:
+    """The whole-list rendering of the dart labels and ids against the
+    one-dart-at-a-time oracle (``twopass.edges``, ``twopass.dart_ids``)."""
+
+    def test_every_word_up_to_4(self, words_le_4):
+        for p in words_le_4:
+            same_circles(p)
+
+    def test_every_two_component_paragraph_up_to_3(self, paragraphs_le_3):
+        for p in paragraphs_le_3:
+            same_circles(p)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_INPUTS))
+    def test_large_inputs(self, name):
+        same_circles(parse_paragraph(LARGE_INPUTS[name]))
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 300, 400])
+    def test_random_words(self, n):
+        for seed in range(3):
+            same_circles(parse_paragraph(paragraph_text([random_word(n, 2500 + seed)])))
+
+    @given(signed_paragraphs())
+    def test_paragraphs(self, p):
+        same_circles(p)
 
 
 # Every subcommand that reads a paragraph, with the options it requires.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce_canon import bruteforce_canonicalize
+from bruteforce_canon import bruteforce_canonicalize, canonical_name
 from conftest import (
     LETTERS,
     TEXTS,
@@ -37,6 +37,7 @@ from sgauss.model import (
     parse_paragraph,
     relabel,
     render,
+    _canonical_names,
     _canonical_search,
     _canonical_word,
 )
@@ -469,6 +470,10 @@ class TestCanonicalizeAgainstBruteForce:
         c = canonicalize(p)
         assert {"s26", "s27"} <= c.alphabet
         assert canonicalize(c) == c
+
+    @pytest.mark.parametrize("n", [0, 1, 26, 27, 400])
+    def test_canonical_names(self, n):
+        assert _canonical_names(n) == tuple(map(canonical_name, range(n)))
 
 
 class TestCanonicalWord:

@@ -1,6 +1,7 @@
-"""The canonical and circle kernels in their two-pass form, kept as test
-oracles for the single-pass kernels in ``sgauss.model`` and
-``sgauss.surface``.
+"""The canonical and circle kernels in their two-pass form, and the
+``circles`` labels rendered one dart at a time, kept as test oracles for the
+single-pass kernels in ``sgauss.model`` and ``sgauss.surface`` and the
+whole-list rendering of ``RotationSystem._edges`` and ``sgauss circles``.
 
 ``canonical_search`` and ``canonical_word`` prune the live candidates in two
 passes per step: a list of keys, its ``min``/``max``, then a filter of the
@@ -10,9 +11,16 @@ counterpart in the package returns, including the order of the orbits and
 of the darts in each.  ``_backwards`` reads circles backwards on the
 reverse darts; with it, the mirror's walked circles are the oracle of the
 table identity that ``verify._reverses`` checks in their place.
+``edges`` formats each arc label and adds each sign by a concatenation, and
+``circles_stdout`` renders the output of ``sgauss circles`` from it, the dart
+ids made one f-string (text) or one generator step (JSON) at a time.
 """
 
 from __future__ import annotations
+
+import json
+
+from sgauss.surface import RotationSystem, build_ribbon, trace_circles
 
 
 def canonical_search(code):
@@ -130,3 +138,44 @@ def _backwards(faces: list[list[int]]) -> list[list[int]]:
         out.append(r)
     out.sort()
     return out
+
+
+def edges(r: RotationSystem) -> list[str]:
+    """``RotationSystem._edges`` with one format per arc and one
+    concatenation per dart."""
+    tokens = [t for s in r.names for t in (s, s + "^-1")]
+    letters = [tokens[c] for c in r.codes]
+    arcs = map("[{},{}]".format, letters, map(letters.__getitem__, r.heads))
+    return [e for arc in arcs for e in ("+" + arc, "-" + arc)]
+
+
+def dart_ids(n: int) -> list[str]:
+    """The text id of every dart of an ``n``-symbol paragraph: "+k" or "-k"
+    for arc k = d // 2 + 1."""
+    return [f"{sign}{k}" for k in range(1, 2 * n + 1) for sign in "+-"]
+
+
+def circles_stdout(p, as_json: bool) -> str:
+    """What ``sgauss circles`` (with ``--json`` if ``as_json``) prints for
+    ``p``, rendered with ``edges`` and ``dart_ids``."""
+    r = build_ribbon(p)
+    circles = trace_circles(r)
+    labels = edges(r)
+    if as_json:
+        return json.dumps({
+            "n": p.n,
+            "edges": 2 * p.n,
+            "b": len(circles),
+            "circles": [
+                {"darts": list(c.signed_ids()), "edges": [labels[d] for d in c.darts]}
+                for c in circles
+            ],
+        }) + "\n"
+    ids = dart_ids(p.n)
+    lines = [f"n={p.n} b={len(circles)}"]
+    for i, c in enumerate(circles, start=1):
+        lines.append(
+            f"circle {i}: {' '.join(ids[d] for d in c.darts)}"
+            f" | {' '.join(labels[d] for d in c.darts)}"
+        )
+    return "".join(line + "\n" for line in lines)
