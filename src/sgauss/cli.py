@@ -129,10 +129,6 @@ def _cmd_circles(args) -> int:
     circles = trace_circles(r)
     edges = r._edges
     if args.json:
-        # Dart d as its signed arc id, k or -k for arc k = d // 2 + 1.
-        ids = [0] * (4 * p.n)
-        ids[0::2] = range(1, 2 * p.n + 1)
-        ids[1::2] = range(-1, -2 * p.n - 1, -1)
         _emit(
             {
                 "n": p.n,
@@ -140,7 +136,7 @@ def _cmd_circles(args) -> int:
                 "b": len(circles),
                 "circles": [
                     {
-                        "darts": list(map(ids.__getitem__, c.darts)),
+                        "darts": list(c.signed_ids()),
                         "edges": list(map(edges.__getitem__, c.darts)),
                     }
                     for c in circles
@@ -148,8 +144,9 @@ def _cmd_circles(args) -> int:
             }
         )
     else:
-        # The same ids as text, "+k" or "-k", made in whole-list passes as
-        # ``RotationSystem._edges`` makes its labels.
+        # Dart d as its signed arc id, "+k" or "-k" for arc k = d // 2 + 1,
+        # made in whole-list passes as ``RotationSystem._edges`` makes its
+        # labels.
         numbers = list(map(str, range(1, 2 * p.n + 1)))
         parts = ["", "\n-", "", "\n+"] * len(numbers)
         parts[0::4] = parts[2::4] = numbers

@@ -182,52 +182,18 @@ def _moved(code: Code, n: int, x: int) -> Code:
     each word's left rotation (x mod its length), then the swaps of a
     Fisher-Yates shuffle (slot i with slot x mod (i + 1), i from the last
     down to 1) of the words and of the symbol numbers 0..n-1.  Distinct x
-    give distinct (rotations, order, permutation) triples.
-
-    Each digit is a ``divmod`` of what is left of x, which costs its length:
-    a code with more than ``_BY_HALVES`` words and symbols has its digits
-    cut out of x by halves first (``_digits``), and each step takes the next
-    one from them instead."""
-    step = divmod
-    if len(code) + n > _BY_HALVES:
-        radices = [*map(len, code), *range(len(code), 1, -1), *range(n, 1, -1)]
-        x, step = iter(_digits(x, radices)), _next_digit
+    give distinct (rotations, order, permutation) triples."""
     slots = []
     for w in code:
-        x, r = step(x, len(w))
+        x, r = divmod(x, len(w))
         slots.append(w[r:] + w[:r])
     perm = list(range(n))
     for items in (slots, perm):
         for i in range(len(items) - 1, 0, -1):
-            x, j = step(x, i + 1)
+            x, j = divmod(x, i + 1)
             items[i], items[j] = items[j], items[i]
     letter = [2 * s + e for s in perm for e in (0, 1)]
     return tuple(tuple(map(letter.__getitem__, w)) for w in slots)
-
-
-# Above this many digits x is cut by halves; below it, digit by digit.
-_BY_HALVES = 64
-
-
-def _digits(x: int, radices: list[int]) -> list[int]:
-    """The mixed-radix digits of x below prod(radices), lowest first.  Past
-    ``_BY_HALVES`` radices, x is cut at the product of the lower half's
-    radices and each part is cut again, so the digit-by-digit loop runs on
-    numbers of at most that many digits."""
-    if len(radices) <= _BY_HALVES:
-        digits = []
-        for radix in radices:
-            x, d = divmod(x, radix)
-            digits.append(d)
-        return digits
-    half = len(radices) // 2
-    high, low = divmod(x, prod(radices[:half]))
-    return _digits(low, radices[:half]) + _digits(high, radices[half:])
-
-
-def _next_digit(digits: Iterator[int], radix: int) -> tuple[Iterator[int], int]:
-    """A ``divmod`` step of ``_moved`` on digits already cut out of x."""
-    return digits, next(digits)
 
 
 class Counterexample(NamedTuple):

@@ -12,7 +12,7 @@ import sys
 import threading
 from collections import Counter
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -35,7 +35,6 @@ from sgauss.model import (
     SignedParagraph,
     ValidationError,
     _canonical,
-    _from_code,
     _validate,
     canonicalize,
     parse_paragraph,
@@ -50,7 +49,6 @@ from sgauss.verify import (
     VerificationReport,
     apply_random_moves,
     _codes_of_size,
-    _digits,
     _moved,
     _paragraph,
     _text,
@@ -490,30 +488,6 @@ class TestMovesAgainstObjects:
             q = moves_by_objects(p, oracle_rng.randrange(isomorphisms(p)))
             assert apply_random_moves(p, rng) == q
             assert rng.getstate() == oracle_rng.getstate()
-
-    @pytest.mark.parametrize("n,cuts", [(2000, []), (300, [150, 400])])
-    def test_digits_by_halves(self, n, cuts):
-        # A 2,000-symbol word and a 3-word paragraph: more than _BY_HALVES
-        # digits, cut out of x by halves.  Zero-padded names sort in
-        # symbol order.
-        w = random_word(random.Random(n), n)
-        code = tuple(w[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * n]))
-        p = _from_code(code, [f"x{i:04d}" for i in range(n)])
-        size = isomorphisms(p)
-        rng = random.Random(1900 + n)
-        for x in [0, size - 1, *(rng.randrange(size) for _ in range(20))]:
-            assert _from_code(_moved(code, n, x), p._names) == moves_by_objects(p, x)
-
-    @given(st.lists(st.integers(1, 9), max_size=300), st.integers(0, 2**1000))
-    def test_digits(self, radices, x):
-        # Against the digit-by-digit loop; radix 1 (a one-letter word)
-        # takes a digit 0.
-        x %= prod(radices)
-        rest, digits = x, []
-        for radix in radices:
-            rest, d = divmod(rest, radix)
-            digits.append(d)
-        assert _digits(x, radices) == digits
 
     @given(signed_paragraphs(), st.integers(0, 2**16))
     def test_names_out_of_sorted_order(self, p, seed):

@@ -12,8 +12,8 @@ of the darts in each.  ``_backwards`` reads circles backwards on the
 reverse darts; with it, the mirror's walked circles are the oracle of the
 table identity that ``verify._reverses`` checks in their place.
 ``edges`` formats each arc label and adds each sign by a concatenation, and
-``circles_stdout`` renders the output of ``sgauss circles`` from it, the dart
-ids made one f-string (text) or one generator step (JSON) at a time.
+``circles_stdout`` renders the output of ``sgauss circles`` from it, the text
+dart ids made one f-string at a time.
 """
 
 from __future__ import annotations
