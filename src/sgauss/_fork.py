@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import marshal
 import os
-from typing import Iterable, NoReturn
+from typing import NoReturn
 
-from .model import Code
 from .verify import Counterexample, CorpusSpec, VerificationReport, _sweep
 
 
-def sweep(
-    spec: CorpusSpec, seed: int, codes: Iterable[Code], bounds: list[int]
-) -> VerificationReport:
-    """The report of ``codes``, swept in the index ranges ``bounds[i]`` to
-    ``bounds[i + 1] - 1``: the first in this process, each other one in a
-    child, forked before this process reads ``codes`` so that it reads its
-    own copy from the start, whose report comes back down a pipe."""
+def sweep(spec: CorpusSpec, seed: int, bounds: list[int]) -> VerificationReport:
+    """The report of the corpus of ``spec``, swept in the index ranges
+    ``bounds[i]`` to ``bounds[i + 1] - 1``: the first in this process, each
+    other one in a child whose report comes back down a pipe."""
     children = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
@@ -35,10 +31,10 @@ def sweep(
                 os.close(w)
                 raise
             if pid == 0:
-                _child(w, spec, seed, codes, start, stop)
+                _child(w, spec, seed, start, stop)
             os.close(w)
             children.append((pid, r, start, stop))
-        report = _sweep(spec, seed, codes, 0, bounds[1])
+        report = _sweep(spec, seed, 0, bounds[1])
         while children:
             pid, r, start, stop = children[0]
             chunks = []
@@ -60,15 +56,13 @@ def sweep(
             os.close(r)
 
 
-def _child(
-    w: int, spec: CorpusSpec, seed: int, codes: Iterable[Code], start: int, stop: int
-) -> NoReturn:
+def _child(w: int, spec: CorpusSpec, seed: int, start: int, stop: int) -> NoReturn:
     """Sweep a range in a forked child, write its report (``_dump``) or
     what it raised to ``w``, and exit: 0 after a report, 1 after a raise."""
     status = 1
     try:
         try:
-            data = _dump(_sweep(spec, seed, codes, start, stop))
+            data = _dump(_sweep(spec, seed, start, stop))
             status = 0
         except BaseException as e:  # an interrupt too: the parent reports it
             data = f"raised {type(e).__name__}: {e}".encode()

@@ -144,13 +144,7 @@ def _cmd_circles(args) -> int:
             }
         )
     else:
-        # Dart d as its signed arc id, "+k" or "-k" for arc k = d // 2 + 1,
-        # made in whole-list passes as ``RotationSystem._edges`` makes its
-        # labels.
-        numbers = list(map(str, range(1, 2 * p.n + 1)))
-        parts = ["", "\n-", "", "\n+"] * len(numbers)
-        parts[0::4] = parts[2::4] = numbers
-        ids = ("+" + "".join(parts)[:-2]).split("\n")
+        ids = r._ids
         print(f"n={p.n} b={len(circles)}")
         for i, c in enumerate(circles, start=1):
             darts = c.darts

@@ -48,8 +48,9 @@ identity on the tables, without walking the mirror's circles.
 symbol ``names`` and the ``codes`` of its 2n letters in order, ``heads``
 (arc k+1 runs from letter k to letter ``heads[k]``) and ``quads`` (the
 rotation of every symbol).  It renders each of the 2n arcs once, as
-``[a,b^-1]``, and a dart as its arc behind a sign, in ``_edges`` for the
-``circles`` output.  A ``CarterCircle`` is a tuple of dart numbers.
+``[a,b^-1]``, and a dart as its arc behind a sign (``_edges``) and as its
+signed arc id (``_ids``) for the ``circles`` output.  A ``CarterCircle`` is
+a tuple of dart numbers.
 """
 
 from __future__ import annotations
@@ -110,6 +111,15 @@ class RotationSystem(_Value):
         parts[0::8] = parts[4::8] = letters
         parts[2::8] = parts[6::8] = heads
         return ("+[" + "".join(parts)[:-3]).split("\n")
+
+    @cached_property
+    def _ids(self) -> list[str]:
+        """Every dart's ``CarterCircle.signed_ids`` id as text, "+k" or "-k"
+        for arc k, made in whole-list passes as ``_edges`` makes its labels."""
+        numbers = list(map(str, range(1, len(self.codes) + 1)))
+        parts = ["", "\n-", "", "\n+"] * len(numbers)
+        parts[0::4] = parts[2::4] = numbers
+        return ("+" + "".join(parts)[:-2]).split("\n")
 
 
 class CarterCircle(_Value):

@@ -43,6 +43,7 @@ from .model import (
     Code,
     SignedParagraph,
     _canonical,
+    _canonical_names,
     _from_code,
     _Record,
     _Value,
@@ -129,25 +130,23 @@ def _size_of(n: int, kind: str) -> int:
     return 2**n * sum(_pairings(m) - (c < m) * _pairings(c) * _pairings(m - c) for c in cuts)
 
 
-def _corpus_codes(spec: CorpusSpec) -> Iterable[Code]:
-    """The codes of ``enumerate_corpus(spec)``; with ``dedupe`` a dict
-    whose keys are the distinct canonical forms, whose symbols are a, b, ...
-    by index too."""
+def _corpus_codes(spec: CorpusSpec) -> Iterator[Code]:
+    """The codes of the spec's kind with 1..max_symbols symbols, smallest first."""
     sizes = range(1, spec.max_symbols + 1)
-    codes = chain.from_iterable(_codes_of_size(n, spec.kind) for n in sizes)
-    if not spec.dedupe:
-        return codes
-    return dict.fromkeys(map(_canonical, codes))
+    return chain.from_iterable(_codes_of_size(n, spec.kind) for n in sizes)
 
 
 def enumerate_corpus(spec: CorpusSpec) -> Iterator[SignedParagraph]:
     """All objects of the spec's kind with 1..max_symbols symbols, smallest
-    first; with ``dedupe`` one representative per isomorphism class."""
-    yield from map(_paragraph, _corpus_codes(spec))
+    first; with ``dedupe`` those that are their own canonical form, one per
+    isomorphism class."""
+    for code in _corpus_codes(spec):
+        if not spec.dedupe or _canonical(code) == code:
+            yield _paragraph(code)
 
 
 def _paragraph(code: Code) -> SignedParagraph:
-    return _from_code(code, LETTERS[: sum(map(len, code)) // 2])
+    return _from_code(code, _canonical_names(sum(map(len, code)) // 2))
 
 
 def _text(code: Code) -> str:
@@ -413,23 +412,22 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     before it.  A kernel that raises is a counterexample of the check that
     called it, and the object's later checks are skipped.
 
+    With ``dedupe`` each range checks only its objects that are their own
+    canonical form, after their draws, so a copy is keyed by the full index.
+
     Canonical-idempotence is computed once per canonical form: a set kept
     by each process holds the forms found idempotent, and every object is
     still checked, against its form itself when the set holds it.  The set
     holds one form per isomorphism class, as ``dedupe`` does: 3,273 for the
     words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
     """
-    codes = _corpus_codes(spec)
-    if spec.dedupe:
-        size = len(codes)
-    else:
-        size = sum(_size_of(n, spec.kind) for n in range(1, spec.max_symbols + 1))
+    size = sum(_size_of(n, spec.kind) for n in range(1, spec.max_symbols + 1))
     workers = _workers(size)
     if workers == 1:
-        return _sweep(spec, seed, codes)
+        return _sweep(spec, seed)
     from ._fork import sweep  # compiled only when a sweep forks
 
-    return sweep(spec, seed, codes, [size * k // workers for k in range(workers + 1)])
+    return sweep(spec, seed, [size * k // workers for k in range(workers + 1)])
 
 
 # A fork, pipe and reap round trip takes about 2 ms, and the checks of one
@@ -453,22 +451,23 @@ def _workers(size: int) -> int:
 
 
 def _sweep(
-    spec: CorpusSpec, seed: int, codes: Iterable[Code], start: int = 0, stop: int | None = None
+    spec: CorpusSpec, seed: int, start: int = 0, stop: int | None = None
 ) -> VerificationReport:
-    """The report of objects ``start`` to ``stop - 1`` of ``codes``, the
-    corpus of ``spec``, with the draws of the objects from the start of
-    ``start``'s block of 1,024 replayed first."""
+    """The report of codes ``start`` to ``stop - 1`` of ``_corpus_codes(spec)``,
+    with the draws of the codes from the start of ``start``'s block of 1,024
+    replayed first; with ``dedupe`` only the codes that are their own
+    canonical form are checked, each after its draw."""
     report = VerificationReport(spec)
     kind = _KINDS[spec.kind]
     tally = report._tally
     idempotent: set[Code] = set()
     first = start - start % 1024
-    for idx, code in enumerate(islice(codes, first, stop), first):
+    for idx, code in enumerate(islice(_corpus_codes(spec), first, stop), first):
         if idx % 1024 == 0:
             getrandbits = random.Random((seed << 24) ^ idx).getrandbits
         n = sum(map(len, code)) // 2
         x = _draw(getrandbits, code, n)
-        if idx < start:
+        if idx < start or spec.dedupe and _canonical(code) != code:
             continue
         report.size += 1
         # The check whose kernels run: a raise fails it.

@@ -479,6 +479,9 @@ class TestVerifyCommand:
         ("--max-n", "4", "--json"): "6d846469f8479331ac223593b1a857dd9aa513dbaf1b7f538ff2891d4a3bae72",
         ("--max-n", "3", "--dedupe"): "8fef721065d2220556934f69bd7fd2a5f151a205053d8a415d2ebd5f5fd55944",
         ("--max-n", "3", "--dedupe", "--json"): "00c8e4a5daa075b47dda134aa59b38e132e669e0d10e4c846edb881e2d993112",
+        # Recorded before ``--dedupe`` became a filter on the corpus.
+        ("--max-n", "5", "--dedupe"): "57ec473f3e36bcaaa2c8700bf3a982c5f68b85c9a740a02ae92213ba804e7758",
+        ("--max-n", "5", "--dedupe", "--json"): "e8645d6ca9ada49cc03e97259c0030a771912adaadfdee2ec4a040bf780f4399",
     }
 
     @pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=" ".join)

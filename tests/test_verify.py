@@ -27,6 +27,7 @@ from conftest import (
     signed_paragraphs,
     star,
     symmetric_chain,
+    symmetric_word,
 )
 from letters import paragraph, words_of
 from objsweep import isomorphisms, moves_by_objects, record, verify_by_objects
@@ -49,6 +50,7 @@ from sgauss.verify import (
     VerificationReport,
     apply_random_moves,
     _codes_of_size,
+    _corpus_codes,
     _moved,
     _paragraph,
     _text,
@@ -217,6 +219,13 @@ MUTANTS = {
 }
 
 
+def dedupe_oracle(max_symbols: int, kind: str) -> list:
+    """The ``--dedupe`` forms as they were first found: every code of the
+    corpus canonicalized, each distinct form kept at its first code."""
+    codes = _corpus_codes(CorpusSpec(max_symbols, kind=kind))
+    return list(dict.fromkeys(map(_canonical, codes)))
+
+
 def workers(monkeypatch, count: int) -> None:
     """Sweep in ``count`` processes whatever the corpus and the cores."""
     monkeypatch.setattr(verify_module, "_workers", lambda size: count)
@@ -241,6 +250,13 @@ class TestEnumerateWords:
 
     def test_smallest_block(self):
         assert list(map(_text, _codes_of_size(1, KIND_WORDS))) == ["a -a", "-a a"]
+
+    def test_text_names_symbols_past_z(self):
+        # ``canonicalize``'s names: a..z, then s26, s27, ...
+        code = (symmetric_word(30),)
+        text = _text(code)
+        assert text.split()[25:31] == ["z", "s26", "s27", "s28", "s29", "-a"]
+        assert parse_paragraph(text)._code == code
 
     def test_all_valid_and_exact_size(self):
         for code in _codes_of_size(3, KIND_WORDS):
@@ -296,6 +312,28 @@ class TestDedupe:
         for p in block:
             matches = [r for r in reps if naive_isomorphic(p, r)]
             assert len(matches) == 1
+
+    @pytest.mark.parametrize(
+        "max_symbols, kind", [(5, KIND_WORDS), (4, KIND_PARAGRAPHS)], ids=["words", "paragraphs"]
+    )
+    def test_each_oracle_form_once_in_corpus_order(self, max_symbols, kind):
+        codes = _corpus_codes(CorpusSpec(max_symbols, kind=kind))
+        index = {code: idx for idx, code in enumerate(codes)}
+        forms = sorted(dedupe_oracle(max_symbols, kind), key=index.__getitem__)
+        reps = [p._code for p in enumerate_corpus(CorpusSpec(max_symbols, True, kind))]
+        assert reps == forms
+
+    @pytest.mark.parametrize("fault", [None, "extra_circle"])
+    def test_same_report_in_any_number_of_processes(self, monkeypatch, fault):
+        specs = [CorpusSpec(4, True), CorpusSpec(3, True, KIND_PARAGRAPHS)]
+        if fault:
+            patch(monkeypatch, fault)
+        renders = {}
+        for count in (1, 2, 3):
+            workers(monkeypatch, count)
+            renders[count] = [(r.to_text(), r.to_json()) for r in map(verify, specs)]
+        assert renders[2] == renders[3] == renders[1]
+        assert all(("result: FAIL" in text) == bool(fault) for text, _ in renders[1])
 
 
 class TestCorpusSpec:
@@ -922,7 +960,7 @@ class TestProcesses:
     def split_at(spec, cuts, seed=5):
         """The whole sweep's report and, for each cut, the merged reports
         of the ranges before and from it, each as text and JSON."""
-        sweep = lambda *r: verify_module._sweep(spec, seed, verify_module._corpus_codes(spec), *r)
+        sweep = lambda *r: verify_module._sweep(spec, seed, *r)
         render = lambda report: (report.to_text(), report.to_json())
         merged = {}
         for cut in cuts:
@@ -979,7 +1017,7 @@ class TestProcesses:
         # Each one-object range replays its block's draws from a different
         # start; the moved copies the mutant breaks show every draw.
         patch(monkeypatch, "swapped_exponents_moved")
-        sweep = lambda *r: verify_module._sweep(spec, 5, verify_module._corpus_codes(spec), *r)
+        sweep = lambda *r: verify_module._sweep(spec, 5, *r)
         whole, merged = sweep(), sweep(0, 1)
         for k in range(1, whole.size):
             merged._merge(sweep(k, k + 1))
