@@ -67,7 +67,7 @@ __all__ = [
 
 KIND_WORDS = "words"
 KIND_PARAGRAPHS = "two-component-paragraphs"
-# The enumerators name symbols a..z.
+# The largest corpus names its symbols a..z.
 MAX_SYMBOLS = len(LETTERS)
 # The checks of every kind, in the order the report lists them.
 _COMMON_CHECKS = ("carter-partition", "euler-parity", "genus-bounds", "mirror-circles",
@@ -412,14 +412,10 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     before it.  A kernel that raises is a counterexample of the check that
     called it, and the object's later checks are skipped.
 
-    With ``dedupe`` each range checks only its objects that are their own
-    canonical form, after their draws, so a copy is keyed by the full index.
-
-    Canonical-idempotence is computed once per canonical form: a set kept
-    by each process holds the forms found idempotent, and every object is
-    still checked, against its form itself when the set holds it.  The set
-    holds one form per isomorphism class, as ``dedupe`` does: 3,273 for the
-    words with n <= 5 and 58,813 (about 13 MiB) for n <= 6.
+    With ``dedupe`` a range checks only its objects that are their own form,
+    after their draws (a copy is keyed by the full index), and of the others
+    only that the form is its own, counted when it fails.  Idempotence is
+    computed once per form a process keeps: 58,813 (13 MiB) for words n <= 6.
     """
     size = sum(_size_of(n, spec.kind) for n in range(1, spec.max_symbols + 1))
     workers = _workers(size)
@@ -453,10 +449,8 @@ def _workers(size: int) -> int:
 def _sweep(
     spec: CorpusSpec, seed: int, start: int = 0, stop: int | None = None
 ) -> VerificationReport:
-    """The report of codes ``start`` to ``stop - 1`` of ``_corpus_codes(spec)``,
-    with the draws of the codes from the start of ``start``'s block of 1,024
-    replayed first; with ``dedupe`` only the codes that are their own
-    canonical form are checked, each after its draw."""
+    """The report of codes ``start`` to ``stop - 1`` of ``_corpus_codes(spec)``
+    (``verify``), the draws from the start of ``start``'s block replayed first."""
     report = VerificationReport(spec)
     kind = _KINDS[spec.kind]
     tally = report._tally
@@ -467,12 +461,16 @@ def _sweep(
             getrandbits = random.Random((seed << 24) ^ idx).getrandbits
         n = sum(map(len, code)) // 2
         x = _draw(getrandbits, code, n)
-        if idx < start or spec.dedupe and _canonical(code) != code:
+        if idx < start:
             continue
-        report.size += 1
         # The check whose kernels run: a raise fails it.
-        check = "carter-partition"
+        check = "canonical-idempotence"
         try:
+            if spec.dedupe and (form := _canonical(code)) != code:
+                _idempotent(report, idempotent, code, form) or report.check(check, False)
+                continue
+            report.size += 1
+            check = "carter-partition"
             quads = _quads(code)
             # The circles partition the darts only if the table is a permutation.
             slots = sorted(chain.from_iterable(quads))
@@ -508,19 +506,14 @@ def _sweep(
             report.check(check, mirrored)
             check = "isomorphism-invariance"
             moved = _moved(code, n, x)
-            c1 = _canonical(code)
+            c1 = code if spec.dedupe else _canonical(code)
             same = len(_faces(_table(_quads(moved)))) == b and _canonical(moved) == c1
             if not same:
                 observed = f"moved to {_text(moved)!r}"
                 report.fail(_text(code), check, observed, "equal summary and canonical form")
             report.check(check, same)
             check = "canonical-idempotence"
-            c2 = c1 if c1 in idempotent else _canonical(c1)
-            if c2 == c1:
-                idempotent.add(c1)
-            else:
-                report.fail(_text(code), check, _text(c2), _text(c1))
-            report.check(check, c2 == c1)
+            report.check(check, _idempotent(report, idempotent, code, c1))
             for check, own in kind.own:
                 own(report, tally, code, n, b)
         except Exception as e:
@@ -528,3 +521,12 @@ def _sweep(
             report.fail(_text(code), check, f"raised {type(e).__name__}: {e}", "a verdict")
     report.empirical = kind.empirical(report, tally)
     return report
+
+
+def _idempotent(report: VerificationReport, idempotent: set[Code], code: Code, form: Code) -> bool:
+    """Whether ``code``'s canonical form ``form`` is its own; if not, ``code`` fails."""
+    if form not in idempotent and (again := _canonical(form)) != form:
+        report.fail(_text(code), "canonical-idempotence", _text(again), _text(form))
+        return False
+    idempotent.add(form)
+    return True

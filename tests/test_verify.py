@@ -323,7 +323,9 @@ class TestDedupe:
         reps = [p._code for p in enumerate_corpus(CorpusSpec(max_symbols, True, kind))]
         assert reps == forms
 
-    @pytest.mark.parametrize("fault", [None, "extra_circle"])
+    @pytest.mark.parametrize(
+        "fault", [None, "extra_circle", "rotated_canonical", "cleared_exponents_canonical"]
+    )
     def test_same_report_in_any_number_of_processes(self, monkeypatch, fault):
         specs = [CorpusSpec(4, True), CorpusSpec(3, True, KIND_PARAGRAPHS)]
         if fault:
@@ -918,8 +920,23 @@ class TestMutantsAreCaught:
             "a -a", "canonical-idempotence", observed, "a verdict"
         )
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_raising_kernel_under_dedupe(self, monkeypatch, count):
+        # No code is its broken form, so none is swept: each code fails
+        # through the check of its form instead of leaving the sweep empty.
+        patch(monkeypatch, "cleared_exponents_canonical")
+        workers(monkeypatch, count)
+        report = verify(CorpusSpec(3, dedupe=True))
+        failed = {name: (s.checked, s.failed) for name, s in report.checks.items() if s.failed}
+        assert failed == {"canonical-idempotence": (134, 134)}
+        assert report.size == 0
+        observed = "raised IndexError: list index out of range"
+        assert report.counterexamples[0] == Counterexample(
+            "a -a", "canonical-idempotence", observed, "a verdict"
+        )
+
     @staticmethod
-    def uncaught(monkeypatch, kind: str) -> list[str]:
+    def uncaught(monkeypatch, kind: str, dedupe: bool = False) -> list[str]:
         """The checks of ``kind`` that no mutant of the table naming them
         fails."""
         checks = verify_module._KINDS[kind].checks
@@ -929,7 +946,7 @@ class TestMutantsAreCaught:
                 continue
             with monkeypatch.context() as m:
                 patch(m, mutant)
-                report = verify(CorpusSpec(3, kind=kind))
+                report = verify(CorpusSpec(3, dedupe, kind))
             if not report.ok:
                 caught |= {c for c in targets & set(checks) if report.checks[c].failed}
         return [c for c in checks if c not in caught]
@@ -945,6 +962,14 @@ class TestMutantsAreCaught:
     def test_every_check_fails_in_two_processes(self, monkeypatch, kind):
         workers(monkeypatch, 2)
         assert self.uncaught(monkeypatch, kind) == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("kind", list(verify_module._KINDS))
+    def test_every_check_fails_under_dedupe(self, monkeypatch, kind, count):
+        # The same gate when only the codes that are their own form are
+        # swept: a broken form must fail a check, not drop its class.
+        workers(monkeypatch, count)
+        assert self.uncaught(monkeypatch, kind, dedupe=True) == []
 
 
 class TestProcesses:
