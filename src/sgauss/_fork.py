@@ -1,7 +1,9 @@
-"""``verify``'s sweep split over forked processes, imported only when a
-sweep forks, so that importing the package does not compile it.
+"""Index ranges run in forked processes.  ``verify`` imports this module
+only when its sweep forks, so that importing the package does not compile
+it, and the module imports nothing from the package: ``verify`` hands it
+the function to run, which returns a report's ``_state()``.
 
-A child sends its range's report back down a pipe as ``marshal`` data,
+A child sends its range's value back down a pipe as ``marshal`` data,
 which needs no import, and exits with ``os._exit``, running none of the
 parent's clean-up; the parent reaps every child, also when it or a child
 fails.
@@ -11,15 +13,13 @@ from __future__ import annotations
 
 import marshal
 import os
-from typing import NoReturn
-
-from .verify import Counterexample, CorpusSpec, VerificationReport, _sweep
+from typing import Callable, NoReturn
 
 
-def sweep(spec: CorpusSpec, seed: int, bounds: list[int]) -> VerificationReport:
-    """The report of the corpus of ``spec``, swept in the index ranges
-    ``bounds[i]`` to ``bounds[i + 1] - 1``: the first in this process, each
-    other one in a child whose report comes back down a pipe."""
+def sweep(run: Callable[[int, int], object], bounds: list[int]) -> list:
+    """``run(start, stop)`` for each index range ``bounds[i]`` to
+    ``bounds[i + 1] - 1``, in order: the first in this process, each other
+    one in a child whose value, ``marshal``-able, comes back down a pipe."""
     children = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
@@ -31,10 +31,10 @@ def sweep(spec: CorpusSpec, seed: int, bounds: list[int]) -> VerificationReport:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(w, spec, seed, start, stop)
+                _child(w, run, start, stop)
             os.close(w)
             children.append((pid, r, start, stop))
-        report = _sweep(spec, seed, 0, bounds[1])
+        values = [run(bounds[0], bounds[1])]
         while children:
             pid, r, start, stop = children[0]
             chunks = []
@@ -47,8 +47,8 @@ def sweep(spec: CorpusSpec, seed: int, bounds: list[int]) -> VerificationReport:
             if status != 0:
                 why = f"was killed by signal {-status}" if status < 0 else data.decode()
                 raise RuntimeError(f"sweep of objects {start}..{stop - 1} {why}")
-            report._merge(_load(spec, data))
-        return report
+            values.append(marshal.loads(data))
+        return values
     finally:
         for pid, r, *_ in children:
             os.kill(pid, 9)  # SIGKILL
@@ -56,13 +56,13 @@ def sweep(spec: CorpusSpec, seed: int, bounds: list[int]) -> VerificationReport:
             os.close(r)
 
 
-def _child(w: int, spec: CorpusSpec, seed: int, start: int, stop: int) -> NoReturn:
-    """Sweep a range in a forked child, write its report (``_dump``) or
-    what it raised to ``w``, and exit: 0 after a report, 1 after a raise."""
+def _child(w: int, run: Callable[[int, int], object], start: int, stop: int) -> NoReturn:
+    """Run a range in a forked child, write its value as ``marshal`` data
+    or what it raised to ``w``, and exit: 0 after a value, 1 after a raise."""
     status = 1
     try:
         try:
-            data = _dump(_sweep(spec, seed, start, stop))
+            data = marshal.dumps(run(start, stop))
             status = 0
         except BaseException as e:  # an interrupt too: the parent reports it
             data = f"raised {type(e).__name__}: {e}".encode()
@@ -71,20 +71,3 @@ def _child(w: int, spec: CorpusSpec, seed: int, start: int, stop: int) -> NoRetu
             view = view[os.write(w, view):]
     finally:
         os._exit(status)
-
-
-def _dump(report: VerificationReport) -> bytes:
-    """A range's report as ``marshal`` bytes, its spec and empirical left
-    out: ``_load`` takes the one and ``_merge`` remakes the other."""
-    stats = [(s.checked, s.failed) for s in report.checks.values()]
-    examples = [tuple(c) for c in report.counterexamples]
-    return marshal.dumps((report.size, stats, examples, list(report._tally.items())))
-
-
-def _load(spec: CorpusSpec, data: bytes) -> VerificationReport:
-    size, stats, examples, tally = marshal.loads(data)
-    report = VerificationReport(spec, size, [Counterexample(*c) for c in examples])
-    for stat, (checked, failed) in zip(report.checks.values(), stats):
-        stat.checked, stat.failed = checked, failed
-    report._tally.update(dict(tally))
-    return report

@@ -152,8 +152,10 @@ def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
 
 
 def word_is_planar_homology(p: SignedParagraph) -> bool:
-    """Planarity by the vanishing of the whole intersection profile."""
-    return profile(p).is_zero
+    """Planarity by the vanishing of the whole intersection profile,
+    decided from its masks (``_verdicts``), no named profile built."""
+    _single_word(p)
+    return _verdicts(p._code[0])[0]
 
 
 def pairing(p: SignedParagraph) -> int:

@@ -350,10 +350,10 @@ def check_pairwise(p: SignedParagraph) -> None:
 
 SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # Symbol names, each ended by a newline: every name of a text in one match.
-_NAMES = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*\n)*")
+_NAMES = re.compile(rf"(?:{SYMBOL_RE.pattern}\n)*")
 # One match per token: "/" (group 1), a letter (its "-", symbol and "^-1" in
 # groups 2-4; the lookahead makes it the whole token), or a bad token.
-_SCAN = re.compile(r"(/)|(-)?([A-Za-z][A-Za-z0-9_]*)(\^-1)?(?![^\s/])|[^\s/]+")
+_SCAN = re.compile(rf"(/)|(-)?({SYMBOL_RE.pattern})(\^-1)?(?![^\s/])|[^\s/]+")
 
 
 def _check_token(what: str, name: str) -> None:

@@ -21,10 +21,11 @@ paragraph is built, text rendered and the mirror walked only for a
 counterexample.
 
 The sweep of one index range (``_sweep``) depends only on the range and
-the seed, and the reports of two adjacent ranges merge into the report of
-both (``VerificationReport._merge``), so ``verify`` runs the ranges in
-forked children (``_fork``), one per usable core, and its report is the
-same for any number of them.
+the seed.  A report's ``_state()`` is plain ``marshal``-able data, and
+``VerificationReport._add`` merges the state of the range that follows, so
+``verify`` runs the ranges in forked children (``_fork``), one per usable
+core, adds their states in order, and its report is the same for any
+number of them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
 
 KIND_WORDS = "words"
 KIND_PARAGRAPHS = "two-component-paragraphs"
-# The largest corpus names its symbols a..z.
+# The bound on ``--max-n`` and on ``CorpusSpec``, which the usage errors name.
 MAX_SYMBOLS = len(LETTERS)
 # The checks of every kind, in the order the report lists them.
 _COMMON_CHECKS = ("carter-partition", "euler-parity", "genus-bounds", "mirror-circles",
@@ -225,7 +226,7 @@ class VerificationReport(_Record):
         self.checks = {name: CheckStat() for name in _KINDS[spec.kind].checks}
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.empirical = {} if empirical is None else empirical
-        # What ``empirical`` is made from, kept for ``_merge``.
+        # What the kind's checks count and ``empirical`` is made from.
         self._tally: Counter = Counter()
 
     @property
@@ -243,16 +244,24 @@ class VerificationReport(_Record):
         """Add a counterexample to check ``name``."""
         self.counterexamples.append(Counterexample(paragraph, name, observed, expected))
 
-    def _merge(self, other: VerificationReport) -> None:
-        """Add the report of the index range that follows this report's in
-        the same sweep, so that this one is the report of both."""
-        self.size += other.size
-        for stat, more in zip(self.checks.values(), other.checks.values()):
-            stat.checked += more.checked
-            stat.failed += more.failed
-        self.counterexamples += other.counterexamples
-        self._tally.update(other._tally)
-        self.empirical = _KINDS[self.spec.kind].empirical(self, self._tally)
+    def _state(self) -> tuple:
+        """This report as ``marshal``-able data for ``_add``, its spec and
+        empirical left out."""
+        stats = [(s.checked, s.failed) for s in self.checks.values()]
+        examples = [tuple(c) for c in self.counterexamples]
+        return self.size, stats, examples, list(self._tally.items())
+
+    def _add(self, state: tuple) -> None:
+        """Add the ``_state()`` of the index range that follows this
+        report's in the same sweep, so that this one is the report of both."""
+        size, stats, examples, tally = state
+        self.size += size
+        for stat, (checked, failed) in zip(self.checks.values(), stats):
+            stat.checked += checked
+            stat.failed += failed
+        self.counterexamples += map(Counterexample._make, examples)
+        self._tally.update(dict(tally))
+        self.empirical = _KINDS[self.spec.kind].empirical(self)
 
     def as_dict(self) -> dict:
         return {
@@ -314,8 +323,8 @@ def _reverses(succ: list[int], mirror: list[int]) -> bool:
 class _Kind(NamedTuple):
     """A corpus kind.  ``cuts(n)``: where the first word may end (2n: one
     word); ``own``: the object's checks after the common ones, each a name
-    and a function ``(report, tally, code, n, b)`` that counts into the
-    sweep's ``Counter``; ``empirical(report, tally)``."""
+    and a function ``(report, code, n, b)`` that may count into
+    ``report._tally``; ``empirical(report)``."""
 
     cuts: Callable[[int], Iterable[int]]
     own: tuple[tuple[str, Callable[..., None]], ...]
@@ -327,7 +336,7 @@ class _Kind(NamedTuple):
         return (*_COMMON_CHECKS, *(name for name, _ in self.own))
 
 
-def _criterion_equivalence(report, tally: Counter, code: Code, n: int, b: int) -> None:
+def _criterion_equivalence(report, code: Code, n: int, b: int) -> None:
     """The profile vanishes just when the word is geometric; the tally
     holds the text of each word whose beta is not antisymmetric, once."""
     zero, holds = _verdicts(code[0])
@@ -336,19 +345,19 @@ def _criterion_equivalence(report, tally: Counter, code: Code, n: int, b: int) -
         observed = f"profile zero={zero}"
         report.fail(_text(code), "criterion-equivalence", observed, f"geometric={geometric}")
     if not holds:
-        tally[_text(code)] += 1
+        report._tally[_text(code)] += 1
 
 
-def _beta_antisymmetry(report, tally: Counter) -> dict:
+def _beta_antisymmetry(report) -> dict:
     checked = report.checks["criterion-equivalence"].checked
-    holds = checked - len(tally)
+    holds = checked - len(report._tally)
     pct = 100.0 * holds / checked if checked else 100.0
     beta = {"checked": checked, "holds": holds, "percent": round(pct, 2)}
-    beta["violations"] = list(tally)[:20]
+    beta["violations"] = list(report._tally)[:20]
     return {"beta-antisymmetry": beta}
 
 
-def _null_pairing(report, tally: Counter, code: Code, n: int, b: int) -> None:
+def _null_pairing(report, code: Code, n: int, b: int) -> None:
     """The pairing is 0 on genus 0."""
     pair = _pairing(code)
     if not report.check("null-pairing", b < n + 2 or pair == 0):
@@ -356,7 +365,7 @@ def _null_pairing(report, tally: Counter, code: Code, n: int, b: int) -> None:
         report.fail(_text(code), "null-pairing", observed, "pairing 0 on genus 0")
 
 
-def _join_genus(report, tally: Counter, code: Code, n: int, b: int) -> None:
+def _join_genus(report, code: Code, n: int, b: int) -> None:
     """Every join keeps the genus; the tally counts the joins by the number
     of circles they add."""
     ok_join = True
@@ -367,14 +376,14 @@ def _join_genus(report, tally: Counter, code: Code, n: int, b: int) -> None:
         # The join adds crossing n, so it keeps the genus if it adds a circle.
         bj = len(_faces(_table(_quads(_join_code(code, plus, minus, n)))))
         ok_join = ok_join and bj == b + 1
-        tally[bj - b] += 1
+        report._tally[bj - b] += 1
     if not report.check("join-genus", ok_join):
         report.fail(_text(code), "join-genus", "genus changed under some join", "preserved")
 
 
-def _join_circle_shift(report, tally: Counter) -> dict:
-    counts = {f"{k:+d}": v for k, v in sorted(tally.items())}
-    return {"join-circle-shift": {"counts": counts, "constant": len(tally) <= 1}}
+def _join_circle_shift(report) -> dict:
+    counts = {f"{k:+d}": v for k, v in sorted(report._tally.items())}
+    return {"join-circle-shift": {"counts": counts, "constant": len(counts) <= 1}}
 
 
 _KINDS = {
@@ -397,9 +406,9 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
     The corpus is cut into contiguous index ranges, one per process: this
     one and a child forked for each other range, one per core that
     ``os.sched_getaffinity`` allows (at most ``os.cpu_count()``), so
-    ``taskset`` limits it.  The reports of the ranges are merged in
-    enumeration order, so the report is the same for any number of
-    processes.  The sweep stays in this process when one core is usable,
+    ``taskset`` limits it.  The ranges' states (``_state``) are added in
+    enumeration order (``_add``), so the report is the same for any number
+    of processes.  The sweep stays in this process when one core is usable,
     when another thread is running, where ``os.fork`` is missing, and when
     the corpus holds fewer than ``2 * _MIN_OBJECTS`` objects.  A child that
     raises or dies makes ``verify`` raise ``RuntimeError``; every child is
@@ -423,7 +432,11 @@ def verify(spec: CorpusSpec, *, seed: int = 0) -> VerificationReport:
         return _sweep(spec, seed)
     from ._fork import sweep  # compiled only when a sweep forks
 
-    return sweep(spec, seed, [size * k // workers for k in range(workers + 1)])
+    report = VerificationReport(spec)
+    run = lambda start, stop: _sweep(spec, seed, start, stop)._state()
+    for state in sweep(run, [size * k // workers for k in range(workers + 1)]):
+        report._add(state)
+    return report
 
 
 # A fork, pipe and reap round trip takes about 2 ms, and the checks of one
@@ -453,7 +466,6 @@ def _sweep(
     (``verify``), the draws from the start of ``start``'s block replayed first."""
     report = VerificationReport(spec)
     kind = _KINDS[spec.kind]
-    tally = report._tally
     idempotent: set[Code] = set()
     first = start - start % 1024
     for idx, code in enumerate(islice(_corpus_codes(spec), first, stop), first):
@@ -515,11 +527,11 @@ def _sweep(
             check = "canonical-idempotence"
             report.check(check, _idempotent(report, idempotent, code, c1))
             for check, own in kind.own:
-                own(report, tally, code, n, b)
+                own(report, code, n, b)
         except Exception as e:
             report.check(check, False)
             report.fail(_text(code), check, f"raised {type(e).__name__}: {e}", "a verdict")
-    report.empirical = kind.empirical(report, tally)
+    report.empirical = kind.empirical(report)
     return report
 
 

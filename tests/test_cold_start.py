@@ -15,8 +15,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 # dataclasses pulls in inspect; json serves JSON output only; argparse (and
 # the gettext it loads) serves help, abbreviations and usage errors only;
-# sgauss._fork serves a sweep that forks, whose children send their reports
-# as marshal data, not pickles.
+# sgauss._fork serves a sweep that forks, whose children send their report
+# states as marshal data, not pickles.
 LAZY = (
     "argparse", "dataclasses", "gettext", "inspect", "json", "pickle", "sgauss._fork", "string"
 )

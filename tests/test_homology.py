@@ -22,6 +22,7 @@ from setprofile import closed_letter_set, inverse_set, letter_set, segment_of
 from sgauss.homology import _profile, _verdicts, pairing, profile, word_is_planar_homology
 from sgauss.model import OperationError, SignedParagraph, ValidationError, parse_paragraph, relabel
 from sgauss.surface import is_geometric, summarize
+from sgauss.verify import _paragraph
 
 homology = importlib.import_module("sgauss.homology")
 
@@ -274,6 +275,26 @@ class TestOneWordParagraph:
         monkeypatch.setattr(SignedParagraph, "__post_init__", lambda p: built.append(p))
         profile(p), word_is_planar_homology(p)
         assert built == []
+
+    def test_planarity_is_the_profile_verdict(self, word_codes_le_5):
+        wrong = [
+            w for w in word_codes_le_5
+            if word_is_planar_homology(p := _paragraph((w,))) != profile(p).is_zero
+        ]
+        assert wrong == []
+
+    @settings(max_examples=50)
+    @given(signed_words(max_symbols=12))
+    def test_planarity_is_the_profile_verdict_hypothesis(self, w):
+        assert word_is_planar_homology(P(w)) == profile(P(w)).is_zero
+
+    def test_planarity_builds_no_named_profile(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("named profile built")
+
+        monkeypatch.setattr(homology, "_profile", built)
+        assert word_is_planar_homology(parse_paragraph("a -a b -b"))
+        assert not word_is_planar_homology(parse_paragraph(self.TEXT))
 
     @pytest.mark.parametrize("call", [profile, word_is_planar_homology])
     def test_several_words_rejected(self, call):

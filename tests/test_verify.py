@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
+import marshal
 import os
 import random
 import signal
@@ -972,9 +974,15 @@ class TestMutantsAreCaught:
         assert self.uncaught(monkeypatch, kind, dedupe=True) == []
 
 
+def wire(report: VerificationReport) -> tuple:
+    """The report's ``_state()`` as a forked child sends it: through
+    ``marshal``."""
+    return marshal.loads(marshal.dumps(report._state()))
+
+
 class TestProcesses:
     """``verify`` sweeps contiguous index ranges in forked children and
-    merges their reports into the serial sweep's."""
+    adds their states, sent through ``marshal``, into the serial sweep's."""
 
     @pytest.mark.parametrize("kind", [KIND_WORDS, KIND_PARAGRAPHS])
     def test_sizes(self, kind):
@@ -983,14 +991,15 @@ class TestProcesses:
 
     @staticmethod
     def split_at(spec, cuts, seed=5):
-        """The whole sweep's report and, for each cut, the merged reports
-        of the ranges before and from it, each as text and JSON."""
+        """The whole sweep's report and, for each cut, the report of the
+        range before it with the state of the range from it added, sent
+        through ``marshal``, each as text and JSON."""
         sweep = lambda *r: verify_module._sweep(spec, seed, *r)
         render = lambda report: (report.to_text(), report.to_json())
         merged = {}
         for cut in cuts:
             head = sweep(0, cut)
-            head._merge(sweep(cut))
+            head._add(wire(sweep(cut)))
             merged[cut] = render(head)
         return render(sweep()), merged
 
@@ -1045,9 +1054,35 @@ class TestProcesses:
         sweep = lambda *r: verify_module._sweep(spec, 5, *r)
         whole, merged = sweep(), sweep(0, 1)
         for k in range(1, whole.size):
-            merged._merge(sweep(k, k + 1))
+            merged._add(wire(sweep(k, k + 1)))
         assert whole.checks["isomorphism-invariance"].failed > 0
         assert (merged.to_text(), merged.to_json()) == (whole.to_text(), whole.to_json())
+
+    @staticmethod
+    def package_imports(source: str) -> list[str]:
+        """Every module that ``source`` imports from the package, by a
+        relative import or by the name ``sgauss``."""
+        names = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names.append("." * node.level + (node.module or ""))
+        return [m for m in names if m.startswith(".") or m.split(".")[0] == "sgauss"]
+
+    def test_fork_imports_nothing_from_the_package(self):
+        # A child sends plain data back, so the range runner needs nothing
+        # of the package; ``verify`` hands it the function to run.
+        source = Path(verify_module.__file__).with_name("_fork.py").read_text()
+        assert self.package_imports(source) == []
+
+    def test_a_package_import_is_caught(self):
+        source = (
+            "import marshal\nfrom .verify import _sweep\nfrom . import model\n"
+            "import sgauss.verify\nfrom sgauss import verify\nfrom os import path\n"
+        )
+        caught = [".verify", ".", "sgauss.verify", "sgauss"]
+        assert self.package_imports(source) == caught
 
     def test_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
