@@ -34,7 +34,7 @@ from .homology import (
     profile,
     word_is_planar_homology,
 )
-from .transforms import fresh_symbol, join, reduce_to_word, split
+from .transforms import join, reduce_to_word, split
 from .verify import CorpusSpec, VerificationReport, verify
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "split",
     "join",
     "reduce_to_word",
-    "fresh_symbol",
     "CorpusSpec",
     "VerificationReport",
     "verify",

@@ -44,7 +44,7 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -261,6 +261,15 @@ def _single_word(p: SignedParagraph) -> None:
         raise OperationError(f"expected a single-word paragraph, got {len(p._code)} words")
 
 
+def _links(code: Code) -> set[tuple[int, int]]:
+    """The pairs (i, j), i <= j, of words of ``code`` holding one symbol's letters."""
+    word = [0] * sum(map(len, code))
+    for wi, w in enumerate(code):
+        for c in w:
+            word[c] = wi
+    return {(i, j) if i <= j else (j, i) for i, j in zip(word[0::2], word[1::2])}
+
+
 def _validate(code: Code, names: Sequence[str]) -> None:
     """Raise the first structural failure of ``code``, whose letters are all
     below 2 * len(names).  A code whose letters each occur once passes one set
@@ -299,11 +308,7 @@ def _validate(code: Code, names: Sequence[str]) -> None:
         )
     if len(code) == 1:
         return
-    word = [0] * size
-    for wi, w in enumerate(code):
-        for c in w:
-            word[c] = wi
-    # Union-find over word indices, linking each distinct pair of words that holds a symbol.
+    # Union-find over word indices, linking each pair of words that holds a symbol.
     parent = list(range(len(code)))
 
     def find(x):
@@ -312,7 +317,7 @@ def _validate(code: Code, names: Sequence[str]) -> None:
             x = parent[x]
         return x
 
-    for a, b in set(zip(word[0::2], word[1::2])):
+    for a, b in _links(code):
         parent[find(a)] = find(b)
     for wi in range(len(code)):
         if find(wi) != find(0):
@@ -330,20 +335,14 @@ def check_pairwise(p: SignedParagraph) -> None:
     this raises ``ValidationError(PAIRWISE)`` when any two words are
     symbol-disjoint.
     """
-    word_of = [0] * (2 * p.n)
-    for wi, w in enumerate(p._code):
-        for c in w:
-            word_of[c] = wi
-    linked = {(min(i, j), max(i, j)) for i, j in zip(word_of[0::2], word_of[1::2])}
-    m = len(p._code)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (i, j) not in linked:
-                raise ValidationError(
-                    ValidationError.PAIRWISE,
-                    f"words {i + 1} and {j + 1} share no symbols",
-                    where=(j, 0),
-                )
+    linked = _links(p._code)
+    for i, j in combinations(range(len(p._code)), 2):
+        if (i, j) not in linked:
+            raise ValidationError(
+                ValidationError.PAIRWISE,
+                f"words {i + 1} and {j + 1} share no symbols",
+                where=(j, 0),
+            )
 
 
 # --- parsing ---------------------------------------------------------------

@@ -10,13 +10,15 @@ where u is the component of s^+1 rotated to start right after it and v the
 component of s^-1 rotated to start right after it.  A join adds one
 crossing, removes one component and preserves the minimal-realization
 genus, so iterating it reduces any paragraph to a one-word paragraph of the
-same genus (``reduce_to_word``).  Each operation finds a symbol's letters
-in the code and returns a paragraph built from its code without validation;
-``split`` takes a one-word paragraph, as the word functions of
-:mod:`sgauss.homology` do.
+same genus (``reduce_to_word`` joins on the code and builds one paragraph).
+Each operation finds a symbol's letters in the code and returns a paragraph
+built from its code without validation; ``split`` takes a one-word
+paragraph, as the word functions of :mod:`sgauss.homology` do.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .model import (
     Code,
@@ -28,7 +30,7 @@ from .model import (
     _single_word,
 )
 
-__all__ = ["split", "join", "reduce_to_word", "fresh_symbol"]
+__all__ = ["split", "join", "reduce_to_word"]
 
 
 def split(p: SignedParagraph, sym: str) -> SignedParagraph:
@@ -103,31 +105,30 @@ def _join_code(code: Code, plus: tuple, minus: tuple, fresh: int) -> Code:
     return code[:lo] + (merged,) + code[lo + 1 : hi] + code[hi + 1 :]
 
 
-def fresh_symbol(alphabet: frozenset[str], prefix: str = "j") -> str:
-    """Smallest ``prefix + k`` (k >= 1) not already in the alphabet."""
-    _check_token("prefix", prefix)
-    k = 1
-    while f"{prefix}{k}" in alphabet:
-        k += 1
-    return f"{prefix}{k}"
-
-
 def reduce_to_word(p: SignedParagraph, prefix: str = "j") -> SignedParagraph:
     """Join components onto the first one until a single word remains, and
     return that one-word paragraph.
 
     Each step joins at the lexicographically least symbol with exactly one
-    letter in the first component, with fresh symbols generated
-    deterministically from ``prefix``, which must be a valid symbol token
-    even when ``p`` is already one word; the result has the same genus as
-    ``p``.
+    letter in the first component, adding a crossing named by the next
+    ``prefix + k`` (k >= 1) not among the names of ``p``.  ``prefix`` must
+    be a valid symbol token even when ``p`` is already one word; the result
+    has the same genus as ``p``.
     """
     _check_token("prefix", prefix)
-    while len(p._code) > 1:
-        # The symbols with one letter in the first word: of a +1 or a -1
-        # letter of it, not both.
-        first = p._code[0]
-        once = {c >> 1 for c in first if c & 1} ^ {c >> 1 for c in first if not c & 1}
-        shared = min(map(p._names.__getitem__, once))
-        p = join(p, shared, fresh_symbol(p.alphabet, prefix))
-    return p
+    if len(p._code) == 1:
+        return p
+    code, names, taken = p._code, list(p._names), set(p._names)
+    fresh = (f for k in count(1) if (f := f"{prefix}{k}") not in taken)
+    # The symbols with one letter in the first word: each word joined onto
+    # it flips those it has one letter of (a +1 or a -1 letter, not both).
+    first, w = set(), code[0]
+    while True:
+        first ^= {c >> 1 for c in w if c & 1} ^ {c >> 1 for c in w if not c & 1}
+        if len(code) == 1:
+            return _from_code(code, names)
+        s = min(first, key=names.__getitem__)
+        plus, minus = _find(code, 2 * s), _find(code, 2 * s + 1)
+        w = code[plus[0] or minus[0]]
+        code = _join_code(code, plus, minus, len(names))
+        names.append(next(fresh))

@@ -152,3 +152,9 @@ def paragraphs_le_3() -> list[SignedParagraph]:
 def word_codes_le_5() -> list[tuple[int, ...]]:
     """The code word of every word with 1..5 symbols, 32,054 of them."""
     return [w for n in range(1, 6) for (w,) in _codes_of_size(n, KIND_WORDS)]
+
+
+@pytest.fixture(scope="session")
+def paragraph_codes_le_4() -> list[tuple[tuple[int, ...], ...]]:
+    """Every two-component paragraph with 1..4 symbols, 11,722 codes."""
+    return [c for n in range(1, 5) for c in _codes_of_size(n, KIND_PARAGRAPHS)]

@@ -21,11 +21,12 @@ from itertools import chain
 from math import factorial, prod
 
 from conftest import addresses, rotate
+from joinloop import fresh_symbol
 from letters import paragraph, words_of
 from sgauss.homology import pairing, profile
 from sgauss.model import SignedParagraph, canonicalize, relabel, render
 from sgauss.surface import SurfaceSummary, build_ribbon, summarize, trace_circles
-from sgauss.transforms import fresh_symbol, join
+from sgauss.transforms import join
 from sgauss.verify import (
     KIND_WORDS,
     CorpusSpec,

@@ -16,12 +16,13 @@ import pytest
 
 from bandwalk import boundary_count
 from conftest import addresses
+from joinloop import fresh_symbol
 from letters import SignedLetter, paragraph, words_of
 from sgauss.cli import main
 from sgauss.homology import pairing, profile, word_is_planar_homology
 from sgauss.model import canonicalize, parse_paragraph, render
 from sgauss.surface import build_ribbon, is_geometric, summarize, trace_circles
-from sgauss.transforms import fresh_symbol, join
+from sgauss.transforms import join
 from sgauss.verify import apply_random_moves
 
 

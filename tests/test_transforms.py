@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import LETTERS, addresses
+import sgauss.transforms as transforms
+from conftest import LETTERS, addresses, random_word, symmetric_chain
+from joinloop import fresh_symbol, reduce_by_joins
+from sgauss.homology import word_is_planar_homology
 from sgauss.model import (
     OperationError,
     SignedParagraph,
@@ -15,7 +20,8 @@ from sgauss.model import (
     render,
 )
 from sgauss.surface import summarize
-from sgauss.transforms import fresh_symbol, join, reduce_to_word, split
+from sgauss.transforms import join, reduce_to_word, split
+from sgauss.verify import _paragraph
 
 
 def P(text: str):
@@ -194,24 +200,91 @@ class TestReduce:
         with pytest.raises(OperationError, match="^prefix '9' is not a valid symbol token$"):
             reduce_to_word(P(text), "9")
 
+    def test_prefix_not_a_string(self):
+        with pytest.raises(OperationError, match="^prefix 7 is not a valid symbol token$"):
+            reduce_to_word(P("a -b / -a b"), 7)
+
     def test_genus_preserved_on_examples(self):
         for text in ("a -b / -a b", "a b / -a -b", "a / -a"):
             p = P(text)
             assert summarize(reduce_to_word(p)).genus == summarize(p).genus
 
 
-class TestFreshSymbol:
-    def test_smallest_unused(self):
-        assert fresh_symbol(frozenset({"a"}), "j") == "j1"
-        assert fresh_symbol(frozenset({"j1", "j2"}), "j") == "j3"
+# Names that the fresh names of the prefixes below run into: "j11" is both
+# "j" + 11 and "j1" + 1.
+PREFIXES = ("j", "a", "x", "j1")
+NAMES = [f"{pre}{k}" for pre in PREFIXES for k in range(1, 6)] + ["j", "a", "x", "b", "y"]
 
-    def test_prefix_validated(self):
-        with pytest.raises(OperationError):
-            fresh_symbol(frozenset(), "8x")
 
-    def test_prefix_not_a_string(self):
-        with pytest.raises(OperationError, match="^prefix 7 is not a valid symbol token$"):
-            fresh_symbol(frozenset(), 7)
+def random_paragraph(rng: random.Random, words: int) -> SignedParagraph:
+    """A paragraph of ``words`` words: a random word of at most 16 symbols
+    named from ``NAMES``, cut at random places, drawn again until the cut
+    is connected."""
+    while True:
+        n = rng.randint((words + 1) // 2, 16)
+        w = random_word(rng, n)
+        cuts = sorted(rng.sample(range(1, 2 * n), words - 1))
+        code = tuple(w[a:b] for a, b in zip((0, *cuts), (*cuts, 2 * n)))
+        try:
+            return parse_paragraph(str(_from_code(code, rng.sample(NAMES, n))))
+        except ValidationError:
+            continue
+
+
+class TestReduceAgainstJoins:
+    """``reduce_to_word`` against the join loop it replaced
+    (``tests/joinloop.py``): the same text and names, and the genus of the
+    paragraph by the circle count and by the homology criterion."""
+
+    @staticmethod
+    def check(p: SignedParagraph, prefix: str = "j") -> None:
+        q, want = reduce_to_word(p, prefix), reduce_by_joins(p, prefix)
+        assert (str(q), q._names) == (str(want), want._names), (str(p), prefix)
+        genus = summarize(p).genus
+        assert summarize(q).genus == genus, str(p)
+        assert word_is_planar_homology(q) == (genus == 0), str(p)
+
+    def test_every_two_component_paragraph_up_to_4(self, paragraph_codes_le_4):
+        assert len(paragraph_codes_le_4) == 11722
+        for code in paragraph_codes_le_4:
+            self.check(_paragraph(code))
+
+    def test_random_paragraphs_with_colliding_prefixes(self):
+        rng = random.Random(2015)
+        collisions = 0
+        for _ in range(1000):
+            p = random_paragraph(rng, rng.randint(3, 8))
+            prefix = rng.choice(PREFIXES)
+            collisions += f"{prefix}1" in p._names
+            self.check(p, prefix)
+        assert collisions > 100
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 50, 200])
+    def test_chains(self, k):
+        self.check(symmetric_chain(k))
+
+    def test_joins_on_the_code(self, monkeypatch):
+        # Neither the public join nor a name search over the alphabet runs;
+        # the code is joined once per component after the first.
+        ps = [P("x -y / y -a / a -x"), P("j1 -b / -j1 b"), symmetric_chain(20)]
+        wants = [reduce_by_joins(p) for p in ps]
+        calls = []
+        join_code = transforms._join_code
+
+        def boom(*args):
+            raise AssertionError("reduce_to_word must join on the code")
+
+        monkeypatch.setattr(transforms, "join", boom)
+        monkeypatch.setattr(transforms, "fresh_symbol", boom, raising=False)
+        monkeypatch.setattr(SignedParagraph, "alphabet", property(boom))
+        monkeypatch.setattr(
+            transforms, "_join_code", lambda *args: calls.append(args) or join_code(*args)
+        )
+        for p, want in zip(ps, wants):
+            calls.clear()
+            q = reduce_to_word(p)
+            assert (str(q), q._names) == (str(want), want._names)
+            assert len(calls) == len(p._code) - 1
 
 
 class TestCorpusProperties:

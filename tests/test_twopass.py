@@ -18,13 +18,7 @@ import twopass
 from conftest import random_word, star, symmetric_chain, symmetric_word
 from sgauss.model import _canonical_search, _canonical_word
 from sgauss.surface import _faces, _mirror, _quads, _table
-from sgauss.verify import KIND_PARAGRAPHS, _codes_of_size, _reverses
-
-
-@pytest.fixture(scope="module")
-def paragraph_codes_le_4():
-    """Every two-component paragraph with 1..4 symbols, 11,722 codes."""
-    return [c for n in range(1, 5) for c in _codes_of_size(n, KIND_PARAGRAPHS)]
+from sgauss.verify import _reverses
 
 
 def same_faces(code):
