@@ -27,7 +27,9 @@ pairing, the renderers and the exhaustive verifier run on codes;
 ``_from_code`` turns a code the package built, with its symbol names, back
 into a paragraph without validation.  The canonical form is the least (word
 lengths, first-appearance letter stream) over every word order and rotation
-(``_canonical``).
+(``_canonical``).  ``is_isomorphic`` does not compute it: it propagates the
+image of one letter through the code (``_isomorphic``), in O(n * L) on
+every input.
 
 ``parse_paragraph`` splits each line into tokens with ``str.split`` and
 numbers each letter's symbol by first appearance as it goes, so the text
@@ -44,6 +46,7 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
@@ -516,7 +519,9 @@ def _canonical(code: Code) -> Code:
     -xn``, where n rotations tie for n letters).  Codes with more words go
     to ``_canonical_search``: near-linear on random paragraphs, and
     factorial only when many interchangeable words tie for long, as in a
-    star of symbol-disjoint short words linked through one long word.
+    star of symbol-disjoint short words linked through one long word: 1-3 s
+    at k = 8 short words, and no end at k = 15.  ``is_isomorphic`` does not
+    call it.
     """
     if len(code) == 1:
         return (_canonical_word(code[0]),)
@@ -647,7 +652,95 @@ def _canonical_word(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_isomorphic(p: SignedParagraph, q: SignedParagraph) -> bool:
-    """Whether two paragraphs differ only by rotations, relabeling and word order."""
-    if len(p._code) != len(q._code) or p.n != q.n:
+    """Whether two paragraphs differ only by rotations, relabeling and word
+    order, decided on their codes by ``_isomorphic`` in O(n * L) without a
+    canonical form."""
+    return _isomorphic(p._code, q._code)
+
+
+def _isomorphic(a: Code, b: Code) -> bool:
+    """Whether the valid codes ``a`` and ``b`` are isomorphic.
+
+    A paragraph is a connected map, so an isomorphism is fixed by the image
+    of one letter (Lando & Zvonkin, ch. 1).  Every letter gets a key that
+    each isomorphism keeps: its exponent, its word's length, and its
+    partner's cyclic offset (partner in the same word) or the partner
+    word's length (partner elsewhere).  Codes whose key multisets differ
+    are not isomorphic.  Otherwise the start is a letter of ``a`` with the
+    rarest key, and each letter of ``b`` with that key is tried as its
+    image: the image fixes the start word's image and rotation, reading
+    that word fixes its symbols' images, and each new symbol's partner
+    fixes the image and rotation of the partner's word, until a conflict
+    of exponent, symbol or word length, or every word is mapped.  At most n
+    candidates of O(L) each, with per-candidate state in dicts.
+
+    Each word is read whole against a word of its length, so a map without
+    conflict takes each letter's successor in its word and its partner to
+    those of its image.  Its image is then a union of words of ``b`` closed
+    under partners, hence all of the connected ``b``, which has as many
+    letters as ``a``: the map is one-to-one without a check that two words
+    share no image.
+    """
+    if len(a) != len(b) or sorted(map(len, a)) != sorted(map(len, b)):
         return False
-    return _canonical(p._code) == _canonical(q._code)
+    size = sum(map(len, a))
+    m = size + 1
+    places = []
+    for code in (a, b):
+        # The word of letter c, its position there, and its key: ((the
+        # partner's offset, or size + the partner word's length) * m + the
+        # word's length) * 2 + the exponent bit, found one symbol at a time.
+        word = [0] * size
+        pos = [0] * size
+        for wi, w in enumerate(code):
+            for k, c in enumerate(w):
+                word[c] = wi
+                pos[c] = k
+        key = [0] * size
+        for c in range(0, size, 2):
+            w, o = word[c], word[c + 1]
+            lw = len(code[w])
+            if w == o:
+                x = pos[c + 1] - pos[c]
+                key[c] = (x % lw * m + lw) * 2
+                key[c + 1] = (-x % lw * m + lw) * 2 + 1
+            else:
+                lo = len(code[o])
+                key[c] = ((size + lo) * m + lw) * 2
+                key[c + 1] = ((size + lw) * m + lo) * 2 + 1
+        places.append((word, pos, key))
+    (word_a, pos_a, key_a), (word_b, pos_b, key_b) = places
+    if sorted(key_a) != sorted(key_b):
+        return False
+    counts = Counter(key_a)
+    rare = min(counts, key=counts.__getitem__)
+    s = key_a.index(rare)
+    for d in [d for d, k in enumerate(key_b) if k == rare]:
+        # (word of a, its image in b, rotation), in the order they are fixed.
+        queue = [(word_a[s], word_b[d], pos_b[d] - pos_a[s])]
+        mapped = {word_a[s]}
+        image: dict[int, int] = {}  # the image of each letter whose partner was read
+        for wi, wj, r in queue:
+            w = b[wj]
+            r %= len(w)
+            for c, e in zip(a[wi], w[r:] + w[:r]):
+                x = image.get(c)
+                if x is None:
+                    if (c ^ e) & 1:
+                        break
+                    image[c ^ 1] = e ^ 1
+                    if (wp := word_a[c ^ 1]) not in mapped:
+                        wq = word_b[e ^ 1]
+                        if len(b[wq]) != len(a[wp]):
+                            break
+                        mapped.add(wp)
+                        queue.append((wp, wq, pos_b[e ^ 1] - pos_a[c ^ 1]))
+                elif x != e:
+                    break
+            else:
+                continue
+            break  # a conflict ends the candidate
+        else:
+            if len(queue) == len(a):
+                return True
+    return False

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twopass
-from conftest import TEXTS, signed_paragraphs
+from conftest import TEXTS, signed_paragraphs, star
 import sgauss.cli
 from sgauss.cli import _build_parser, _parse, _plain, main
 from sgauss.model import SignedParagraph, parse_paragraph, render
@@ -546,6 +546,24 @@ def paragraph_text(words: list[list[str]]) -> str:
     return " / ".join(" ".join(w) for w in words) + "\n"
 
 
+def moved_words(words: list[list[str]], rng: random.Random) -> list[list[str]]:
+    """A copy of ``words`` with every word rotated, the words reordered and
+    the symbols renamed s0, s1, ... in a random order."""
+    moved = []
+    for w in words:
+        r = rng.randrange(len(w))
+        moved.append(w[r:] + w[:r])
+    rng.shuffle(moved)
+    syms = sorted({l.lstrip("-") for w in words for l in w})
+    names = [f"s{i}" for i in range(len(syms))]
+    rng.shuffle(names)
+    rename = dict(zip(syms, names))
+    return [
+        [("-" if l.startswith("-") else "") + rename[l.lstrip("-")] for l in w]
+        for w in moved
+    ]
+
+
 class TestLargeParagraphs:
     """An 8-component chain, where an exhaustive word-order x rotation
     search would build 8! * 4^8 (2.6e9) letter streams."""
@@ -565,23 +583,9 @@ class TestLargeParagraphs:
         assert again == out
 
     def test_iso_against_moved_copy(self, capsys, monkeypatch, tmp_path):
-        rng = random.Random(8)
         words = chain_words(self.K)
-        moved = []
-        for w in words:
-            r = rng.randrange(len(w))
-            moved.append(w[r:] + w[:r])
-        rng.shuffle(moved)
-        syms = sorted({l.lstrip("-") for w in words for l in w})
-        names = [f"s{i}" for i in range(len(syms))]
-        rng.shuffle(names)
-        rename = dict(zip(syms, names))
-        moved = [
-            [("-" if l.startswith("-") else "") + rename[l.lstrip("-")] for l in w]
-            for w in moved
-        ]
         f = tmp_path / "moved"
-        f.write_text(paragraph_text(moved))
+        f.write_text(paragraph_text(moved_words(words, random.Random(8))))
         code, out, _ = run(
             capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
         )
@@ -600,6 +604,29 @@ class TestLargeParagraphs:
             capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
         )
         assert (code, out) == (0, "not isomorphic\n")
+
+
+class TestIsoOnStars:
+    """``iso`` answers on stars in polynomial time, where a search over
+    word orders, as ``canon`` makes, is factorial: it does not finish on a
+    15-star."""
+
+    @pytest.mark.parametrize("k", [15, 200])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_verdict_in_time(self, capsys, monkeypatch, tmp_path, k, swap):
+        words = [w.split() for w in str(star(k)).split(" / ")]
+        # Swapping x0's exponents makes "-x0 y0" a word with two +1 letters,
+        # where every short word of the star has one.
+        flip = {"x0": "-x0", "-x0": "x0"} if swap else {}
+        other = moved_words([[flip.get(l, l) for l in w] for w in words], random.Random(k))
+        f = tmp_path / "other"
+        f.write_text(paragraph_text(other))
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            capsys, monkeypatch, ["iso", "-", str(f)], stdin=paragraph_text(words)
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (0, "not isomorphic\n" if swap else "isomorphic\n")
 
 
 def random_word(n: int, seed: int) -> list[str]:

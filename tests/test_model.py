@@ -15,6 +15,7 @@ from conftest import (
     LETTERS,
     TEXTS,
     addresses,
+    canonical_isomorphic,
     naive_isomorphic,
     random_word,
     rotate,
@@ -41,8 +42,9 @@ from sgauss.model import (
     _canonical_search,
     _canonical_word,
 )
+import sgauss.model
 from sgauss.transforms import join
-from sgauss.verify import apply_random_moves
+from sgauss.verify import _draw, _moved, _paragraph, apply_random_moves
 from tokenparse import parse_by_tokens
 
 
@@ -573,6 +575,163 @@ class TestIsomorphism:
         for i, p in enumerate(reps):
             for q in reps[i + 1 :]:
                 assert not naive_isomorphic(p, q)
+
+
+def moved(code, rng: random.Random):
+    """A uniform random isomorph of ``code``."""
+    n = sum(map(len, code)) // 2
+    return _moved(code, n, _draw(rng.getrandbits, code, n))
+
+
+def exponents_swapped(code, s: int):
+    """``code`` with the two exponents of symbol ``s`` swapped."""
+    return tuple(tuple(c ^ 1 if c >> 1 == s else c for c in w) for w in code)
+
+
+def transposed(code, wi: int, k: int):
+    """``code`` with letters ``k`` and ``k + 1`` of word ``wi`` swapped."""
+    w = list(code[wi])
+    w[k], w[k + 1] = w[k + 1], w[k]
+    return (*code[:wi], tuple(w), *code[wi + 1 :])
+
+
+def perturbed(code, rng: random.Random) -> list:
+    """``code`` with one symbol's exponents swapped, and with two adjacent
+    letters of one word transposed if a word has two letters or more: each
+    still a valid code."""
+    out = [exponents_swapped(code, rng.randrange(sum(map(len, code)) // 2))]
+    long = [wi for wi, w in enumerate(code) if len(w) > 1]
+    if long:
+        wi = rng.choice(long)
+        out.append(transposed(code, wi, rng.randrange(len(code[wi]) - 1)))
+    for x in out:
+        _paragraph(x).__post_init__()
+    return out
+
+
+def decided(a, b) -> bool:
+    """``is_isomorphic`` on codes ``a`` and ``b``, checked to be symmetric."""
+    verdict = is_isomorphic(_paragraph(a), _paragraph(b))
+    assert is_isomorphic(_paragraph(b), _paragraph(a)) == verdict
+    return verdict
+
+
+class TestPropagation:
+    """``is_isomorphic`` propagates one letter's image; the decision by
+    canonical forms (``canonical_isomorphic``) and the brute force
+    ``naive_isomorphic`` are its oracles."""
+
+    @pytest.fixture(scope="class")
+    def small_codes(self, word_codes_le_5, paragraph_codes_le_4):
+        """Every word with n <= 4 and every two-component paragraph with
+        n <= 3, in blocks of one kind and size."""
+        blocks: dict = {}
+        for code in [(w,) for w in word_codes_le_5 if len(w) <= 8] + [
+            c for c in paragraph_codes_le_4 if sum(map(len, c)) <= 6
+        ]:
+            blocks.setdefault((len(code), sum(map(len, code))), []).append(code)
+        return list(blocks.values())
+
+    def test_small_codes_against_moved_copies_and_samples(self, small_codes):
+        # Both ways against the moved copy, one way against the samples.
+        rng = random.Random(30)
+        wrong = []
+        for block in small_codes:
+            paragraphs = dict(zip(block, map(_paragraph, block)))
+            for a, p in paragraphs.items():
+                if not decided(a, moved(a, rng)):
+                    wrong.append(a)
+                for b in rng.sample(block, min(10, len(block))):
+                    if is_isomorphic(p, paragraphs[b]) != canonical_isomorphic(a, b):
+                        wrong.append((a, b))
+        assert wrong == []
+        assert sum(map(len, small_codes)) == 1814 + 586
+
+    def test_small_codes_perturbed(self, small_codes):
+        rng = random.Random(31)
+        wrong = []
+        for block in small_codes:
+            for a in block:
+                for x in perturbed(a, rng):
+                    b = moved(x, rng)
+                    if decided(a, b) != canonical_isomorphic(a, b):
+                        wrong.append((a, b))
+        assert wrong == []
+
+    def test_naive_on_the_smallest_codes(self, small_codes):
+        # Every word with n <= 3 and paragraph with n <= 2 against a moved
+        # copy, a perturbed copy and three samples of its block.
+        rng = random.Random(32)
+        for block in small_codes:
+            if sum(map(len, block[0])) > 6 - 2 * (len(block[0]) > 1):
+                continue
+            for a in block:
+                others = [moved(a, rng), *(moved(x, rng) for x in perturbed(a, rng))]
+                for b in others + rng.sample(block, min(3, len(block))):
+                    want = naive_isomorphic(_paragraph(a), _paragraph(b))
+                    assert decided(a, b) == want == canonical_isomorphic(a, b)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_stars_and_chains(self, k):
+        rng = random.Random(k)
+        for p in (star(k), symmetric_chain(k)):
+            a = p._code
+            others = [moved(a, rng) for _ in range(3)]
+            others += [moved(x, rng) for _ in range(3) for x in perturbed(a, rng)]
+            for b in others:
+                want = canonical_isomorphic(a, b)
+                assert decided(a, b) == want
+                if k <= 2:
+                    assert naive_isomorphic(p, _paragraph(b)) == want
+            assert all(decided(a, b) for b in others[:3])
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_random_cuts(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(4):
+            a = random_cut(rng, m + rng.randrange(4), m)._code
+            others = [moved(a, rng), *(moved(x, rng) for x in perturbed(a, rng))]
+            others.append(random_cut(rng, sum(map(len, a)) // 2, m)._code)
+            for b in others:
+                want = canonical_isomorphic(a, b)
+                assert decided(a, b) == want
+                if m == 3 and sum(map(len, a)) <= 8:
+                    assert naive_isomorphic(_paragraph(a), _paragraph(b)) == want
+            assert decided(a, others[0])
+
+    @settings(max_examples=60)
+    @given(signed_paragraphs(1, 5), signed_paragraphs(1, 5), st.integers(0, 2**16))
+    def test_hypothesis_paragraphs(self, p, q, seed):
+        rng = random.Random(seed)
+        copy = apply_random_moves(p, rng)
+        swapped = _paragraph(moved(perturbed(p._code, rng)[0], rng))
+        for x, y in ((p, q), (p, copy), (p, swapped)):
+            want = canonical_isomorphic(x._code, y._code)
+            assert is_isomorphic(x, y) == is_isomorphic(y, x) == want
+            assert want == naive_isomorphic(x, y) == (canonicalize(x) == canonicalize(y))
+        assert is_isomorphic(p, copy)
+
+    def test_word_lengths_are_checked(self):
+        # The key multisets agree, and a propagation that maps a word onto
+        # one of another length meets no conflict of exponent or symbol.
+        a = ((0, 2, 6, 3), (7, 5, 4, 8), (1, 9))
+        b = ((7, 6, 0, 3), (9, 1), (4, 8, 5, 2))
+        assert not decided(a, b)
+        assert not canonical_isomorphic(a, b)
+        assert not naive_isomorphic(_paragraph(a), _paragraph(b))
+
+    def test_decides_without_a_canonical_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a canonical form was computed")
+
+        for name in ("_canonical", "canonicalize", "_canonical_search", "_canonical_word"):
+            monkeypatch.setattr(sgauss.model, name, refuse)
+        rng = random.Random(15)
+        a = star(15)._code
+        assert decided(a, moved(a, rng))
+        assert not decided(a, moved(exponents_swapped(a, 0), rng))
+        assert is_isomorphic(parse_paragraph("a b -a -b"), parse_paragraph("b -a -b a"))
+        assert not is_isomorphic(parse_paragraph("a b -a -b"), parse_paragraph("a b -b -a"))
 
 
 @st.composite
