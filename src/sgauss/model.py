@@ -35,9 +35,10 @@ every input.
 numbers each letter's symbol by first appearance as it goes, so the text
 becomes the code in one pass; one match of ``_NAMES`` then checks every
 symbol name at once.  ``SignedParagraph.__post_init__`` is the one
-validator, which the parser runs on the parsed code.  Only when parsing
-fails does the text get scanned again, token by token with ``_SCAN``
-(``_tokens``), for the error's token, line and column.
+validator, which the parser runs on the parsed code; it checks that the
+words are connected by one reach from word 0 over the word of each letter,
+in O(L).  Only when parsing fails does the text get scanned again, token by
+token with ``_SCAN`` (``_tokens``), for the error's token, line and column.
 
 All values are immutable after construction and safe to share between
 threads; operations never mutate their inputs.
@@ -46,7 +47,6 @@ threads; operations never mutate their inputs.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
@@ -264,19 +264,28 @@ def _single_word(p: SignedParagraph) -> None:
         raise OperationError(f"expected a single-word paragraph, got {len(p._code)} words")
 
 
-def _links(code: Code) -> set[tuple[int, int]]:
-    """The pairs (i, j), i <= j, of words of ``code`` holding one symbol's letters."""
-    word = [0] * sum(map(len, code))
+def _homes(code: Code) -> list[int]:
+    """The word of each letter of ``code``, by letter."""
+    home = [0] * sum(map(len, code))
     for wi, w in enumerate(code):
         for c in w:
-            word[c] = wi
-    return {(i, j) if i <= j else (j, i) for i, j in zip(word[0::2], word[1::2])}
+            home[c] = wi
+    return home
+
+
+def _links(code: Code) -> set[tuple[int, int]]:
+    """The pairs (i, j), i <= j, of words of ``code`` holding one symbol's letters."""
+    home = _homes(code)
+    return {(i, j) if i <= j else (j, i) for i, j in zip(home[0::2], home[1::2])}
 
 
 def _validate(code: Code, names: Sequence[str]) -> None:
     """Raise the first structural failure of ``code``, whose letters are all
     below 2 * len(names).  A code whose letters each occur once passes one set
-    comparison; only one that fails it is scanned for its first failure."""
+    comparison; only one that fails it is scanned for its first failure.
+    Connectivity is one reach from word 0 over the word of each letter
+    (``_homes``), each reached word adding the words of its letters'
+    partners: O(L), and the first word not reached is the one reported."""
     size = 2 * len(names)
     letters = list(chain.from_iterable(code))
     if not (size and all(code) and len(letters) == size == len(set(letters))):
@@ -311,24 +320,23 @@ def _validate(code: Code, names: Sequence[str]) -> None:
         )
     if len(code) == 1:
         return
-    # Union-find over word indices, linking each pair of words that holds a symbol.
-    parent = list(range(len(code)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in _links(code):
-        parent[find(a)] = find(b)
-    for wi in range(len(code)):
-        if find(wi) != find(0):
-            raise ValidationError(
-                ValidationError.DISCONNECTED,
-                f"word {wi + 1} shares no symbols with the rest of the paragraph",
-                where=(wi, 0),
-            )
+    home = _homes(code)
+    reached = [False] * len(code)
+    reached[0] = True
+    todo = [0]
+    for wi in todo:
+        for c in code[wi]:
+            wj = home[c ^ 1]
+            if not reached[wj]:
+                reached[wj] = True
+                todo.append(wj)
+    if len(todo) < len(code):
+        wi = reached.index(False)
+        raise ValidationError(
+            ValidationError.DISCONNECTED,
+            f"word {wi + 1} shares no symbols with the rest of the paragraph",
+            where=(wi, 0),
+        )
 
 
 def check_pairwise(p: SignedParagraph) -> None:
@@ -710,10 +718,19 @@ def _isomorphic(a: Code, b: Code) -> bool:
                 key[c + 1] = ((size + lw) * m + lo) * 2 + 1
         places.append((word, pos, key))
     (word_a, pos_a, key_a), (word_b, pos_b, key_b) = places
-    if sorted(key_a) != sorted(key_b):
+    keys = sorted(key_a)
+    if keys != sorted(key_b):
         return False
-    counts = Counter(key_a)
-    rare = min(counts, key=counts.__getitem__)
+    # The rarest key: the first shortest run of equal sorted keys, -1 (below
+    # every key) ending the last run.
+    rare, fewest, start = keys[0], size, 0
+    for i, k in enumerate(keys + [-1]):
+        if k != keys[start]:
+            if i - start < fewest:
+                rare, fewest = keys[start], i - start
+                if fewest == 1:
+                    break
+            start = i
     s = key_a.index(rare)
     for d in [d for d, k in enumerate(key_b) if k == rare]:
         # (word of a, its image in b, rotation), in the order they are fixed.

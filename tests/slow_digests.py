@@ -1,12 +1,13 @@
-"""The stdout digests of the ``--max-n 6`` sweeps, of ``reduce`` on a
-2,000-word chain and of ``iso`` on large inputs, too slow for the test suite.
+"""The exit codes and stdout/stderr digests of the ``--max-n 6`` sweeps,
+of ``reduce`` on a 2,000-word chain, of ``iso`` on large inputs and of
+``validate`` on large paragraphs, too slow for the test suite.
 
 Run it as ``python tests/slow_digests.py`` (pytest does not collect it).
 Each command runs through ``cli.main`` in a fresh interpreter, so that its
-peak RSS is its own; the script prints, per command, whether its stdout
-sha256 matches the recorded one, its wall time, and the peak RSS of the
-process and of its largest forked child (``RUSAGE_CHILDREN``).  It exits 1
-if any digest differs.
+peak RSS is its own; the script prints, per command, whether its exit code
+and the sha256 of its stdout and stderr match the recorded ones, its wall
+time, and the peak RSS of the process and of its largest forked child
+(``RUSAGE_CHILDREN``).  It exits 1 if any of them differs.
 
 The inputs are built here.  ``reduce`` reads the chain ``x_i y_i -x_{i+1}
 -y_i`` (i = 0..1,999, cyclically) from stdin.  ``iso`` reads one input from
@@ -15,7 +16,10 @@ n = 8,000, a seeded random 10-word paragraph with n = 1,000 and the
 200-star, each against a seeded copy moved by rotations, word order and
 renaming, and the word ``x1 .. xn -x1 .. -xn`` with n = 2,000 against
 such a copy of itself, of itself with one letter pair swapped and of
-itself with one symbol's exponents swapped.
+itself with one symbol's exponents swapped.  ``validate`` reads from stdin
+the chain above with 5,000 words, that chain with the lone word ``z -z``
+after it (exit 1 with a ``DISCONNECTED`` error at word 5,001) and a seeded
+random 40-word paragraph with n = 2,000.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import tempfile
 import time
 from pathlib import Path
 
-# sha256 of "isomorphic\n" and of "not isomorphic\n".
+# sha256 of "isomorphic\n", of "not isomorphic\n" and of no output.
 ISOMORPHIC = "44e0d7efb6e4750b3ea16fd7dff197d07992d203d64d4ea8fbc163f3788be190"
 NOT_ISOMORPHIC = "356bbb837458718ec66598b669ee124da29f04569ba98b964c7270239f68f233"
+NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
 def _text(words: list[list[str]]) -> str:
@@ -73,7 +78,12 @@ def _cut(word: list[str], m: int, rng: random.Random) -> list[list[str]]:
     return [word[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-CHAIN = [[f"x{i}", f"y{i}", f"-x{(i + 1) % 2000}", f"-y{i}"] for i in range(2000)]
+def _chain(k: int) -> list[list[str]]:
+    return [[f"x{i}", f"y{i}", f"-x{(i + 1) % k}", f"-y{i}"] for i in range(k)]
+
+
+CHAIN = _chain(2000)
+LONG_CHAIN = _chain(5000)
 WORD = [_word(8000, random.Random(8000))]
 SYMMETRIC = [[f"x{i}" for i in range(2000)] + [f"-x{i}" for i in range(2000)]]
 # The letters x1999 and -x0 swapped, which changes the offsets of x0 and
@@ -85,47 +95,60 @@ CUT = _cut(_word(1000, random.Random(1000)), 10, random.Random(10))
 STAR = [[f"-x{i}", f"y{i}"] for i in range(200)] + [
     [l for i in range(200) for l in (f"x{i}", f"-y{i}")]
 ]
+WIDE_CUT = _cut(_word(2000, random.Random(2000)), 40, random.Random(40))
 
 # Per command: its argv, its stdin, the text of iso's second input or None,
-# and the sha256 of its full stdout.  The sweep and reduce digests were
-# recorded before ``--dedupe`` became a filter on the corpus and before
-# ``reduce_to_word`` joined on the code.  The iso verdicts hold by
-# construction; comparing canonical forms gives them too, except on the
-# 200-star, where that search does not finish.
+# and its exit code with the sha256 of its full stdout and stderr.  The
+# sweep and reduce digests were recorded before ``--dedupe`` became a filter
+# on the corpus and before ``reduce_to_word`` joined on the code.  The iso
+# verdicts hold by construction; comparing canonical forms gives them too,
+# except on the 200-star, where that search does not finish.  The validate
+# digests are of "valid: words=5000 symbols=10000\n", of "error: 1:135561:
+# word 5001 shares no symbols with the rest of the paragraph
+# [disconnected]\n" and of "valid: words=40 symbols=2000\n".
 CASES = {
     "verify --max-n 6": (["verify", "--max-n", "6"], "", None,
-        "b0f5de0bf58bcc2adcb4412aa59ef5170e10f774b354475e5f17acb44412ac57"),
+        (0, "b0f5de0bf58bcc2adcb4412aa59ef5170e10f774b354475e5f17acb44412ac57", NOTHING)),
     "verify --max-n 6 --dedupe": (["verify", "--max-n", "6", "--dedupe"], "", None,
-        "56fd8d771d53a96d63e9707a8859d3cf9c27f40ebb032f195475abf4680a91b2"),
+        (0, "56fd8d771d53a96d63e9707a8859d3cf9c27f40ebb032f195475abf4680a91b2", NOTHING)),
     "reduce (2,000-word chain)": (["reduce", "-"], _text(CHAIN), None,
-        "a12acbbf9d8d284bc676357dabfec1f9c877c93ff90b7efdf5237da14586fdc5"),
-    "iso (random word, n = 8,000; moved)": (["iso", "-"], _text(WORD), _moved(WORD, 1), ISOMORPHIC),
+        (0, "a12acbbf9d8d284bc676357dabfec1f9c877c93ff90b7efdf5237da14586fdc5", NOTHING)),
+    "iso (random word, n = 8,000; moved)":
+        (["iso", "-"], _text(WORD), _moved(WORD, 1), (0, ISOMORPHIC, NOTHING)),
     "iso (symmetric word, n = 2,000; moved)":
-        (["iso", "-"], _text(SYMMETRIC), _moved(SYMMETRIC, 2), ISOMORPHIC),
+        (["iso", "-"], _text(SYMMETRIC), _moved(SYMMETRIC, 2), (0, ISOMORPHIC, NOTHING)),
     "iso (symmetric word, n = 2,000; one pair swapped)":
-        (["iso", "-"], _text(SYMMETRIC), _moved(SWAPPED, 3), NOT_ISOMORPHIC),
+        (["iso", "-"], _text(SYMMETRIC), _moved(SWAPPED, 3), (0, NOT_ISOMORPHIC, NOTHING)),
     "iso (symmetric word, n = 2,000; one symbol's exponents swapped)":
-        (["iso", "-"], _text(SYMMETRIC), _moved(FLIPPED, 6), NOT_ISOMORPHIC),
+        (["iso", "-"], _text(SYMMETRIC), _moved(FLIPPED, 6), (0, NOT_ISOMORPHIC, NOTHING)),
     "iso (random 10-word paragraph, n = 1,000; moved)":
-        (["iso", "-"], _text(CUT), _moved(CUT, 4), ISOMORPHIC),
-    "iso (200-star; moved)": (["iso", "-"], _text(STAR), _moved(STAR, 5), ISOMORPHIC),
+        (["iso", "-"], _text(CUT), _moved(CUT, 4), (0, ISOMORPHIC, NOTHING)),
+    "iso (200-star; moved)":
+        (["iso", "-"], _text(STAR), _moved(STAR, 5), (0, ISOMORPHIC, NOTHING)),
+    "validate (5,000-word chain)": (["validate", "-"], _text(LONG_CHAIN), None,
+        (0, "0b519187cd544ae377c02ed5cf91ef89fe7bc128b1453dd43a64602cc4a6a282", NOTHING)),
+    "validate (5,000-word chain and a lone word)":
+        (["validate", "-"], _text([*LONG_CHAIN, ["z", "-z"]]), None,
+        (1, NOTHING, "b591c5ed4294ea3e7a5cc9ec9d802d075e618096d5275a1cf9ed2e35055ba106")),
+    "validate (random 40-word paragraph, n = 2,000)": (["validate", "-"], _text(WIDE_CUT), None,
+        (0, "846556c7cf1ff63bfac11aee2b7f1b2b037fd3850a6b443bf5b2195d6b818378", NOTHING)),
 }
 
 
 def _run(argv: list[str]) -> None:
-    """Run ``sgauss`` on ``argv`` here and print its exit code, stdout
-    sha256, wall time and the two peak RSS figures in MiB."""
+    """Run ``sgauss`` on ``argv`` here and print its exit code, stdout and
+    stderr sha256, wall time and the two peak RSS figures in MiB."""
     from sgauss.cli import main
 
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     began = time.perf_counter()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     wall = time.perf_counter() - began
     rss = [resource.getrusage(who).ru_maxrss / 1024 for who in
            (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    print(code, digest, f"{wall:.3f}", *(f"{m:.0f}" for m in rss))
+    digests = [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)]
+    print(code, *digests, f"{wall:.3f}", *(f"{m:.0f}" for m in rss))
 
 
 def main() -> int:
@@ -142,11 +165,12 @@ def main() -> int:
                 [sys.executable, __file__, *argv], env=env, check=True,
                 capture_output=True, text=True, input=stdin,
             ).stdout.split()
-            code, digest, wall, self_mib, children_mib = line
-            ok = code == "0" and digest == expected
+            code, out, err, wall, self_mib, children_mib = line
+            ok = (int(code), out, err) == expected
             failed |= not ok
+            mismatch = f"MISMATCH exit={code} stdout sha256={out} stderr sha256={err}"
             print(
-                f"{label}: {'ok' if ok else f'MISMATCH exit={code} sha256={digest}'}"
+                f"{label}: {'ok' if ok else mismatch}"
                 f" wall={wall}s peak-rss self={self_mib}MiB children={children_mib}MiB"
             )
     return int(failed)

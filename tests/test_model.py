@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import random
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -41,11 +43,13 @@ from sgauss.model import (
     _canonical_names,
     _canonical_search,
     _canonical_word,
+    _validate,
 )
 import sgauss.model
 from sgauss.transforms import join
 from sgauss.verify import _draw, _moved, _paragraph, apply_random_moves
 from tokenparse import parse_by_tokens
+from unionfind import first_unjoined
 
 
 def word_texts(p: SignedParagraph) -> list[str]:
@@ -337,6 +341,142 @@ class TestValidation:
     @given(signed_paragraphs())
     def test_exponent_sum_is_zero(self, p):
         assert sum(l.exp for w in words_of(p) for l in w) == 0
+
+
+def code_text(code, sep: str) -> str:
+    """The text of ``code`` with symbol i named x{i}, words joined by ``sep``."""
+    return sep.join(" ".join(("-" if c & 1 else "") + f"x{c >> 1}" for c in w) for w in code)
+
+
+def disjoint_union(a, b, rng: random.Random):
+    """The words of codes ``a`` and ``b``, ``b``'s symbols renumbered after
+    ``a``'s, in a random order."""
+    shift = sum(map(len, a))
+    words = [*a, *(tuple(c + shift for c in w) for w in b)]
+    rng.shuffle(words)
+    return tuple(words)
+
+
+def random_cut_code(rng: random.Random, n: int, m: int):
+    """A random code on n symbols cut at random places into m words,
+    connected or not."""
+    letters = random_word(rng, n)
+    cuts = [0, *sorted(rng.sample(range(1, 2 * n), m - 1)), 2 * n]
+    return tuple(letters[i:j] for i, j in zip(cuts, cuts[1:]))
+
+
+class TestReachAgainstUnionFind:
+    """``_validate``'s reach from word 0 raises ``DISCONNECTED`` exactly
+    when the union-find it replaced (``tests/unionfind.py``) finds a word
+    not joined to word 0, at that word, with the same message; through
+    ``parse_paragraph``, at that word's first token."""
+
+    @staticmethod
+    def disconnected(code, sep: str = " / ") -> bool:
+        """Check ``code`` both ways and whether the oracle called it
+        disconnected."""
+        names = [f"x{i}" for i in range(sum(map(len, code)) // 2)]
+        text = code_text(code, sep)
+        wi = first_unjoined(code)
+        if wi is None:
+            _validate(code, names)
+            parse_paragraph(text)
+            return False
+        message = f"word {wi + 1} shares no symbols with the rest of the paragraph"
+        with pytest.raises(ValidationError) as exc:
+            _validate(code, names)
+        e = exc.value
+        assert (e.kind, e.message, e.where) == (ValidationError.DISCONNECTED, message, (wi, 0))
+        prefix = code_text(code[:wi], sep) + sep
+        line = prefix.count("\n") + 1
+        col = len(prefix) - prefix.rfind("\n")
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph(text)
+        e = exc.value
+        assert (e.kind, e.message, e.where, e.line, e.col) == (
+            ValidationError.DISCONNECTED, message, (wi, 0), line, col
+        )
+        return True
+
+    def test_every_cut_of_every_word_up_to_3(self, word_codes_le_5):
+        # Each word of 2n letters cut at any of the 2^(2n-1) sets of its
+        # inner gaps: 1 to 2n words.
+        codes = [
+            tuple(w[i:j] for i, j in zip((0, *cuts), (*cuts, len(w))))
+            for w in word_codes_le_5
+            if len(w) <= 6
+            for r in range(len(w))
+            for cuts in combinations(range(1, len(w)), r)
+        ]
+        assert len(codes) == 3940
+        verdicts = [self.disconnected(c, " / " if i % 2 else "\n") for i, c in enumerate(codes)]
+        assert 0 < sum(verdicts) < len(codes)
+
+    def test_random_cuts(self):
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 40)
+            m = rng.randint(2, min(12, 2 * n)) if n > 1 else 2
+            code = random_cut_code(rng, n, m)
+            verdicts.append(self.disconnected(code, rng.choice([" / ", "\n"])))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_disjoint_unions(self):
+        rng = random.Random(32)
+
+        def valid(m: int):
+            # Drawn until connected by the oracle, so that no draw hangs on
+            # a broken validator.
+            while first_unjoined(code := random_cut_code(rng, rng.randint(m, 8), m)) is not None:
+                pass
+            return code
+
+        for _ in range(200):
+            a, b = valid(1), valid(rng.randint(2, 3))
+            assert self.disconnected(disjoint_union(a, b, rng))
+            assert self.disconnected(disjoint_union(b, valid(rng.randint(2, 3)), rng))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_stars_and_chains(self, k):
+        for p in (star(k), symmetric_chain(k)):
+            code = p._code
+            assert not self.disconnected(code)
+            lone = (2 * p.n, 2 * p.n + 1)
+            for at in range(len(code) + 1):
+                assert self.disconnected((*code[:at], lone, *code[at:]))
+        # The star's long word cut in two: each half with its short words
+        # is a component of its own.
+        *short, long = star(k)._code
+        for cut in range(2, len(long), 2):
+            assert self.disconnected((*short, long[:cut], long[cut:]))
+
+
+class TestValidationIsLinear:
+    """The connectivity check is one O(L) reach: a 5,000-word chain, and
+    the same chain with a lone word after it, each parse in well under the
+    bound (tens of milliseconds)."""
+
+    K = 5000
+
+    def test_chain(self):
+        text = str(symmetric_chain(self.K))
+        t0 = time.perf_counter()
+        p = parse_paragraph(text)
+        assert time.perf_counter() - t0 < 2.0
+        assert (len(p._code), p.n) == (self.K, 2 * self.K)
+
+    def test_chain_and_lone_word(self):
+        text = str(symmetric_chain(self.K))
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError) as exc:
+            parse_paragraph(text + " / z -z")
+        assert time.perf_counter() - t0 < 2.0
+        e = exc.value
+        assert (e.kind, e.where, e.line, e.col) == (
+            ValidationError.DISCONNECTED, (self.K, 0), 1, len(text) + 4
+        )
+        assert e.message == "word 5001 shares no symbols with the rest of the paragraph"
 
 
 class TestRenderRoundTrip:
