@@ -32,6 +32,7 @@ from .homology import (
     IntersectionProfile,
     pairing,
     profile,
+    profile_rows,
     word_is_planar_homology,
 )
 from .transforms import join, reduce_to_word, split
@@ -60,6 +61,7 @@ __all__ = [
     "is_geometric",
     "IntersectionProfile",
     "profile",
+    "profile_rows",
     "word_is_planar_homology",
     "pairing",
     "split",

@@ -18,7 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .homology import pairing, profile
+from .homology import pairing, profile_rows
 from .model import (
     GaussError,
     ParseError,
@@ -156,13 +156,28 @@ def _cmd_circles(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    pr = profile(parse_paragraph(_read(args.file)))
+    """The profile, written a row of beta at a time.  Row i is one
+    %-template of its n - 1 entries (i, j, beta), the diagonal left out;
+    a symbol name holds no "%"."""
+    names, alphas, rows = profile_rows(parse_paragraph(_read(args.file)))
+    write = sys.stdout.write
     if args.json:
-        _emit(pr.as_dict())
+        import json
+        write(f'{{"alpha": {json.dumps(dict(zip(names, alphas)))}, "beta": [')
+        names = list(map(json.dumps, names))
+        head, cell, gap = "[{}, ", "{}, %d]", ", "  # gap: between entries
     else:
-        print("alpha: " + " ".join(f"{s}={v}" for s, v in pr.alpha.items()))
-        print("beta:" + "".join(f" {i},{j}={v}" for (i, j), v in pr.beta.items()))
-        print(f"planar: {str(pr.is_zero).lower()}")
+        write("alpha: " + " ".join(map("{}={}".format, names, alphas)) + "\nbeta:")
+        head, cell, gap = " {},", "{}=%d", ""
+    cells = list(map(cell.format, names))
+    planar = not any(alphas)
+    for r, row in enumerate(rows if len(cells) > 1 else ()):  # 1 symbol: no beta
+        planar = planar and not any(row)
+        first = head.format(names[r])
+        template = first + (gap + first).join(cells[:r] + cells[r + 1 :])
+        write(gap * (r > 0) + template % (row[:r] + row[r + 1 :]))
+    planar = str(planar).lower()
+    write(f'], "planar": {planar}}}\n' if args.json else f"\nplanar: {planar}\n")
     return 0
 
 

@@ -32,19 +32,36 @@ over the word.  Then, with bit_i the bit of i,
     beta(i, j) = ((Sp[i] | bit_i) & Sm[j]).bit_count()
                - ((Sm[i] | bit_i) & Sp[j]).bit_count().
 
-A profile of a word with n symbols therefore costs O(n) for the pass and n^2
-entries of O(n / 64) machine-word operations each.  The sweep of
-:mod:`sgauss.verify` reads two verdicts of a word's profile, whether it
-vanishes and whether beta is antisymmetric; ``_verdicts`` gives both
-straight from the masks, over the n(n - 1)/2 pairs, without the names and
-the (name, name)-keyed dict that ``profile`` builds.  ``profile`` gives
-every entry at once: alpha of every symbol and beta of every ordered pair of
-distinct symbols.  It and ``word_is_planar_homology`` take a one-word
+The sweep of :mod:`sgauss.verify` reads two verdicts of a word's profile,
+whether it vanishes and whether beta is antisymmetric; ``_verdicts`` gives
+both straight from the masks, over the n(n - 1)/2 pairs, in O(n / 64)
+machine-word operations per pair.
+
+``profile`` and the CLI need every entry, and build a whole row of beta at
+once instead (``_packed``).  Each symbol gets a w-bit field of one integer,
+w = 16 (32 once n >= 2^15), the fields in sorted-name order.  Read forward,
+the closed segment of i is the letters from p_i to q_i, and a letter adds to
+beta(i, j) for every j whose segment holds its partner: +1 for a +1 letter,
+-1 for a -1 letter.  One pass records A, the packed set of symbols whose
+segment holds the current letter, at every letter; a second pass sums, per
+letter, A at its partner (negated at a -1 letter) into prefix rows P.  Row i
+is then P[q_i + 1] - P[p_i], plus P[2n] when i's segment wraps, and its
+field j is beta(i, j) (0 on the diagonal).  Each field lies in [-n, n], so
+adding 2^(w - 1) to every field makes the row a plain base-2^w number, and
+``struct`` decodes it into n ints in C.  A profile thus costs O(n^2 * w / 64)
+machine-word operations for the passes and the rows, plus n^2 entries
+decoded in C; the prefix rows take O(n^2 * w) bits, and a decoded row O(n).
+``profile_rows`` gives the rows one at a time, which is how the CLI writes
+the profile; ``profile`` collects them into its named dicts.
+``word_is_planar_homology`` decodes nothing: the word is planar when every
+alpha and every packed row is 0.  All three take a one-word
 ``SignedParagraph``, whose code they read as it is, and reject a paragraph
 of more words.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .model import (
     Code,
@@ -57,9 +74,12 @@ from .model import (
 __all__ = [
     "IntersectionProfile",
     "profile",
+    "profile_rows",
     "word_is_planar_homology",
     "pairing",
 ]
+
+Row = tuple[int, ...]  # beta(i, j) for every j, in one order of the symbols
 
 
 def _segments(word: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -117,20 +137,96 @@ def profile(p: SignedParagraph) -> IntersectionProfile:
     return _profile(p._code[0], p._names)
 
 
-def _profile(word: tuple[int, ...], names) -> IntersectionProfile:
-    """The profile of a valid code word, symbol s being named ``names[s]``."""
-    segs = _segments(word)
-    order = sorted(range(len(segs)), key=names.__getitem__)
-    alphas = {names[s]: segs[s][2] for s in order}
-    columns = [(names[s], *segs[s][:2]) for s in order]
-    rows = [(i, sp | 1 << s, sm | 1 << s) for (i, sp, sm), s in zip(columns, order)]
-    betas = {
-        (i, j): (closed_plus & sm).bit_count() - (closed_minus & sp).bit_count()
-        for i, closed_plus, closed_minus in rows
-        for j, sp, sm in columns
-        if i != j
-    }
-    return IntersectionProfile(alphas, betas)
+def profile_rows(p: SignedParagraph) -> tuple[list[str], list[int], Iterator[Row]]:
+    """The profile of the one-word paragraph ``p`` a row at a time: its
+    symbols in sorted order, their alpha values in that order, and an
+    iterator of the beta rows in that order, row i holding beta(i, j) for
+    every symbol j in that order (0 at j = i).  Raises OperationError, before
+    any row is made, if ``p`` has more words."""
+    _single_word(p)
+    return _rows(p._code[0], p._names)
+
+
+def _profile(word: tuple[int, ...], names, width: int = 0) -> IntersectionProfile:
+    """The profile of a valid code word, symbol s being named ``names[s]``,
+    collected from its rows (``_rows``)."""
+    names, alphas, rows = _rows(word, names, width)
+    betas = {(i, j): v for i, row in zip(names, rows) for j, v in zip(names, row) if i != j}
+    return IntersectionProfile(dict(zip(names, alphas)), betas)
+
+
+def _rows(
+    word: tuple[int, ...], names, width: int = 0
+) -> tuple[list[str], list[int], Iterator[Row]]:
+    """``profile_rows`` of a valid code word, symbol s being named
+    ``names[s]``, decoded from ``width``-bit fields (0: the least that
+    holds them)."""
+    import struct  # for the rows only: the package loads without it
+
+    n = len(word) // 2
+    order = sorted(range(n), key=names.__getitem__)
+    width = width or _width(n)
+    alphas, packed = _packed(word, order, width)
+    # 2^(width - 1) in every field; XORed off again, it leaves each field
+    # beta mod 2^width, which the signed format reads back as beta.
+    bias = int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * n, "little")
+    unpack = struct.Struct(f"<{n}{'h' if width == 16 else 'i'}").unpack
+    size = n * width // 8
+    rows = (unpack(((r + bias) ^ bias).to_bytes(size, "little")) for r in packed)
+    return [names[s] for s in order], alphas, rows
+
+
+def _width(n: int) -> int:
+    """The bits of a row's field for n symbols: room for beta in [-n, n]
+    with the bias 2^(w - 1) added."""
+    return 16 if n < 1 << 15 else 32
+
+
+def _packed(word: tuple[int, ...], order, width: int) -> tuple[list[int], Iterator[int]]:
+    """alpha of each symbol of ``order`` and an iterator of their packed
+    beta rows, symbol ``order[r]`` holding the ``width``-bit field r of
+    every row."""
+    at = [0] * len(word)
+    for k, c in enumerate(word):
+        at[c] = k
+    unit = [0] * len(order)
+    for r, s in enumerate(order):
+        unit[s] = 1 << width * r
+    # A: the symbols whose segment holds the current letter, at first those
+    # whose segment wraps past the end of the word.  A symbol's segment
+    # opens after its +1 letter and closes before its -1 letter.
+    held = sum([unit[s] for s in range(len(unit)) if at[2 * s + 1] < at[2 * s]])
+    holders = [0] * len(word)  # A at each letter, by letter
+    exponent_sums = [0]  # E
+    total = 0
+    for c in word:
+        if c & 1:
+            held -= unit[c >> 1]
+            holders[c] = held
+            total -= 1
+        else:
+            holders[c] = held
+            held += unit[c >> 1]
+            total += 1
+        exponent_sums.append(total)
+    alphas = [exponent_sums[at[2 * s + 1]] - exponent_sums[at[2 * s] + 1] for s in order]
+    prefix = [0]  # P
+    summed = 0
+    for c in word:
+        if c & 1:
+            summed -= holders[c ^ 1]
+        else:
+            summed += holders[c ^ 1]
+        prefix.append(summed)
+    del holders
+
+    def rows() -> Iterator[int]:
+        for s in order:
+            p, q = at[2 * s], at[2 * s + 1]
+            row = prefix[q + 1] - prefix[p]
+            yield row + summed if q < p else row  # summed: P[2n]
+
+    return alphas, rows()
 
 
 def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
@@ -152,10 +248,12 @@ def _verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
 
 
 def word_is_planar_homology(p: SignedParagraph) -> bool:
-    """Planarity by the vanishing of the whole intersection profile,
-    decided from its masks (``_verdicts``), no named profile built."""
+    """Planarity by the vanishing of the whole intersection profile: every
+    alpha and every packed beta row (``_packed``) is 0; nothing decoded, no
+    named profile built."""
     _single_word(p)
-    return _verdicts(p._code[0])[0]
+    alphas, rows = _packed(p._code[0], range(p.n), _width(p.n))
+    return not any(alphas) and not any(rows)
 
 
 def pairing(p: SignedParagraph) -> int:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from letters import SignedLetter, SignedWord, paragraph, words_of
-from sgauss.model import Code, SignedParagraph, ValidationError, _canonical, parse_paragraph
+from maskprofile import mask_profile
+from unionfind import first_unjoined
+from sgauss.homology import profile
+from sgauss.model import Code, SignedParagraph, _canonical, parse_paragraph
 from sgauss.verify import KIND_PARAGRAPHS, KIND_WORDS, _codes_of_size, _paragraph
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -36,17 +40,25 @@ def signed_words(draw, min_symbols=1, max_symbols=5) -> SignedWord:
     return SignedWord(tuple(draw(st.permutations(pool))))
 
 
+def connected(words: Sequence[Sequence[SignedLetter]]) -> bool:
+    """Whether shared symbols join every word of ``words`` to the first, by
+    the union-find of ``tests/unionfind.py``, not by the validator under
+    test."""
+    ids: dict[str, int] = {}
+    code = tuple(
+        tuple(2 * ids.setdefault(l.sym, len(ids)) + (l.exp < 0) for l in w) for w in words
+    )
+    return first_unjoined(code) is None
+
+
 @st.composite
 def signed_paragraphs(draw, min_symbols=2, max_symbols=4) -> SignedParagraph:
     """Valid paragraphs with 1 or 2 components."""
     w = draw(signed_words(min_symbols, max_symbols))
     cut = draw(st.integers(0, len(w) - 1))
-    if cut == 0:
-        return paragraph((w,))
-    try:
-        return paragraph((w.letters[:cut], w.letters[cut:]))
-    except ValidationError:
-        return paragraph((w,))  # disconnected cut; fall back to the word
+    words = (w.letters[:cut], w.letters[cut:])
+    # A disconnected cut falls back to the word.
+    return paragraph(words if cut and connected(words) else (w,))
 
 
 def addresses(p: SignedParagraph) -> dict[str, tuple[tuple[int, int], tuple[int, int]]]:
@@ -165,6 +177,19 @@ def paragraphs_le_3() -> list[SignedParagraph]:
 def word_codes_le_5() -> list[tuple[int, ...]]:
     """The code word of every word with 1..5 symbols, 32,054 of them."""
     return [w for n in range(1, 6) for (w,) in _codes_of_size(n, KIND_WORDS)]
+
+
+@pytest.fixture(scope="session")
+def profiles_le_5(word_codes_le_5) -> list:
+    """``profile`` of the paragraph of each word of ``word_codes_le_5``."""
+    return [profile(_paragraph((w,))) for w in word_codes_le_5]
+
+
+@pytest.fixture(scope="session")
+def mask_profiles_le_5(word_codes_le_5) -> list:
+    """The oracle's profile of each word of ``word_codes_le_5``, the
+    symbols named a, b, c, ... as ``profile`` names them."""
+    return [mask_profile(w, LETTERS) for w in word_codes_le_5]
 
 
 @pytest.fixture(scope="session")

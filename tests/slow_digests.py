@@ -1,12 +1,14 @@
 """The exit codes and stdout/stderr digests of the ``--max-n 6`` sweeps,
-of ``reduce`` on a 2,000-word chain, of ``iso`` on large inputs and of
-``validate`` on large paragraphs, too slow for the test suite.
+of ``reduce`` on a 2,000-word chain, of ``iso`` on large inputs, of
+``validate`` on large paragraphs and of ``profile`` on large words, too
+slow for the test suite.
 
 Run it as ``python tests/slow_digests.py`` (pytest does not collect it).
-Each command runs through ``cli.main`` in a fresh interpreter, so that its
-peak RSS is its own; the script prints, per command, whether its exit code
-and the sha256 of its stdout and stderr match the recorded ones, its wall
-time, and the peak RSS of the process and of its largest forked child
+Each command runs through ``cli.main`` in a fresh interpreter, its stdout
+and stderr hashed as they are written and not kept, so that its peak RSS
+is its own; the script prints, per command, whether its exit code and the
+sha256 of its stdout and stderr match the recorded ones, its wall time,
+and the peak RSS of the process and of its largest forked child
 (``RUSAGE_CHILDREN``).  It exits 1 if any of them differs.
 
 The inputs are built here.  ``reduce`` reads the chain ``x_i y_i -x_{i+1}
@@ -19,7 +21,10 @@ such a copy of itself, of itself with one letter pair swapped and of
 itself with one symbol's exponents swapped.  ``validate`` reads from stdin
 the chain above with 5,000 words, that chain with the lone word ``z -z``
 after it (exit 1 with a ``DISCONNECTED`` error at word 5,001) and a seeded
-random 40-word paragraph with n = 2,000.
+random 40-word paragraph with n = 2,000.  ``profile`` and ``profile
+--json`` read from stdin a seeded random word and a seeded word of kinks
+(``k_i -k_i`` or ``-k_i k_i``, each put at a random place), both with
+n = 2,000.
 """
 
 from __future__ import annotations
@@ -78,6 +83,15 @@ def _cut(word: list[str], m: int, rng: random.Random) -> list[list[str]]:
     return [word[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
+def _kinks(n: int, rng: random.Random) -> list[str]:
+    """A planar word: n kinks, each put at a random place in the word so far."""
+    letters: list[str] = []
+    for i in range(n):
+        at = rng.randint(0, len(letters))
+        letters[at:at] = [f"k{i}", f"-k{i}"][:: rng.choice([1, -1])]
+    return letters
+
+
 def _chain(k: int) -> list[list[str]]:
     return [[f"x{i}", f"y{i}", f"-x{(i + 1) % k}", f"-y{i}"] for i in range(k)]
 
@@ -96,6 +110,8 @@ STAR = [[f"-x{i}", f"y{i}"] for i in range(200)] + [
     [l for i in range(200) for l in (f"x{i}", f"-y{i}")]
 ]
 WIDE_CUT = _cut(_word(2000, random.Random(2000)), 40, random.Random(40))
+PROFILE_WORD = [_word(2000, random.Random(2001))]
+KINKS = [_kinks(2000, random.Random(2002))]
 
 # Per command: its argv, its stdin, the text of iso's second input or None,
 # and its exit code with the sha256 of its full stdout and stderr.  The
@@ -105,7 +121,9 @@ WIDE_CUT = _cut(_word(2000, random.Random(2000)), 40, random.Random(40))
 # except on the 200-star, where that search does not finish.  The validate
 # digests are of "valid: words=5000 symbols=10000\n", of "error: 1:135561:
 # word 5001 shares no symbols with the rest of the paragraph
-# [disconnected]\n" and of "valid: words=40 symbols=2000\n".
+# [disconnected]\n" and of "valid: words=40 symbols=2000\n".  The profile
+# digests were recorded when ``profile`` built its whole dict before
+# printing (6-12 s and 0.8-1.1 GiB a case).
 CASES = {
     "verify --max-n 6": (["verify", "--max-n", "6"], "", None,
         (0, "b0f5de0bf58bcc2adcb4412aa59ef5170e10f774b354475e5f17acb44412ac57", NOTHING)),
@@ -132,7 +150,26 @@ CASES = {
         (1, NOTHING, "b591c5ed4294ea3e7a5cc9ec9d802d075e618096d5275a1cf9ed2e35055ba106")),
     "validate (random 40-word paragraph, n = 2,000)": (["validate", "-"], _text(WIDE_CUT), None,
         (0, "846556c7cf1ff63bfac11aee2b7f1b2b037fd3850a6b443bf5b2195d6b818378", NOTHING)),
+    "profile (random word, n = 2,000)": (["profile", "-"], _text(PROFILE_WORD), None,
+        (0, "f99832b022bc778c41d5ff4421f288ff9c54c1fffc1f0ee2e535f96fec08cddb", NOTHING)),
+    "profile --json (random word, n = 2,000)":
+        (["profile", "--json", "-"], _text(PROFILE_WORD), None, (0, "6679772209523d4a529ce9470f32f50e6f8dc5ef5c8c8dcb560ace6bbbb3b913", NOTHING)),
+    "profile (kink word, n = 2,000)": (["profile", "-"], _text(KINKS), None,
+        (0, "78cc196bff47ab6e066ea747bebba4d9f396f78529ee986cab5538f10eece49d", NOTHING)),
+    "profile --json (kink word, n = 2,000)":
+        (["profile", "--json", "-"], _text(KINKS), None, (0, "b8bb695ef856a93dc5535eb1af847d7ab173c30c573033b85df8196c7a8e8836", NOTHING)),
 }
+
+
+class _Hashed(io.TextIOBase):
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        return len(text)
 
 
 def _run(argv: list[str]) -> None:
@@ -140,15 +177,15 @@ def _run(argv: list[str]) -> None:
     stderr sha256, wall time and the two peak RSS figures in MiB."""
     from sgauss.cli import main
 
-    out, err = io.StringIO(), io.StringIO()
+    out, err = _Hashed(), _Hashed()
     began = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     wall = time.perf_counter() - began
     rss = [resource.getrusage(who).ru_maxrss / 1024 for who in
            (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
-    digests = [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)]
-    print(code, *digests, f"{wall:.3f}", *(f"{m:.0f}" for m in rss))
+    print(code, out.sha256.hexdigest(), err.sha256.hexdigest(), f"{wall:.3f}",
+          *(f"{m:.0f}" for m in rss))
 
 
 def main() -> int:

@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twopass
-from conftest import TEXTS, signed_paragraphs, star
+from conftest import TEXTS, signed_paragraphs, signed_words, star
+from letters import paragraph
+from maskprofile import mask_profile, profile_stdout
 import sgauss.cli
 from sgauss.cli import _build_parser, _parse, _plain, main
 from sgauss.model import SignedParagraph, parse_paragraph, render
@@ -662,12 +664,12 @@ class TestLargeCircles:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, as_json]
 
 
-def circles_by_main(text: str, as_json: bool) -> str:
-    """The stdout of ``sgauss circles`` on ``text``, with ``--json`` if
+def stdout_by_main(command: str, text: str, as_json: bool) -> str:
+    """The stdout of ``sgauss command`` on ``text``, with ``--json`` if
     ``as_json``; usable where function-scoped fixtures are not."""
     out = io.StringIO()
     with mock.patch("sys.stdin", stdin_of(text)), contextlib.redirect_stdout(out):
-        assert main(["circles", *["--json"] * as_json]) == 0
+        assert main([command, *["--json"] * as_json]) == 0
     return out.getvalue()
 
 
@@ -678,7 +680,7 @@ def same_circles(p: SignedParagraph) -> None:
     assert r._edges == twopass.edges(r)
     text = render(p)
     for as_json in (False, True):
-        assert circles_by_main(text, as_json) == twopass.circles_stdout(p, as_json)
+        assert stdout_by_main("circles", text, as_json) == twopass.circles_stdout(p, as_json)
 
 
 class TestCirclesAgainstOracle:
@@ -705,6 +707,66 @@ class TestCirclesAgainstOracle:
     @given(signed_paragraphs())
     def test_paragraphs(self, p):
         same_circles(p)
+
+
+def kink_word(n: int, seed: int) -> list[str]:
+    """The letters of a seeded planar word: n kinks k_i -k_i (either order),
+    each put at a random place in the word so far."""
+    rng = random.Random(seed)
+    letters: list[str] = []
+    for i in range(n):
+        at = rng.randint(0, len(letters))
+        letters[at:at] = [f"k{i}", f"-k{i}"][:: rng.choice([1, -1])]
+    return letters
+
+
+def same_profile(text: str) -> None:
+    """Both ``profile`` outputs on ``text`` are what rendering the oracle's
+    whole profile gives."""
+    (word,), names = (p := parse_paragraph(text))._code, p._names
+    oracle = mask_profile(word, names)
+    for as_json in (False, True):
+        assert stdout_by_main("profile", text, as_json) == profile_stdout(oracle, as_json)
+
+
+class TestProfileAgainstOracle:
+    """The profile written a row at a time against the whole profile
+    rendered at once (``maskprofile``), byte for byte; at n = 400, where
+    the oracle takes 0.3 s a word, against the sha256 of the output that
+    the whole-profile rendering gave."""
+
+    LARGE = {
+        "word400": LARGE_INPUTS["word400"],
+        "random400": paragraph_text([random_word(400, 3600)]),
+        "kinks400": paragraph_text([kink_word(400, 3700)]),
+    }
+    DIGESTS = {
+        ("word400", False): "50bb5973f9d836dd89eeb7fcbd3c6d0d6db81f62ad8258928581347eb1ec1972",
+        ("word400", True): "dae46c638ae0567e2b360a0ca3370cc6b42d44c5b00662cc6893692643f86aed",
+        ("random400", False): "f4dbdda32250795a67aad2a5216f44a45d4ccee03b70fce657d374db3176fcb1",
+        ("random400", True): "b7d79e6798e0bee38312831a6e569e361b7841d84ad30e10f2f032b8d0ccc1dc",
+        ("kinks400", False): "0bd8ed0ad6756f3dcf3f703c59168bcd8fa92bc393cf9926f548cb7039a7a944",
+        ("kinks400", True): "8343f5d2da04e7dc420c508a96fc33b7c6e09d3f2411cd9aa00f3706f45d168a",
+    }
+
+    def test_every_word_up_to_4(self, words_le_4):
+        for p in words_le_4:
+            same_profile(render(p))
+
+    @pytest.mark.parametrize("n", [8, 40, 150])
+    def test_seeded_words(self, n):
+        same_profile(paragraph_text([random_word(n, 3200 + n)]))
+        same_profile(paragraph_text([kink_word(n, 3300 + n)]))
+
+    @pytest.mark.parametrize("name,as_json", sorted(DIGESTS))
+    def test_digest(self, name, as_json):
+        out = stdout_by_main("profile", self.LARGE[name], as_json)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, as_json]
+
+    @settings(max_examples=50)
+    @given(signed_words(max_symbols=12))
+    def test_hypothesis_words(self, w):
+        same_profile(render(paragraph((w,))))
 
 
 # Every subcommand that reads a paragraph, with the options it requires.

@@ -2,7 +2,8 @@
 
 The segment tests hold the set-based oracle ``setprofile`` to the
 definition; the profile tests hold ``profile`` to hand values and to the
-oracle."""
+oracle, and the packed rows to the dict of mask popcounts they replaced
+(``maskprofile``)."""
 
 from __future__ import annotations
 
@@ -17,9 +18,18 @@ from hypothesis import strategies as st
 
 import setprofile
 from conftest import rotate, signed_words
+from maskprofile import mask_profile
 from letters import SignedLetter, SignedWord, paragraph, words_of
 from setprofile import closed_letter_set, inverse_set, letter_set, segment_of
-from sgauss.homology import _profile, _verdicts, pairing, profile, word_is_planar_homology
+from sgauss.homology import (
+    _profile,
+    _rows,
+    _verdicts,
+    pairing,
+    profile,
+    profile_rows,
+    word_is_planar_homology,
+)
 from sgauss.model import OperationError, SignedParagraph, ValidationError, parse_paragraph, relabel
 from sgauss.surface import is_geometric, summarize
 from sgauss.verify import _paragraph
@@ -225,18 +235,25 @@ class TestAgainstSetOracle:
             setprofile.profile(w)
 
 
-def dict_verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
-    """(is_zero, beta antisymmetric) read off the named profile's dicts."""
-    pr = _profile(word, string.ascii_lowercase)
+def verdicts_of(pr) -> tuple[bool, bool]:
+    """(is_zero, beta antisymmetric) read off a named profile's dicts."""
     return pr.is_zero, all(v == -pr.beta[j, i] for (i, j), v in pr.beta.items())
+
+
+def dict_verdicts(word: tuple[int, ...]) -> tuple[bool, bool]:
+    """``verdicts_of`` the oracle's named profile of ``word``."""
+    return verdicts_of(mask_profile(word, string.ascii_lowercase))
 
 
 class TestVerdicts:
     """The sweep's mask kernel against the named profile."""
 
-    def test_every_word_up_to_5(self, word_codes_le_5):
+    def test_every_word_up_to_5(self, word_codes_le_5, mask_profiles_le_5):
         assert len(word_codes_le_5) == 32054
-        wrong = [w for w in word_codes_le_5 if _verdicts(w) != dict_verdicts(w)]
+        wrong = [
+            w for w, pr in zip(word_codes_le_5, mask_profiles_le_5)
+            if _verdicts(w) != verdicts_of(pr)
+        ]
         assert wrong == []
 
     @settings(max_examples=50)
@@ -254,6 +271,72 @@ class TestVerdicts:
         )
         word = parse_paragraph("a b -a -b")._code[0]
         assert _verdicts(word) == dict_verdicts(word) == (False, False)
+
+
+# Names whose sorted order is the reverse of the code's symbol order, so that
+# a row's fields are not in code order.
+REVERSED = string.ascii_lowercase[::-1]
+
+
+def entries(pr) -> tuple[list, list]:
+    """A profile's alpha and beta entries in their order, which ``as_dict``
+    and the CLI keep."""
+    return list(pr.alpha.items()), list(pr.beta.items())
+
+
+class TestPackedRows:
+    """The packed rows of ``homology._rows`` against the dict of mask
+    popcounts that they replaced, entry for entry and in the same order."""
+
+    def test_every_word_up_to_5(self, profiles_le_5, mask_profiles_le_5):
+        assert len(profiles_le_5) == 32054
+        wrong = [
+            entries(pr) for pr, oracle in zip(profiles_le_5, mask_profiles_le_5)
+            if entries(pr) != entries(oracle)
+        ]
+        assert wrong == []
+
+    def test_32_bit_fields(self, words_le_4):
+        # The fields a word takes from n = 2^15 on, in an order other than
+        # the code's.
+        for p in words_le_4:
+            (w,) = p._code
+            assert entries(_profile(w, REVERSED, 32)) == entries(mask_profile(w, REVERSED))
+
+    @settings(max_examples=50)
+    @given(signed_words(max_symbols=12), st.sampled_from([0, 32]))
+    def test_hypothesis_words(self, w, width):
+        (word,), names = P(w)._code, P(w)._names
+        assert entries(_profile(word, names, width)) == entries(mask_profile(word, names))
+
+    @pytest.mark.parametrize("kind", ["random", "kinks"])
+    def test_seeded_words(self, kind):
+        n = 60
+        rng = random.Random(n)
+        if kind == "kinks":
+            w = _kink_word(n, rng)
+        else:
+            pool = [SignedLetter(f"s{i}", e) for i in range(n) for e in (1, -1)]
+            rng.shuffle(pool)
+            w = SignedWord(pool)
+        (word,), names = P(w)._code, P(w)._names
+        for width in (0, 32):
+            assert entries(_profile(word, names, width)) == entries(mask_profile(word, names))
+
+    def test_profile_rows(self):
+        p = parse_paragraph("c b -c a -b d -a -d")
+        names, alphas, rows = profile_rows(p)
+        oracle = mask_profile(p._code[0], p._names)
+        assert names == ["a", "b", "c", "d"]
+        assert alphas == list(oracle.alpha.values())
+        assert list(rows) == [tuple(oracle.beta.get((i, j), 0) for j in names) for i in names]
+
+    def test_rows_are_made_one_at_a_time(self):
+        (word,) = parse_paragraph("a b -a -b")._code
+        _, _, rows = _rows(word, "ab")
+        assert next(rows) == (0, 1)
+        assert next(rows) == (-1, 0)
+        assert next(rows, None) is None
 
 
 class TestOneWordParagraph:
@@ -276,10 +359,10 @@ class TestOneWordParagraph:
         profile(p), word_is_planar_homology(p)
         assert built == []
 
-    def test_planarity_is_the_profile_verdict(self, word_codes_le_5):
+    def test_planarity_is_the_profile_verdict(self, word_codes_le_5, profiles_le_5):
         wrong = [
-            w for w in word_codes_le_5
-            if word_is_planar_homology(p := _paragraph((w,))) != profile(p).is_zero
+            w for w, pr in zip(word_codes_le_5, profiles_le_5)
+            if word_is_planar_homology(_paragraph((w,))) != pr.is_zero
         ]
         assert wrong == []
 
@@ -296,7 +379,7 @@ class TestOneWordParagraph:
         assert word_is_planar_homology(parse_paragraph("a -a b -b"))
         assert not word_is_planar_homology(parse_paragraph(self.TEXT))
 
-    @pytest.mark.parametrize("call", [profile, word_is_planar_homology])
+    @pytest.mark.parametrize("call", [profile, word_is_planar_homology, profile_rows])
     def test_several_words_rejected(self, call):
         with pytest.raises(
             OperationError, match="^expected a single-word paragraph, got 2 words$"

@@ -18,6 +18,7 @@ from conftest import (
     TEXTS,
     addresses,
     canonical_isomorphic,
+    connected,
     naive_isomorphic,
     random_word,
     rotate,
@@ -550,16 +551,17 @@ class TestCanonicalize:
 
 
 def random_cut(rng: random.Random, n: int, k: int) -> SignedParagraph:
-    """A random word on n symbols cut at random places into k connected words."""
-    while True:
+    """A random word on n symbols cut at random places into k words, drawn
+    until the union-find oracle finds them connected, so that a validator
+    that rejects them all fails the draw instead of hanging it."""
+    for _ in range(1000):
         letters = [SignedLetter(LETTERS[i], e) for i in range(n) for e in (1, -1)]
         rng.shuffle(letters)
         cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
-        bounds = list(zip([0] + cuts, cuts + [2 * n]))
-        try:
-            return paragraph(letters[a:b] for a, b in bounds)
-        except ValidationError:
-            continue
+        words = [letters[a:b] for a, b in zip([0] + cuts, cuts + [2 * n])]
+        if connected(words):
+            return paragraph(words)
+    raise AssertionError(f"no connected cut of {n} symbols into {k} words in 1,000 draws")
 
 
 class TestCanonicalizeAgainstBruteForce:

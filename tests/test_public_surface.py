@@ -31,6 +31,7 @@ PUBLIC = [
     "is_geometric",
     "IntersectionProfile",
     "profile",
+    "profile_rows",
     "word_is_planar_homology",
     "pairing",
     "split",
@@ -68,7 +69,7 @@ def module(name: str):
 
 def test_all_is_exactly_the_public_names():
     assert sgauss.__all__ == PUBLIC
-    assert len(set(PUBLIC)) == 28
+    assert len(set(PUBLIC)) == 29
 
 
 @pytest.mark.parametrize("name", PUBLIC)
